@@ -24,6 +24,18 @@ import pandas as pd
 _BUCKET = "__abucket"
 
 
+def _round_half_away(x, nd: int = 6):
+    """Round half-away-from-zero at ``nd`` decimals — matching
+    DuckDB's ROUND(), where Python's round() and np.round() are
+    half-to-even. Exactly-representable half cases (e.g. jaccard
+    65/128 = 0.5078125) would otherwise diverge from every SQL
+    oracle by one ulp of the last kept digit. Sign-symmetric (log
+    scores are negative)."""
+    m = 10.0 ** nd
+    v = np.asarray(x, dtype=np.float64) * m
+    return np.where(v >= 0, np.floor(v + 0.5), np.ceil(v - 0.5)) / m
+
+
 def grouped_agg(ds, keys: list[str], spec: dict[str, tuple[str | None, str]],
                 batch_size: int = 65536, num_buckets: int = 32):
     partial_spec: dict[str, tuple[str | None, str]] = {}
@@ -225,111 +237,13 @@ def hll_distinct_by(ds, key: str, column: str, b: int = 12,
         # elementwise per-group max: rows with the same code reduce
         # into one register row
         np.maximum.at(merged, codes, stacked)
-        ests = np.round(_hll_estimate_rows(merged), 1)
+        ests = _round_half_away(_hll_estimate_rows(merged), 1)
         return pd.DataFrame({key: uniques, "approx_distinct": ests})
 
     out = (ds.map_batches(partial, batch_format="pandas")
            .groupby(_BUCKET).map_groups(combine, batch_format="pandas")
            .to_pandas())
     return out.sort_values(key).reset_index(drop=True)
-
-
-# ------------------------------------------- grouping sets: CUBE/ROLLUP
-#
-# The classic one-shuffle plan: aggregate the FINEST grouping once
-# (grouped_agg's partial/combine — only pre-aggregated slim rows move),
-# then derive every coarser set by re-aggregating the finest *result*,
-# which is |distinct key combos| rows, not corpus rows. sum/count/min/
-# max re-aggregate exactly; mean is carried as (sum, count) partials
-# until each set's final division. grouping_id follows the SQL
-# GROUPING() bit convention: bit 2^(d-1-i) set when dims[i] is rolled
-# up, so DuckDB's GROUPING(a, b, ...) is the oracle verbatim.
-
-
-def _grouping_sets(dims: list[str], mode: str) -> list[tuple[str, ...]]:
-    if mode == "cube":
-        from itertools import combinations
-        return [c for r in range(len(dims), -1, -1)
-                for c in combinations(dims, r)]
-    if mode == "rollup":
-        return [tuple(dims[:i]) for i in range(len(dims), -1, -1)]
-    raise ValueError(f"unknown grouping mode {mode!r}")
-
-
-def cube_agg(ds, dims: list[str], spec: dict[str, tuple[str | None, str]],
-             mode: str = "cube", num_buckets: int = 32):
-    """CUBE / ROLLUP over ``dims`` with ``spec`` as in grouped_agg
-    (sum/count/min/max/mean). Returns one pandas frame: dims columns
-    (None where rolled up), aggregates, and ``grouping_id``."""
-    inner: dict[str, tuple[str | None, str]] = {}
-    for out, (col, kind) in spec.items():
-        if kind == "mean":
-            inner[f"__{out}_s"] = (col, "sum")
-            inner[f"__{out}_c"] = (col, "count")
-        else:
-            inner[out] = (col, kind)
-    finest = grouped_agg(ds, dims, inner,
-                         num_buckets=num_buckets).to_pandas()
-
-    frames = []
-    for keys in _grouping_sets(dims, mode):
-        if keys:
-            g = finest.groupby(list(keys), sort=False, dropna=False)
-            agg = {out: (getattr(g[out], "sum")()
-                         if kind in ("sum", "count") else
-                         getattr(g[out], kind)())
-                   for out, (_, kind) in inner.items()}
-            part = pd.DataFrame(agg).reset_index()
-        else:
-            part = pd.DataFrame({
-                out: [finest[out].sum() if kind in ("sum", "count")
-                      else getattr(finest[out], kind)()]
-                for out, (_, kind) in inner.items()})
-        gid = 0
-        for i, d in enumerate(dims):
-            if d not in keys:
-                part[d] = None
-                gid |= 1 << (len(dims) - 1 - i)
-        part["grouping_id"] = np.int64(gid)
-        frames.append(part)
-    out_df = pd.concat(frames, ignore_index=True)
-    for out, (_, kind) in spec.items():
-        if kind == "mean":
-            out_df[out] = out_df[f"__{out}_s"] / out_df[f"__{out}_c"]
-            out_df = out_df.drop(columns=[f"__{out}_s", f"__{out}_c"])
-    return out_df[dims + list(spec.keys()) + ["grouping_id"]]
-
-
-def pivot_agg(ds, index: str, column: str, spec: tuple[str | None, str],
-              col_values: list | None = None, prefix: str = "",
-              fill=0, num_buckets: int = 32):
-    """Distributed pivot: aggregate (index, column) pairs with
-    grouped_agg (the only corpus-size shuffle), then reshape the slim
-    aggregated rows to one row per index value. ``col_values`` fixes
-    the output column set (required for a stable schema at scale —
-    pass the known domain; None collects the distinct set first)."""
-    agg = grouped_agg(ds, [index, column], {"__v": spec},
-                      num_buckets=num_buckets)
-    if col_values is None:
-        col_values = sorted(agg.to_pandas()[column].unique().tolist())
-
-    def reshape(g: pd.DataFrame) -> pd.DataFrame:
-        wide = g.pivot_table(index=index, columns=column, values="__v",
-                             aggfunc="first").reindex(
-            columns=col_values).fillna(fill).reset_index()
-        wide.columns = [index] + [f"{prefix}{v}" for v in col_values]
-        return wide
-
-    def bucketed(b: pd.DataFrame) -> pd.DataFrame:
-        b = b.copy()
-        b["__pb"] = (pd.util.hash_array(np.asarray(b[index]))
-                     % num_buckets).astype(np.int64)
-        return b
-
-    return (agg.map_batches(bucketed, batch_format="pandas")
-            .groupby("__pb")
-            .map_groups(lambda g: reshape(g.drop(columns="__pb")),
-                        batch_format="pandas"))
 
 
 def grouped_convex_hull(ds, group_col: str, x_col: str, y_col: str,

@@ -552,98 +552,21 @@ def join(left, right, on: str | list[str], how: str = "inner",
                                n_salts=n_salts)
 
 
-# ------------------------------------------------- interval/range join
+# ------------------------------------------------- interval joins
 #
-# The non-equi join Ray Data lacks (the brief's named example): points
-# against intervals, point BETWEEN lo AND hi. Plan: grid the value
-# domain into cells of width w; a point belongs to exactly ONE cell, an
-# interval replicates to every cell it overlaps (ceil(len/w)+1 copies),
-# so each matching (point, interval) pair meets exactly once — in the
-# point's cell — and needs no post-dedup. The only shuffle is the
-# bucketed cell co-group; the exact BETWEEN filter runs in-bucket.
-# Replication factor is interval_length/w: pick w ~ the median interval
-# length (the default does, with one cheap pass over the INTERVALS side
-# only, never the points). One degenerate giant interval replicating to
-# thousands of cells is the skew mode to watch; cap it with
-# max_cells_per_interval (raises rather than silently exploding).
+# The non-equi joins Ray Data lacks. Plan: grid the value domain into
+# cells of width w; an interval replicates to every cell it overlaps
+# (ceil(len/w)+1 copies). The only shuffle is the bucketed cell
+# co-group; the exact predicate runs in-bucket. Replication factor is
+# interval_length/w: pick w ~ the median interval length (the default
+# does, with one cheap pass over one side only). One degenerate giant
+# interval replicating to thousands of cells is the skew mode to
+# watch; cap it with max_cells_per_interval (raises rather than
+# silently exploding).
 
 
 def _cell_of(values: np.ndarray, w: float) -> np.ndarray:
     return np.floor(np.asarray(values, dtype=np.float64) / w).astype(np.int64)
-
-
-def range_join(points, intervals, point_col: str, lo_col: str, hi_col: str,
-               cell_width: float | None = None, num_buckets: int = 32,
-               max_cells_per_interval: int = 4096):
-    """Inner join of point rows with every interval row containing
-    them (``lo <= point <= hi``, SQL BETWEEN semantics; NULL points or
-    bounds never match). Column names must be disjoint."""
-    if cell_width is None:
-        stats = intervals.map_batches(
-            lambda b: pd.DataFrame(
-                {"len": (b[hi_col] - b[lo_col]).astype(np.float64)}),
-            batch_format="pandas").to_pandas()
-        med = float(stats["len"].median()) if len(stats) else 1.0
-        cell_width = max(med, 1e-9)
-    w = float(cell_width)
-
-    def tag_points(b: pd.DataFrame) -> pd.DataFrame:
-        b = b[b[point_col].notna()].copy()
-        cell = _cell_of(b[point_col].to_numpy(), w)
-        b["__cell"] = cell
-        b["__b"] = _stable_bucket(pd.Series(cell), num_buckets)
-        b["__side"] = np.int8(0)
-        return b
-
-    def tag_intervals(b: pd.DataFrame) -> pd.DataFrame:
-        b = b[b[lo_col].notna() & b[hi_col].notna()
-              & (b[lo_col] <= b[hi_col])].copy()
-        c0 = _cell_of(b[lo_col].to_numpy(), w)
-        c1 = _cell_of(b[hi_col].to_numpy(), w)
-        n = c1 - c0 + 1
-        if len(n) and int(n.max()) > max_cells_per_interval:
-            raise ValueError(
-                f"interval spans {int(n.max())} cells of width {w}; "
-                f"raise cell_width or max_cells_per_interval")
-        rep = b.iloc[np.repeat(np.arange(len(b)), n)].copy()
-        # cell offsets within each interval: global arange minus each
-        # row's run start, plus its first cell
-        starts = np.repeat(np.cumsum(n) - n, n)
-        cell = np.repeat(c0, n) + (np.arange(int(n.sum())) - starts)
-        rep["__cell"] = cell
-        rep["__b"] = _stable_bucket(pd.Series(cell), num_buckets)
-        rep["__side"] = np.int8(1)
-        return rep
-
-    pcols = [f.name for f in _arrow_schema(points)]
-    icols = [f.name for f in _arrow_schema(intervals)]
-
-    def pad(missing_cols):
-        # null-pad to the shared canonical column order so the tagged
-        # union is one homogeneous Dataset
-        def f(b: pd.DataFrame) -> pd.DataFrame:
-            for c in missing_cols:
-                b[c] = None
-            return b[pcols + icols + ["__cell", "__b", "__side"]]
-        return f
-
-    tagged = (points.map_batches(tag_points, batch_format="pandas")
-              .map_batches(pad(icols), batch_format="pandas")
-              .union(intervals.map_batches(tag_intervals,
-                                           batch_format="pandas")
-                     .map_batches(pad(pcols), batch_format="pandas")))
-
-    def merge(g: pd.DataFrame) -> pd.DataFrame:
-        l = g.loc[g["__side"] == 0, pcols + ["__cell"]]
-        r = g.loc[g["__side"] == 1, icols + ["__cell"]]
-        out = l.merge(r, on="__cell")
-        if out.empty:
-            return out.drop(columns="__cell")
-        keep = ((out[lo_col] <= out[point_col])
-                & (out[point_col] <= out[hi_col]))
-        return out.loc[keep].drop(columns="__cell")
-
-    return tagged.groupby("__b").map_groups(merge, batch_format="pandas")
 
 
 def interval_overlap_join(left, right, l_lo: str, l_hi: str,
@@ -652,11 +575,10 @@ def interval_overlap_join(left, right, l_lo: str, l_hi: str,
                           num_buckets: int = 32,
                           max_cells_per_interval: int = 4096):
     """Inner join of interval rows on OVERLAP (``l_lo <= r_hi AND
-    r_lo <= l_hi``, closed ends; NULL bounds never match) — the
-    interval×interval companion to ``range_join``. Column names must
-    be disjoint.
+    r_lo <= l_hi``, closed ends; NULL bounds never match). Column
+    names must be disjoint.
 
-    Same gridded plan, with the classic ownership trick so a pair
+    Gridded plan with the classic ownership trick so a pair
     overlapping many shared cells is still emitted exactly ONCE and
     needs no post-dedup: both sides replicate to every cell they
     touch, and a candidate pair is reported only in the cell
@@ -741,7 +663,7 @@ def distance_join(left, right, d: float, l_x: str = "x", l_y: str = "y",
     their home cell while RIGHT points replicate to the 3x3 ring —
     each qualifying pair meets exactly ONCE (in the left point's
     cell), no post-dedup. The exact d² filter runs in-bucket on the
-    squared distance (no sqrt). Same family as ``range_join`` /
+    squared distance (no sqrt). Same family as
     ``interval_overlap_join``; the flagship's kNN stage uses the same
     ring-1 trick over H3-ish cells (`page_join.py`)."""
     w = float(d)

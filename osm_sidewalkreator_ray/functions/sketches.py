@@ -286,113 +286,6 @@ def tdigest_quantiles(ds, column: str, qs: tuple[float, ...] = (
                          for q in qs})
 
 
-def exact_quantile(ds, column: str, q: float,
-                   max_collect: int = 65536,
-                   max_rounds: int = 80) -> float:
-    """EXACT interpolated quantile (SQL ``quantile_cont``; NaNs
-    ignored) of a float column via DISTRIBUTED SELECTION — the exact
-    counterpart to the t-digest (approximate) and
-    distinct-value-histogram (int-only) plans. One bootstrap pass
-    gets (valid count, min, max); a t-digest guess seeds the pivot;
-    then each round is ONE counting pass (two slim numbers per batch)
-    that bisects the value bracket containing the target order
-    statistics; when the bracket holds <= ``max_collect`` rows they
-    collect and the interpolation finishes exactly. Rounds are
-    O(log(n/max_collect)) for non-degenerate data; massive ties
-    resolve via the one-representable-value bracket branch (a single
-    tied value IS both straddling order statistics)."""
-    boot = ds.map_batches(
-        lambda b: (lambda v: pd.DataFrame(
-            {"n": [len(v)],
-             "mn": [v.min() if len(v) else np.inf],
-             "mx": [v.max() if len(v) else -np.inf]}))(
-            b[column].to_numpy(dtype=np.float64)
-            [~np.isnan(b[column].to_numpy(dtype=np.float64))]),
-        batch_format="pandas").to_pandas()
-    n_total = int(boot["n"].sum())
-    if n_total == 0:
-        raise ValueError("exact_quantile of an all-NaN/empty column")
-    lo, hi = float(boot["mn"].min()), float(boot["mx"].max())
-
-    # target: interpolated between 0-indexed floor(h) and ceil(h)
-    h = (n_total - 1) * float(q)
-    k_lo, k_hi = int(np.floor(h)), int(np.ceil(h))
-
-    td = tdigest_quantiles(ds, column, qs=(q,))
-    pivot = float(np.clip(float(td.iloc[0, 0]),
-                          np.nextafter(lo, np.inf), hi))
-    lo_count = 0          # rows strictly below lo
-
-    for _ in range(max_rounds):
-        def count_batch(b: pd.DataFrame, _lo=lo, _hi=hi,
-                        _p=pivot) -> pd.DataFrame:
-            v = b[column].to_numpy(dtype=np.float64)
-            v = v[~np.isnan(v)]
-            inb = v[(v >= _lo) & (v <= _hi)]
-            return pd.DataFrame({
-                "below_p": [int((inb < _p).sum())],
-                "in_bracket": [len(inb)]})
-
-        c = ds.map_batches(count_batch,
-                           batch_format="pandas").to_pandas()
-        below_p = int(c["below_p"].sum())   # within bracket, < pivot
-        in_bracket = int(c["in_bracket"].sum())
-
-        if in_bracket <= max_collect:
-            def grab(b: pd.DataFrame, _lo=lo, _hi=hi) -> pd.DataFrame:
-                v = b[column].to_numpy(dtype=np.float64)
-                v = v[~np.isnan(v)]
-                return pd.DataFrame(
-                    {"v": v[(v >= _lo) & (v <= _hi)]})
-
-            vals = np.sort(ds.map_batches(
-                grab, batch_format="pandas").to_pandas()["v"]
-                .to_numpy(np.float64))
-            x_lo = vals[k_lo - lo_count]
-            x_hi = vals[k_hi - lo_count]
-            return float(x_lo + (h - k_lo) * (x_hi - x_lo))
-
-        # narrow: rows below the pivot globally = lo_count + below_p
-        g = lo_count + below_p
-        if g > k_hi:                        # BOTH targets are < pivot
-            hi = np.nextafter(pivot, -np.inf)
-        elif g <= k_lo:                     # BOTH targets are >= pivot
-            lo, lo_count = pivot, g
-        else:
-            # k_lo < g <= k_hi (fractional h only): the pivot falls
-            # BETWEEN the two interpolation order statistics — exactly
-            # g = k_hi rows sit below it, so the largest below-pivot
-            # value has rank k_lo and the smallest at/above-pivot value
-            # has rank k_hi. Narrowing either bracket edge would drop
-            # one of them (the former bug: IndexError at the collect);
-            # instead one more slim pass (two numbers per batch) reads
-            # both edges and finishes exactly.
-            def edges(b: pd.DataFrame, _lo=lo, _hi=hi,
-                      _p=pivot) -> pd.DataFrame:
-                v = b[column].to_numpy(dtype=np.float64)
-                v = v[~np.isnan(v)]
-                inb = v[(v >= _lo) & (v <= _hi)]
-                below = inb[inb < _p]
-                atup = inb[inb >= _p]
-                return pd.DataFrame({
-                    "mx_below": [below.max() if len(below)
-                                 else -np.inf],
-                    "mn_at": [atup.min() if len(atup) else np.inf]})
-
-            e = ds.map_batches(edges, batch_format="pandas").to_pandas()
-            x_lo = float(e["mx_below"].max())
-            x_hi = float(e["mn_at"].min())
-            return float(x_lo + (h - k_lo) * (x_hi - x_lo))
-        nxt = lo + (hi - lo) / 2.0
-        if not (lo < nxt < hi) or nxt == pivot:
-            # bracket narrowed to one representable value (ties):
-            # both order statistics equal it
-            return float(lo)
-        pivot = nxt
-    raise RuntimeError("exact_quantile did not converge "
-                       f"in {max_rounds} rounds")
-
-
 # ------------------------------------------------ Count-Min sketch
 
 _CM_SEEDS = np.array([0x9E3779B9, 0x85EBCA6B, 0xC2B2AE35, 0x27D4EB2F,
@@ -444,37 +337,3 @@ def cm_estimate(sketch: np.ndarray, values: np.ndarray) -> np.ndarray:
         .astype(np.int64)
 
 
-def exact_quantile_histogram(ds, column: str, qs: list[float],
-                             max_distinct: int = 2_000_000
-                             ) -> list[float]:
-    """EXACT ``quantile_cont`` for BOUNDED-DISTINCT numeric columns in
-    ONE streaming pass (vs exact_quantile's O(log) counting passes):
-    per-batch (value, count) partials fold through the bucketed
-    combiner, and the driver interpolates every requested q on the
-    O(distinct) cumulative histogram. NaNs are ignored (SQL
-    semantics). Raises ValueError when the distinct count exceeds
-    ``max_distinct`` — callers fall back to the selection path, which
-    is constant in driver memory."""
-    from .aggregates import grouped_agg
-
-    hist = grouped_agg(ds, [column], {"cnt": (None, "count")}) \
-        .to_pandas()
-    hist = hist[~hist[column].isna()]
-    if len(hist) > max_distinct:
-        raise ValueError(
-            f"{len(hist)} distinct values > max_distinct="
-            f"{max_distinct}; use exact_quantile")
-    hist = hist.sort_values(column).reset_index(drop=True)
-    v = hist[column].to_numpy(np.float64)
-    cum = np.cumsum(hist["cnt"].to_numpy(np.int64))
-    n = int(cum[-1])
-
-    def q_cont(q: float) -> float:
-        h = (n - 1) * q
-        lo = int(np.floor(h))
-        hi = min(lo + 1, n - 1)
-        x_lo = v[np.searchsorted(cum, lo + 1)]
-        x_hi = v[np.searchsorted(cum, hi + 1)]
-        return float(x_lo + (h - lo) * (x_hi - x_lo))
-
-    return [q_cont(float(q)) for q in qs]

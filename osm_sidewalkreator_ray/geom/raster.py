@@ -128,13 +128,8 @@ def open_mask(mask: np.ndarray, k: int) -> np.ndarray:
     return binary_dilate(binary_erode(mask, k), k)
 
 
-def close_mask(mask: np.ndarray, k: int) -> np.ndarray:
-    return binary_erode(binary_dilate(mask, k), k)
-
-
 # ------------------------------------------------------------- contours
 
-_DIRS = {(1, 0): 0, (0, 1): 1, (-1, 0): 2, (0, -1): 3}
 _VECS = [(1, 0), (0, 1), (-1, 0), (0, -1)]
 
 

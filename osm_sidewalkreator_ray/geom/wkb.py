@@ -239,7 +239,6 @@ def bbox_of_lines(coords, offsets):
 import pyarrow as _pa
 
 GEOARROW_LINESTRING = _pa.list_(_pa.list_(_pa.float64(), 2))
-GEOARROW_POLYGON = _pa.list_(_pa.list_(_pa.list_(_pa.float64(), 2)))
 
 
 def lines_to_geoarrow(coords: np.ndarray,

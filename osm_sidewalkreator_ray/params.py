@@ -10,10 +10,6 @@ are meters.
 DEFAULT_CURVE_RADIUS = 3.0
 # reference parameters.py:33-35
 MIN_D_TO_BUILDING = 1.0
-# reference parameters.py:42 (only used by the reference's big-buffer
-# difference trick; the new engine extracts interior rings directly so
-# this constant is retained for documentation parity only)
-BIG_BUFFER_D = 10000.0
 # reference parameters.py:45
 MINIMAL_BUFFER = 3.0
 # reference parameters.py:48
@@ -26,8 +22,6 @@ PERC_TOL_CROSSINGS = 25.0
 PERC_TO_INTERPOLATE = 0.4
 # reference parameters.py:60
 D_TO_ADD_TO_EACH_SIDE = 1.0
-# reference parameters.py:63
-DEFAULT_TIMEOUT_SECONDS = 60
 
 # reference parameters.py:67-105 — per-highway-class default widths (m);
 # 0 means "ignore this class" (dropped by the width filter, M3).
@@ -84,8 +78,6 @@ KNN_MAX_DIST = 50.0
 CUTOFF_PERCENT_PROTOBLOCK = 40.0
 # reference parameters.py:163
 DUPLICATE_POINTS_TOL = 0.1
-# reference parameters.py:166
-SNAP_DISJOINTED_TOL = 0.5
 # reference parameters.py:169
 MIN_STRETCH_SIZE = 7.0
 # reference parameters.py:172

@@ -211,49 +211,21 @@ def osm_xml_parse_query(sf_dir: str) -> pd.DataFrame:
 _CURITIBA_OSM = "/root/reference/test/data/curitiba_sample.osm"
 
 
-def _fallback_buildings_osm() -> bytes:
-    """Deterministic little extract with a closed building way, a
-    2-outer multipolygon relation, and tagged addr nodes — used when
-    the reference checkout isn't present at its well-known path."""
-    return b"""<osm>
-<node id="1" lat="0.0000" lon="0.0000"/><node id="2" lat="0.0000" lon="0.0010"/>
-<node id="3" lat="0.0010" lon="0.0010"/><node id="4" lat="0.0010" lon="0.0000"/>
-<node id="11" lat="0.0020" lon="0.0000"/><node id="12" lat="0.0020" lon="0.0010"/>
-<node id="13" lat="0.0030" lon="0.0010"/><node id="14" lat="0.0030" lon="0.0000"/>
-<node id="21" lat="0.0040" lon="0.0000"/><node id="22" lat="0.0040" lon="0.0010"/>
-<node id="23" lat="0.0050" lon="0.0010"/><node id="24" lat="0.0050" lon="0.0000"/>
-<node id="31" lat="0.0005" lon="0.0005">
-  <tag k="addr:housenumber" v="12"/></node>
-<node id="32" lat="0.0025" lon="0.0005">
-  <tag k="addr:housenumber" v="34"/></node>
-<way id="100"><nd ref="1"/><nd ref="2"/><nd ref="3"/><nd ref="4"/>
-  <nd ref="1"/><tag k="building" v="yes"/>
-  <tag k="addr:housenumber" v="7"/></way>
-<way id="101"><nd ref="11"/><nd ref="12"/><nd ref="13"/><nd ref="14"/>
-  <nd ref="11"/></way>
-<way id="102"><nd ref="21"/><nd ref="22"/><nd ref="23"/><nd ref="24"/>
-  <nd ref="21"/></way>
-<relation id="200"><tag k="type" v="multipolygon"/>
-  <tag k="building" v="yes"/>
-  <member type="way" ref="101" role="outer"/>
-  <member type="way" ref="102" role="outer"/></relation>
-</osm>"""
-
-
 def osm_buildings_pois_query(sf_dir: str) -> pd.DataFrame:
     """S3 multipolygons/points layers + the G6b POI builder, through
     the Ray parser stage (building relations assembled; centroids +
-    addr nodes merged). Uses the reference's own Curitiba extract when
-    present, else a deterministic synthetic extract with the same
-    structure (closed ways, a multi-outer relation, addr nodes)."""
+    addr nodes merged) over the reference's own Curitiba extract;
+    raises FileNotFoundError when that extract is missing."""
     import os
     from ..sources.osm_xml import OsmXmlParser, build_pois
     from ..geom import wkb as _wkb
     import pyarrow as pa
-    if os.path.exists(_CURITIBA_OSM):
-        raw = open(_CURITIBA_OSM, "rb").read()
-    else:
-        raw = _fallback_buildings_osm()
+    if not os.path.exists(_CURITIBA_OSM):
+        raise FileNotFoundError(
+            f"osm_buildings_pois_query needs the reference Curitiba "
+            f"extract at {_CURITIBA_OSM}")
+    with open(_CURITIBA_OSM, "rb") as fh:
+        raw = fh.read()
     ds = rd.from_items([{"osm_xml": raw}])
     bld = pa.Table.from_pandas(
         ds.map_batches(OsmXmlParser, fn_constructor_args=("multipolygons",),

@@ -18,7 +18,6 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
-import ray
 import ray.data as rd
 
 from ..functions.aggregates import grouped_agg
@@ -815,10 +814,10 @@ def events_user_count_approx(sf_dir: str, b: int = 12):
     of keys. Deterministic (fixed hash); rows-only check — a SQL
     oracle cannot reproduce the sketch, so the recall/error contract
     lives in tests (std err ~1.6% at b=12)."""
-    from ..functions.aggregates import hll_distinct
+    from ..functions.aggregates import _round_half_away, hll_distinct
     ds = _read(sf_dir, "events", columns=["user_id"])
-    est = hll_distinct(ds, "user_id", b=b)
-    return pd.DataFrame({"approx_users": [round(est, 1)]})
+    est = float(_round_half_away(hll_distinct(ds, "user_id", b=b), 1))
+    return pd.DataFrame({"approx_users": [est]})
 
 
 def events_user_count_approx_by_type(sf_dir: str, b: int = 12):
@@ -963,3110 +962,4 @@ WHERE o_orderkey = l_orderkey
   AND l_shipdate <  TIMESTAMP '1996-01-01'
 GROUP BY l_returnflag
 ORDER BY l_returnflag
-"""
-
-
-# ------------------------------------------------------- Q6 (r4)
-
-def q6_forecast_revenue(sf_dir: str):
-    """TPC-H Q6 shape: pure filtered-scan aggregate — predicate and
-    product inside the read stream, two float partials per batch reach
-    the driver. No shuffle, no join."""
-    li = _read(sf_dir, "lineitem",
-               columns=["l_shipdate", "l_discount", "l_quantity",
-                        "l_extendedprice"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        m = pc.and_(pc.and_(
-            pc.greater_equal(t["l_shipdate"],
-                             pa.scalar(pd.Timestamp("1996-01-01"))),
-            pc.less(t["l_shipdate"],
-                    pa.scalar(pd.Timestamp("1997-01-01")))),
-            pc.and_(pc.and_(
-                pc.greater_equal(t["l_discount"], pa.scalar(0.02)),
-                pc.less_equal(t["l_discount"], pa.scalar(0.04))),
-                pc.less(t["l_quantity"], pa.scalar(24.0))))
-        f = t.filter(m)
-        rev = pc.sum(pc.multiply(f["l_extendedprice"],
-                                 f["l_discount"])).as_py() or 0.0
-        return pa.table({"rev": pa.array([rev], pa.float64())})
-
-    parts = li.map_batches(partial, batch_format="pyarrow").to_pandas()
-    return pd.DataFrame({"revenue":
-                         [round(float(parts["rev"].sum()), 4)]})
-
-
-Q6_SQL = """
-SELECT ROUND(SUM(l_extendedprice * l_discount), 4) AS revenue
-FROM lineitem
-WHERE l_shipdate >= TIMESTAMP '1996-01-01'
-  AND l_shipdate <  TIMESTAMP '1997-01-01'
-  AND l_discount BETWEEN 0.02 AND 0.04
-  AND l_quantity < 24
-"""
-
-
-# ------------------------------------------------------- Q10 (r4)
-
-def q10_returned_items(sf_dir: str, k: int = 20):
-    """TPC-H Q10 shape: returned-lineitem revenue per customer for one
-    order quarter, top-k customers with their attributes. Plan: both
-    fact sides filter + project to slim rows, partitioned hash join on
-    orderkey with an in-bucket PARTIAL per-customer sum (custkey is
-    not the bucket key, so the partial finishes in a tiny grouped_agg),
-    per-block partial top-k, and the k winners' customer rows are
-    fetched via a pushed-down ``c_custkey in (...)`` parquet filter —
-    the customer table never moves."""
-    li = _read(sf_dir, "lineitem",
-               columns=["l_orderkey", "l_returnflag",
-                        "l_extendedprice", "l_discount"])
-    def li_slim(t: pa.Table) -> pa.Table:
-        f = t.filter(pc.equal(t["l_returnflag"], "R"))
-        return pa.table({
-            "okey": f["l_orderkey"],
-            "rev": pc.multiply(f["l_extendedprice"],
-                               pc.subtract(pa.scalar(1.0),
-                                           f["l_discount"]))})
-
-    li = li.map_batches(li_slim, batch_format="pyarrow")
-    orders = _read(sf_dir, "orders",
-                   columns=["o_orderkey", "o_custkey", "o_orderdate"])
-    orders = orders.map_batches(
-        lambda t: (lambda f: pa.table({"okey": f["o_orderkey"],
-                                       "o_custkey": f["o_custkey"]}))(
-            t.filter(pc.and_(
-                pc.greater_equal(t["o_orderdate"],
-                                 pa.scalar(pd.Timestamp("1996-01-01"))),
-                pc.less(t["o_orderdate"],
-                        pa.scalar(pd.Timestamp("1996-07-01")))))),
-        batch_format="pyarrow")
-
-    def bucket_sum(b: pd.DataFrame) -> pd.DataFrame:
-        return (b.groupby("o_custkey", as_index=False)
-                .agg(rev=("rev", "sum")))
-
-    joined = hash_partition_join(li, orders, on="okey",
-                                 num_buckets=16, group_fn=bucket_sum)
-    per_cust = grouped_agg(joined, ["o_custkey"],
-                           {"revenue": ("rev", "sum")})
-
-    def topk_part(b: pd.DataFrame) -> pd.DataFrame:
-        return b.sort_values(["revenue", "o_custkey"],
-                             ascending=[False, True]).head(k)
-
-    top = (per_cust.map_batches(topk_part, batch_format="pandas")
-           .to_pandas()
-           .sort_values(["revenue", "o_custkey"],
-                        ascending=[False, True]).head(k))
-    import pyarrow.dataset as pads
-    keys = top["o_custkey"].astype("int64").tolist()
-    cust = pads.dataset(f"{sf_dir}/customer.parquet").to_table(
-        columns=["c_custkey", "c_name", "c_acctbal", "c_nationkey"],
-        filter=pads.field("c_custkey").isin(keys)).to_pandas()
-    nation = _small_df(sf_dir, "nation", ["n_nationkey", "n_name"])
-    out = (top.rename(columns={"o_custkey": "c_custkey"})
-           .merge(cust, on="c_custkey")
-           .merge(nation, left_on="c_nationkey",
-                  right_on="n_nationkey"))
-    out["revenue"] = out["revenue"].astype(float).round(4)
-    return (out[["c_custkey", "c_name", "revenue", "c_acctbal",
-                 "n_name"]]
-            .sort_values(["revenue", "c_custkey"],
-                         ascending=[False, True])
-            .reset_index(drop=True))
-
-
-Q10_SQL = """
-SELECT c_custkey, c_name,
-       ROUND(SUM(l_extendedprice * (1 - l_discount)), 4) AS revenue,
-       c_acctbal, n_name
-FROM customer, orders, lineitem, nation
-WHERE c_custkey = o_custkey AND l_orderkey = o_orderkey
-  AND o_orderdate >= TIMESTAMP '1996-01-01'
-  AND o_orderdate <  TIMESTAMP '1996-07-01'
-  AND l_returnflag = 'R' AND c_nationkey = n_nationkey
-GROUP BY c_custkey, c_name, c_acctbal, n_name
-ORDER BY revenue DESC, c_custkey LIMIT 20
-"""
-
-
-# ------------------------------------------------------- Q13 (r4)
-
-def q13_customer_distribution(sf_dir: str):
-    """TPC-H Q13 shape: orders-per-customer histogram including the
-    zero bucket. Per-batch value_counts -> grouped_agg per custkey ->
-    counts-of-counts (a second tiny fold); the zero bucket is
-    n_customers - n_customers_with_orders, both distributed counts —
-    the LEFT JOIN never materializes."""
-    orders = _read(sf_dir, "orders", columns=["o_custkey"])
-    per_cust = grouped_agg(
-        orders.map_batches(
-            lambda b: b["o_custkey"].value_counts()
-            .rename_axis("ck").reset_index(name="n"),
-            batch_format="pandas"),
-        ["ck"], {"n": ("n", "sum")})
-    dist = (per_cust.map_batches(
-        lambda b: b["n"].value_counts().rename_axis("c_count")
-        .reset_index(name="custdist"), batch_format="pandas")
-        .to_pandas().groupby("c_count", as_index=False)["custdist"]
-        .sum())
-    n_customers = _read(sf_dir, "customer",
-                        columns=["c_custkey"]).count()
-    n_zero = int(n_customers - dist["custdist"].sum())
-    if n_zero > 0:
-        dist = pd.concat([dist, pd.DataFrame(
-            {"c_count": [0], "custdist": [n_zero]})])
-    dist = dist.astype({"c_count": "int64", "custdist": "int64"})
-    return (dist.sort_values(["custdist", "c_count"],
-                             ascending=[False, False])
-            .reset_index(drop=True))
-
-
-Q13_SQL = """
-SELECT c_count, CAST(COUNT(*) AS BIGINT) AS custdist FROM (
-  SELECT c_custkey, CAST(COUNT(o_orderkey) AS BIGINT) AS c_count
-  FROM customer LEFT JOIN orders ON c_custkey = o_custkey
-  GROUP BY c_custkey)
-GROUP BY c_count ORDER BY custdist DESC, c_count DESC
-"""
-
-
-# ------------------------------------------------------- Q18 (r4)
-
-def q18_large_volume_customers(sf_dir: str, qty_threshold: float = 150,
-                               k: int = 10):
-    """TPC-H Q18 shape: GROUP BY + HAVING semi-join. Per-order
-    quantity sums fold distributed (pre-agg per batch + grouped_agg);
-    only orders above the threshold — bounded by the HAVING, never the
-    fact table — reach the driver, and their order/customer attribute
-    rows are fetched via pushed-down ``in (...)`` parquet filters."""
-    li = _read(sf_dir, "lineitem", columns=["l_orderkey", "l_quantity"])
-    per_order = grouped_agg(
-        li.map_batches(
-            lambda b: b.groupby("l_orderkey", as_index=False)
-            .agg(q=("l_quantity", "sum")), batch_format="pandas"),
-        ["l_orderkey"], {"sum_qty": ("q", "sum")})
-    heavy = (per_order.map_batches(
-        lambda b: b[b["sum_qty"] > qty_threshold],
-        batch_format="pandas").to_pandas())
-    import pyarrow.dataset as pads
-    okeys = heavy["l_orderkey"].astype("int64").tolist()
-    orders = pads.dataset(f"{sf_dir}/orders.parquet").to_table(
-        columns=["o_orderkey", "o_custkey", "o_orderdate",
-                 "o_totalprice"],
-        filter=pads.field("o_orderkey").isin(okeys)).to_pandas()
-    out = heavy.rename(columns={"l_orderkey": "o_orderkey"}) \
-        .merge(orders, on="o_orderkey")
-    ckeys = out["o_custkey"].astype("int64").unique().tolist()
-    cust = pads.dataset(f"{sf_dir}/customer.parquet").to_table(
-        columns=["c_custkey", "c_name"],
-        filter=pads.field("c_custkey").isin(ckeys)).to_pandas()
-    out = out.merge(cust, left_on="o_custkey", right_on="c_custkey")
-    out["sum_qty"] = out["sum_qty"].astype(float).round(4)
-    out = out.sort_values(["o_totalprice", "o_orderdate", "o_orderkey"],
-                          ascending=[False, True, True]).head(k)
-    return (out[["c_name", "c_custkey", "o_orderkey", "o_orderdate",
-                 "o_totalprice", "sum_qty"]].reset_index(drop=True))
-
-
-Q18_SQL = """
-SELECT c_name, c_custkey, o_orderkey, o_orderdate, o_totalprice,
-       ROUND(SUM(l_quantity), 4) AS sum_qty
-FROM customer, orders, lineitem
-WHERE o_orderkey IN (SELECT l_orderkey FROM lineitem
-                     GROUP BY l_orderkey HAVING SUM(l_quantity) > 150)
-  AND c_custkey = o_custkey AND o_orderkey = l_orderkey
-GROUP BY c_name, c_custkey, o_orderkey, o_orderdate, o_totalprice
-ORDER BY o_totalprice DESC, o_orderdate, o_orderkey LIMIT 10
-"""
-
-
-# ------------------------------------------------------- Q19 (r4)
-
-def q19_discounted_revenue(sf_dir: str):
-    """TPC-H Q19 shape: disjunctive multi-class predicate over
-    part |><| lineitem. The part side reduces distributed to
-    (p_partkey, class) — class derived from brand+size in Ray tasks —
-    and broadcasts; the disjunction evaluates vectorized per batch;
-    two float partials per batch reach the driver."""
-    part = _collect_small(
-        _read(sf_dir, "part", ["p_partkey", "p_brand", "p_size"])
-        .map_batches(lambda t: pa.table({
-            "p_partkey": t["p_partkey"],
-            "cls": pc.case_when(pc.make_struct(
-                pc.and_(pc.equal(t["p_brand"], "Brand#1"),
-                        pc.less_equal(t["p_size"], 5)),
-                pc.and_(pc.equal(t["p_brand"], "Brand#2"),
-                        pc.less_equal(t["p_size"], 10)),
-                pc.and_(pc.equal(t["p_brand"], "Brand#3"),
-                        pc.less_equal(t["p_size"], 15))),
-                pa.scalar(1, pa.int8()), pa.scalar(2, pa.int8()),
-                pa.scalar(3, pa.int8()), pa.scalar(0, pa.int8()))}),
-            batch_format="pyarrow"))
-    li = _read(sf_dir, "lineitem",
-               columns=["l_partkey", "l_quantity", "l_extendedprice",
-                        "l_discount"])
-    joined = broadcast_join(li, part[part["cls"] > 0],
-                            left_on="l_partkey", right_on="p_partkey")
-
-    def partial(b: pd.DataFrame) -> pd.DataFrame:
-        q = b["l_quantity"].to_numpy()
-        cls = b["cls"].to_numpy()
-        m = (((cls == 1) & (q >= 1) & (q <= 11))
-             | ((cls == 2) & (q >= 10) & (q <= 20))
-             | ((cls == 3) & (q >= 20) & (q <= 30)))
-        rev = (b["l_extendedprice"].to_numpy()
-               * (1.0 - b["l_discount"].to_numpy()))[m].sum()
-        return pd.DataFrame({"rev": [float(rev)]})
-
-    parts = joined.map_batches(partial, batch_format="pandas") \
-        .to_pandas()
-    return pd.DataFrame({"revenue":
-                         [round(float(parts["rev"].sum()), 4)]})
-
-
-Q19_SQL = """
-SELECT ROUND(SUM(l_extendedprice * (1 - l_discount)), 4) AS revenue
-FROM lineitem, part
-WHERE p_partkey = l_partkey
-  AND ((p_brand = 'Brand#1' AND p_size <= 5
-        AND l_quantity BETWEEN 1 AND 11)
-    OR (p_brand = 'Brand#2' AND p_size <= 10
-        AND l_quantity BETWEEN 10 AND 20)
-    OR (p_brand = 'Brand#3' AND p_size <= 15
-        AND l_quantity BETWEEN 20 AND 30))
-"""
-
-
-# ------------------------------------------------------- Q7 (r4)
-
-def q7_volume_shipping(sf_dir: str):
-    """TPC-H Q7 shape: bilateral shipping volume between two nations
-    by year. Plan: customer reduces distributed to (c_custkey,
-    cust_nation) for the two nations only and rides the partitioned
-    orders join; lineitem joins orders on orderkey (slim rows, revenue
-    pre-computed); the supplier side is a distributed-produced
-    (s_suppkey, supp_nation) broadcast; the final (supp_nation,
-    cust_nation, year) aggregate folds per batch."""
-    nation = _small_df(sf_dir, "nation", ["n_nationkey", "n_name"])
-    nmap = dict(zip(nation["n_nationkey"], nation["n_name"]))
-    # the two nations with the most suppliers (ties -> n_nationkey):
-    # data-derived so the pair is non-empty at every sf; the SQL
-    # derives the same pair so engine and oracle stay in lockstep
-    scount = grouped_agg(
-        _read(sf_dir, "supplier", ["s_nationkey"])
-        .map_batches(lambda b: b.groupby("s_nationkey", as_index=False)
-                     .size().rename(columns={"size": "c"}),
-                     batch_format="pandas"),
-        ["s_nationkey"], {"n": ("c", "sum")}).to_pandas()
-    scount = scount.sort_values(["n", "s_nationkey"],
-                                ascending=[False, True])
-    pair = [nmap[k] for k in scount["s_nationkey"].iloc[:2]]
-
-    cust = _collect_small(
-        _read(sf_dir, "customer", ["c_custkey", "c_nationkey"])
-        .map_batches(lambda b: b.assign(
-            cust_nation=b["c_nationkey"].map(nmap))
-            [lambda d: d["cust_nation"].isin(pair)]
-            [["c_custkey", "cust_nation"]], batch_format="pandas"))
-    supp = _collect_small(
-        _read(sf_dir, "supplier", ["s_suppkey", "s_nationkey"])
-        .map_batches(lambda b: b.assign(
-            supp_nation=b["s_nationkey"].map(nmap))
-            [lambda d: d["supp_nation"].isin(pair)]
-            [["s_suppkey", "supp_nation"]], batch_format="pandas"))
-
-    orders = _read(sf_dir, "orders", ["o_orderkey", "o_custkey"])
-    orders = broadcast_join(orders, cust, left_on="o_custkey",
-                            right_on="c_custkey")
-    orders = orders.map_batches(
-        lambda b: b[["o_orderkey", "cust_nation"]]
-        .rename(columns={"o_orderkey": "okey"}), batch_format="pandas")
-
-    li = _read(sf_dir, "lineitem",
-               ["l_orderkey", "l_suppkey", "l_shipdate",
-                "l_extendedprice", "l_discount"])
-
-    def li_slim(t: pa.Table) -> pa.Table:
-        m = pc.and_(
-            pc.greater_equal(t["l_shipdate"],
-                             pa.scalar(pd.Timestamp("1996-01-01"))),
-            pc.less(t["l_shipdate"],
-                    pa.scalar(pd.Timestamp("1998-01-01"))))
-        f = t.filter(m)
-        return pa.table({
-            "okey": f["l_orderkey"], "l_suppkey": f["l_suppkey"],
-            "l_year": pc.year(f["l_shipdate"]),
-            "volume": pc.multiply(f["l_extendedprice"],
-                                  pc.subtract(pa.scalar(1.0),
-                                              f["l_discount"]))})
-
-    li = li.map_batches(li_slim, batch_format="pyarrow")
-    joined = hash_partition_join(li, orders, on="okey", num_buckets=16)
-    joined = broadcast_join(joined, supp, left_on="l_suppkey",
-                            right_on="s_suppkey")
-
-    def partial(b: pd.DataFrame) -> pd.DataFrame:
-        b = b[b["supp_nation"] != b["cust_nation"]]
-        return (b.groupby(["supp_nation", "cust_nation", "l_year"],
-                          as_index=False).agg(revenue=("volume", "sum")))
-
-    parts = joined.map_batches(partial, batch_format="pandas") \
-        .to_pandas()
-    out = (parts.groupby(["supp_nation", "cust_nation", "l_year"],
-                         as_index=False)["revenue"].sum())
-    out["l_year"] = out["l_year"].astype("int64")
-    out["revenue"] = out["revenue"].astype(float).round(4)
-    return (out.sort_values(["supp_nation", "cust_nation", "l_year"])
-            .reset_index(drop=True))
-
-
-# the two nations with the most suppliers (ties -> n_nationkey); the
-# SQL derives the same pair so engine and oracle stay in lockstep
-Q7_SQL = """
-WITH pair AS (
-  SELECT n_name FROM supplier JOIN nation ON s_nationkey = n_nationkey
-  GROUP BY n_name, n_nationkey
-  ORDER BY COUNT(*) DESC, n_nationkey LIMIT 2)
-SELECT supp_nation, cust_nation, l_year,
-       ROUND(SUM(volume), 4) AS revenue
-FROM (
-  SELECT sn.n_name AS supp_nation, cn.n_name AS cust_nation,
-         CAST(EXTRACT(year FROM l_shipdate) AS BIGINT) AS l_year,
-         l_extendedprice * (1 - l_discount) AS volume
-  FROM supplier, lineitem, orders, customer, nation sn, nation cn
-  WHERE s_suppkey = l_suppkey AND o_orderkey = l_orderkey
-    AND c_custkey = o_custkey AND s_nationkey = sn.n_nationkey
-    AND c_nationkey = cn.n_nationkey
-    AND sn.n_name IN (SELECT n_name FROM pair)
-    AND cn.n_name IN (SELECT n_name FROM pair)
-    AND sn.n_name <> cn.n_name
-    AND l_shipdate >= TIMESTAMP '1996-01-01'
-    AND l_shipdate <  TIMESTAMP '1998-01-01')
-GROUP BY supp_nation, cust_nation, l_year
-ORDER BY supp_nation, cust_nation, l_year
-"""
-
-
-# ------------------------------------------------------- Q15 (r4)
-
-def q15_top_supplier(sf_dir: str):
-    """TPC-H Q15 shape: revenue per supplier for one quarter, return
-    the max-revenue supplier(s). Per-supplier sums fold distributed;
-    the max and the ties resolve on O(#suppliers-with-revenue) rows;
-    winner attributes fetch via in-list parquet pushdown."""
-    li = _read(sf_dir, "lineitem",
-               ["l_suppkey", "l_shipdate", "l_extendedprice",
-                "l_discount"])
-
-    def slim(t: pa.Table) -> pa.Table:
-        m = pc.and_(
-            pc.greater_equal(t["l_shipdate"],
-                             pa.scalar(pd.Timestamp("1996-01-01"))),
-            pc.less(t["l_shipdate"],
-                    pa.scalar(pd.Timestamp("1996-04-01"))))
-        f = t.filter(m)
-        return pa.table({
-            "l_suppkey": f["l_suppkey"],
-            "rev": pc.multiply(f["l_extendedprice"],
-                               pc.subtract(pa.scalar(1.0),
-                                           f["l_discount"]))})
-
-    per_supp = grouped_agg(
-        li.map_batches(slim, batch_format="pyarrow")
-        .map_batches(lambda b: b.groupby("l_suppkey", as_index=False)
-                     .agg(r=("rev", "sum")), batch_format="pandas"),
-        ["l_suppkey"], {"total_revenue": ("r", "sum")}).to_pandas()
-    best = per_supp["total_revenue"].max()
-    # exact equality, not isclose: real ties (identical rows) sum to
-    # bit-equal values on both sides; a tolerance would admit
-    # genuinely-different suppliers the SQL excludes
-    win = per_supp[per_supp["total_revenue"] == best]
-    import pyarrow.dataset as pads
-    supp = pads.dataset(f"{sf_dir}/supplier.parquet").to_table(
-        columns=["s_suppkey", "s_name"],
-        filter=pads.field("s_suppkey").isin(
-            win["l_suppkey"].astype("int64").tolist())).to_pandas()
-    out = win.rename(columns={"l_suppkey": "s_suppkey"}) \
-        .merge(supp, on="s_suppkey")
-    out["total_revenue"] = out["total_revenue"].astype(float).round(4)
-    return (out[["s_suppkey", "s_name", "total_revenue"]]
-            .sort_values("s_suppkey").reset_index(drop=True))
-
-
-Q15_SQL = """
-WITH revenue AS (
-  SELECT l_suppkey AS supplier_no,
-         SUM(l_extendedprice * (1 - l_discount)) AS total_revenue
-  FROM lineitem
-  WHERE l_shipdate >= TIMESTAMP '1996-01-01'
-    AND l_shipdate <  TIMESTAMP '1996-04-01'
-  GROUP BY l_suppkey)
-SELECT s_suppkey, s_name, ROUND(total_revenue, 4) AS total_revenue
-FROM supplier, revenue
-WHERE s_suppkey = supplier_no
-  AND total_revenue = (SELECT MAX(total_revenue) FROM revenue)
-ORDER BY s_suppkey
-"""
-
-
-# ------------------------------------------------------- Q8 (r4)
-
-def q8_market_share(sf_dir: str):
-    """TPC-H Q8 shape: one nation's share of order volume inside one
-    region, by year. The target nation (most suppliers) and target
-    region (most customers) are data-derived so the query is non-empty
-    at every sf; the SQL derives the same pair. Plan: customers of the
-    region reduce distributed to a key broadcast; orders (date window)
-    semi-join it and carry o_year; lineitem semi-joins the target
-    part-type keys (broadcast) and carries volume; the only shuffle is
-    the li><orders partitioned join; supplier nation rides a tiny
-    broadcast and the share folds per batch."""
-    nation = _small_df(sf_dir, "nation",
-                       ["n_nationkey", "n_regionkey"])
-    scount = grouped_agg(
-        _read(sf_dir, "supplier", ["s_nationkey"])
-        .map_batches(lambda b: b.groupby("s_nationkey", as_index=False)
-                     .size().rename(columns={"size": "c"}),
-                     batch_format="pandas"),
-        ["s_nationkey"], {"n": ("c", "sum")}).to_pandas()
-    target_nkey = int(scount.sort_values(
-        ["n", "s_nationkey"], ascending=[False, True])
-        ["s_nationkey"].iloc[0])
-
-    ccount = grouped_agg(
-        _read(sf_dir, "customer", ["c_nationkey"])
-        .map_batches(lambda b: b.groupby("c_nationkey", as_index=False)
-                     .size().rename(columns={"size": "c"}),
-                     batch_format="pandas"),
-        ["c_nationkey"], {"n": ("c", "sum")}).to_pandas()
-    rmap = dict(zip(nation["n_nationkey"], nation["n_regionkey"]))
-    ccount["rk"] = ccount["c_nationkey"].map(rmap)
-    rtot = (ccount.groupby("rk", as_index=False)["n"].sum()
-            .sort_values(["n", "rk"], ascending=[False, True]))
-    target_rkey = int(rtot["rk"].iloc[0])
-    region_nkeys = set(
-        nation.loc[nation["n_regionkey"] == target_rkey, "n_nationkey"]
-        .astype("int64"))
-
-    cust = _collect_small(
-        _read(sf_dir, "customer", ["c_custkey", "c_nationkey"])
-        .map_batches(lambda b: b.loc[
-            b["c_nationkey"].isin(region_nkeys), ["c_custkey"]],
-            batch_format="pandas"))
-
-    def o_slim(t: pa.Table) -> pa.Table:
-        m = pc.and_(
-            pc.greater_equal(t["o_orderdate"],
-                             pa.scalar(pd.Timestamp("1995-01-01"))),
-            pc.less(t["o_orderdate"],
-                    pa.scalar(pd.Timestamp("1997-01-01"))))
-        f = t.filter(m)
-        return pa.table({"okey": f["o_orderkey"],
-                         "o_custkey": f["o_custkey"],
-                         "o_year": pc.year(f["o_orderdate"])})
-
-    orders = _read(sf_dir, "orders",
-                   ["o_orderkey", "o_custkey", "o_orderdate"]) \
-        .map_batches(o_slim, batch_format="pyarrow")
-    orders = broadcast_join(orders, cust, left_on="o_custkey",
-                            right_on="c_custkey") \
-        .map_batches(lambda b: b[["okey", "o_year"]],
-                     batch_format="pandas")
-
-    part = _collect_small(
-        _read(sf_dir, "part", ["p_partkey", "p_type"])
-        .map_batches(lambda t: t.filter(
-            pc.equal(t["p_type"], pa.scalar("ECONOMY")))
-            .select(["p_partkey"]), batch_format="pyarrow"))
-
-    li = _read(sf_dir, "lineitem",
-               ["l_orderkey", "l_partkey", "l_suppkey",
-                "l_extendedprice", "l_discount"])
-    li = broadcast_join(li, part, left_on="l_partkey",
-                        right_on="p_partkey")
-
-    def li_slim(t: pa.Table) -> pa.Table:
-        return pa.table({
-            "okey": t["l_orderkey"], "l_suppkey": t["l_suppkey"],
-            "volume": pc.multiply(t["l_extendedprice"],
-                                  pc.subtract(pa.scalar(1.0),
-                                              t["l_discount"]))})
-
-    li = li.map_batches(li_slim, batch_format="pyarrow")
-    joined = hash_partition_join(li, orders, on="okey", num_buckets=16)
-
-    supp = _collect_small(
-        _read(sf_dir, "supplier", ["s_suppkey", "s_nationkey"]))
-    joined = broadcast_join(joined, supp, left_on="l_suppkey",
-                            right_on="s_suppkey")
-
-    def partial(b: pd.DataFrame) -> pd.DataFrame:
-        tgt = np.where(b["s_nationkey"].to_numpy() == target_nkey,
-                       b["volume"].to_numpy(), 0.0)
-        g = pd.DataFrame({"o_year": b["o_year"], "t": tgt,
-                          "v": b["volume"]})
-        return g.groupby("o_year", as_index=False).sum()
-
-    parts = joined.map_batches(partial, batch_format="pandas") \
-        .to_pandas()
-    out = parts.groupby("o_year", as_index=False)[["t", "v"]].sum()
-    out["mkt_share"] = (out["t"] / out["v"]).round(4)
-    out["o_year"] = out["o_year"].astype("int64")
-    return (out[["o_year", "mkt_share"]].sort_values("o_year")
-            .reset_index(drop=True))
-
-
-Q8_SQL = """
-WITH tn AS (SELECT s_nationkey AS k FROM supplier
-            GROUP BY 1 ORDER BY COUNT(*) DESC, 1 LIMIT 1),
-     tr AS (SELECT n_regionkey AS rk
-            FROM customer JOIN nation ON c_nationkey = n_nationkey
-            GROUP BY 1 ORDER BY COUNT(*) DESC, 1 LIMIT 1)
-SELECT o_year,
-       ROUND(SUM(CASE WHEN nat THEN volume ELSE 0 END)
-             / SUM(volume), 4) AS mkt_share
-FROM (
-  SELECT CAST(EXTRACT(year FROM o_orderdate) AS BIGINT) AS o_year,
-         l_extendedprice * (1 - l_discount) AS volume,
-         s_nationkey = (SELECT k FROM tn) AS nat
-  FROM lineitem, orders, customer, supplier, nation, part
-  WHERE p_partkey = l_partkey AND l_orderkey = o_orderkey
-    AND o_custkey = c_custkey AND c_nationkey = n_nationkey
-    AND n_regionkey = (SELECT rk FROM tr)
-    AND s_suppkey = l_suppkey AND p_type = 'ECONOMY'
-    AND o_orderdate >= TIMESTAMP '1995-01-01'
-    AND o_orderdate <  TIMESTAMP '1997-01-01')
-GROUP BY o_year ORDER BY o_year
-"""
-
-
-# ------------------------------------------------------- Q9 (r4)
-
-def q9_product_profit(sf_dir: str):
-    """TPC-H Q9 shape: profit by supplier nation and order year for a
-    part-name family. The testdata has no partsupp, so the supply-cost
-    term uses the part's retail price as the unit-cost proxy
-    (profit = revenue - 0.1 * p_retailprice * quantity) — same join
-    topology as the reference query (part attr folded into the profit
-    expression). One partitioned li><orders shuffle; part and supplier
-    sides are slim broadcasts; the (nation, year) aggregate folds per
-    batch."""
-    nation = _small_df(sf_dir, "nation", ["n_nationkey", "n_name"])
-    nmap = dict(zip(nation["n_nationkey"], nation["n_name"]))
-
-    part = _collect_small(
-        _read(sf_dir, "part", ["p_partkey", "p_name", "p_retailprice"])
-        .map_batches(lambda t: t.filter(
-            pc.ends_with(t["p_name"], "widget"))
-            .select(["p_partkey", "p_retailprice"]),
-            batch_format="pyarrow"))
-
-    li = _read(sf_dir, "lineitem",
-               ["l_orderkey", "l_partkey", "l_suppkey", "l_quantity",
-                "l_extendedprice", "l_discount"])
-    li = broadcast_join(li, part, left_on="l_partkey",
-                        right_on="p_partkey")
-
-    def li_slim(b: pd.DataFrame) -> pd.DataFrame:
-        amount = (b["l_extendedprice"] * (1.0 - b["l_discount"])
-                  - 0.1 * b["p_retailprice"] * b["l_quantity"])
-        return pd.DataFrame({"okey": b["l_orderkey"],
-                             "l_suppkey": b["l_suppkey"],
-                             "amount": amount})
-
-    li = li.map_batches(li_slim, batch_format="pandas")
-
-    orders = _read(sf_dir, "orders", ["o_orderkey", "o_orderdate"]) \
-        .map_batches(lambda t: pa.table({
-            "okey": t["o_orderkey"],
-            "o_year": pc.year(t["o_orderdate"])}),
-            batch_format="pyarrow")
-
-    joined = hash_partition_join(li, orders, on="okey", num_buckets=16)
-    supp = _collect_small(
-        _read(sf_dir, "supplier", ["s_suppkey", "s_nationkey"]))
-    joined = broadcast_join(joined, supp, left_on="l_suppkey",
-                            right_on="s_suppkey")
-
-    def partial(b: pd.DataFrame) -> pd.DataFrame:
-        b = b.assign(nation=b["s_nationkey"].map(nmap))
-        return (b.groupby(["nation", "o_year"], as_index=False)
-                .agg(sum_profit=("amount", "sum")))
-
-    parts = joined.map_batches(partial, batch_format="pandas") \
-        .to_pandas()
-    out = (parts.groupby(["nation", "o_year"], as_index=False)
-           ["sum_profit"].sum())
-    out["o_year"] = out["o_year"].astype("int64")
-    out["sum_profit"] = out["sum_profit"].astype(float).round(4)
-    return (out.sort_values(["nation", "o_year"],
-                            ascending=[True, False])
-            .reset_index(drop=True))
-
-
-Q9_SQL = """
-SELECT nation, o_year, ROUND(SUM(amount), 4) AS sum_profit
-FROM (
-  SELECT n_name AS nation,
-         CAST(EXTRACT(year FROM o_orderdate) AS BIGINT) AS o_year,
-         l_extendedprice * (1 - l_discount)
-           - 0.1 * p_retailprice * l_quantity AS amount
-  FROM lineitem, part, supplier, orders, nation
-  WHERE s_suppkey = l_suppkey AND p_partkey = l_partkey
-    AND o_orderkey = l_orderkey AND s_nationkey = n_nationkey
-    AND p_name LIKE '%widget')
-GROUP BY nation, o_year
-ORDER BY nation, o_year DESC
-"""
-
-
-# ------------------------------------------------------- Q17 (r4)
-
-def q17_small_quantity_revenue(sf_dir: str):
-    """TPC-H Q17 shape: revenue from lineitems whose quantity is below
-    20% of the part's average quantity, for one brand+type family. The
-    correlated per-part AVG subquery is pushed into ONE bucketed
-    shuffle: lineitems semi-join the target part keys (broadcast)
-    BEFORE the shuffle, then hash-bucket by partkey so each bucket
-    holds every row of its parts — the per-part average and the
-    conditional revenue sum both resolve in-bucket; only one partial
-    row per bucket reaches the driver."""
-    part = _collect_small(
-        _read(sf_dir, "part", ["p_partkey", "p_brand"])
-        .map_batches(lambda t: t.filter(
-            pc.equal(t["p_brand"], pa.scalar("Brand#2")))
-            .select(["p_partkey"]), batch_format="pyarrow"))
-
-    li = _read(sf_dir, "lineitem",
-               ["l_partkey", "l_quantity", "l_extendedprice"])
-    li = broadcast_join(li, part, left_on="l_partkey",
-                        right_on="p_partkey")
-
-    def bucket(b: pd.DataFrame) -> pd.DataFrame:
-        h = pd.util.hash_array(b["l_partkey"].to_numpy()) % 64
-        return b.assign(__b=h.astype(np.int64))
-
-    def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        avg = g.groupby("l_partkey")["l_quantity"].transform("mean")
-        keep = g["l_quantity"] < 0.2 * avg
-        return pd.DataFrame(
-            {"rev": [float(g.loc[keep, "l_extendedprice"].sum())]})
-
-    parts = (li.map_batches(bucket, batch_format="pandas")
-             .groupby("__b").map_groups(per_bucket,
-                                        batch_format="pandas")
-             .to_pandas())
-    total = (float(parts["rev"].sum()) / 7.0
-             if "rev" in parts.columns else 0.0)
-    return pd.DataFrame({"avg_yearly": [round(total, 4)]})
-
-
-Q17_SQL = """
-SELECT ROUND(COALESCE(SUM(l_extendedprice), 0) / 7.0, 4) AS avg_yearly
-FROM lineitem, part
-WHERE p_partkey = l_partkey
-  AND p_brand = 'Brand#2'
-  AND l_quantity < (SELECT 0.2 * AVG(l_quantity) FROM lineitem
-                    WHERE l_partkey = p_partkey)
-"""
-
-
-# ------------------------------------------------------- Q2 (r4)
-
-def q2_min_cost_supplier(sf_dir: str, k: int = 100):
-    """TPC-H Q2 shape: for each small part, the region supplier with
-    the minimum account balance among suppliers that shipped it (the
-    testdata has no partsupp, so lineitem's distinct (part, supplier)
-    pairs stand in for the catalog and s_acctbal for ps_supplycost).
-    The correlated per-part MIN resolves in-bucket: distinct pairs
-    (batch-level unique) pick up region-supplier attributes from a
-    dimension-scale broadcast, then ONE partitioned join against the
-    filtered parts pushes dedup + argmin-with-ties into the join
-    bucket; only winners reach the driver."""
-    nation = _small_df(sf_dir, "nation",
-                       ["n_nationkey", "n_name", "n_regionkey"])
-    scount = grouped_agg(
-        _read(sf_dir, "supplier", ["s_nationkey"])
-        .map_batches(lambda b: b.groupby("s_nationkey", as_index=False)
-                     .size().rename(columns={"size": "c"}),
-                     batch_format="pandas"),
-        ["s_nationkey"], {"n": ("c", "sum")}).to_pandas()
-    rmap = dict(zip(nation["n_nationkey"], nation["n_regionkey"]))
-    scount["rk"] = scount["s_nationkey"].map(rmap)
-    rtot = (scount.groupby("rk", as_index=False)["n"].sum()
-            .sort_values(["n", "rk"], ascending=[False, True]))
-    target_rkey = int(rtot["rk"].iloc[0])
-    region_nkeys = set(
-        nation.loc[nation["n_regionkey"] == target_rkey,
-                   "n_nationkey"].astype("int64"))
-    nmap = dict(zip(nation["n_nationkey"], nation["n_name"]))
-
-    supp = _collect_small(
-        _read(sf_dir, "supplier",
-              ["s_suppkey", "s_name", "s_acctbal", "s_nationkey"])
-        .map_batches(lambda b: b.loc[
-            b["s_nationkey"].isin(region_nkeys)]
-            .assign(n_name=lambda d: d["s_nationkey"].map(nmap))
-            [["s_suppkey", "s_name", "s_acctbal", "n_name"]],
-            batch_format="pandas"))
-
-    def pair_batch(b: pd.DataFrame) -> pd.DataFrame:
-        return (b.drop_duplicates(["l_partkey", "l_suppkey"])
-                .rename(columns={"l_partkey": "p_partkey"})
-                [["p_partkey", "l_suppkey"]])
-
-    pairs = _read(sf_dir, "lineitem", ["l_partkey", "l_suppkey"]) \
-        .map_batches(pair_batch, batch_format="pandas")
-    pairs = broadcast_join(pairs, supp, left_on="l_suppkey",
-                           right_on="s_suppkey")
-
-    part = _read(sf_dir, "part", ["p_partkey", "p_name", "p_size"]) \
-        .map_batches(lambda t: t.filter(
-            pc.less(t["p_size"], pa.scalar(10)))
-            .select(["p_partkey", "p_name"]), batch_format="pyarrow")
-
-    def argmin_per_part(df: pd.DataFrame) -> pd.DataFrame:
-        # batch-level pair dedup leaves cross-batch dupes; every row
-        # of a partkey lands in this bucket, so dedup here is global
-        df = df.drop_duplicates(["p_partkey", "s_name"])
-        lo = df.groupby("p_partkey")["s_acctbal"].transform("min")
-        return df.loc[df["s_acctbal"] == lo,
-                      ["s_acctbal", "s_name", "n_name",
-                       "p_partkey", "p_name"]]
-
-    out = hash_partition_join(pairs, part, on="p_partkey",
-                              num_buckets=16,
-                              group_fn=argmin_per_part).to_pandas()
-    out = out.sort_values(
-        ["s_acctbal", "n_name", "s_name", "p_partkey"],
-        ascending=[False, True, True, True]).head(k)
-    return out.reset_index(drop=True)
-
-
-Q2_SQL = """
-WITH tr AS (SELECT n_regionkey AS rk
-            FROM supplier JOIN nation ON s_nationkey = n_nationkey
-            GROUP BY 1 ORDER BY COUNT(*) DESC, 1 LIMIT 1),
-pairs AS (SELECT DISTINCT l_partkey, l_suppkey FROM lineitem)
-SELECT s_acctbal, s_name, n_name, p_partkey, p_name
-FROM pairs, supplier, nation, part
-WHERE p_partkey = l_partkey AND s_suppkey = l_suppkey
-  AND s_nationkey = n_nationkey
-  AND n_regionkey = (SELECT rk FROM tr)
-  AND p_size < 10
-  AND s_acctbal = (
-    SELECT MIN(s2.s_acctbal)
-    FROM pairs p2, supplier s2, nation n2
-    WHERE p2.l_partkey = p_partkey AND s2.s_suppkey = p2.l_suppkey
-      AND s2.s_nationkey = n2.n_nationkey
-      AND n2.n_regionkey = (SELECT rk FROM tr))
-ORDER BY s_acctbal DESC, n_name, s_name, p_partkey
-LIMIT 100
-"""
-
-
-# ------------------------------------------------------- Q11 (r4)
-
-def q11_important_parts(sf_dir: str):
-    """TPC-H Q11 shape: parts whose shipped value for one nation's
-    suppliers exceeds a fraction of that nation's total (lineitem
-    value stands in for the missing partsupp stock value). The
-    fraction scales inversely with supplier count — the reference
-    query's 0.0001/SF rule — so the output stays a short list at
-    every scale. Per-part sums fold distributed; the grand total
-    folds from the SAME partials; the HAVING filter runs in tasks,
-    so only qualifying parts reach the driver."""
-    scount = grouped_agg(
-        _read(sf_dir, "supplier", ["s_nationkey"])
-        .map_batches(lambda b: b.groupby("s_nationkey", as_index=False)
-                     .size().rename(columns={"size": "c"}),
-                     batch_format="pandas"),
-        ["s_nationkey"], {"n": ("c", "sum")}).to_pandas()
-    target_nkey = int(scount.sort_values(
-        ["n", "s_nationkey"], ascending=[False, True])
-        ["s_nationkey"].iloc[0])
-    supp = _collect_small(
-        _read(sf_dir, "supplier", ["s_suppkey", "s_nationkey"])
-        .map_batches(lambda b: b.loc[
-            b["s_nationkey"] == target_nkey, ["s_suppkey"]],
-            batch_format="pandas"))
-
-    li = _read(sf_dir, "lineitem",
-               ["l_partkey", "l_suppkey", "l_extendedprice",
-                "l_discount"])
-    li = broadcast_join(li, supp, left_on="l_suppkey",
-                        right_on="s_suppkey")
-    li = li.map_batches(
-        lambda b: pd.DataFrame({
-            "p_partkey": b["l_partkey"],
-            "v": b["l_extendedprice"] * (1.0 - b["l_discount"])}),
-        batch_format="pandas")
-
-    n_supp = int(scount["n"].sum())
-    frac = 0.04 / n_supp
-
-    per_part = grouped_agg(li, ["p_partkey"], {"value": ("v", "sum")})
-    per_part = per_part.materialize()
-    total = float(per_part.map_batches(
-        lambda b: pd.DataFrame({"t": [b["value"].sum()]}),
-        batch_format="pandas").to_pandas()["t"].sum())
-    cut = frac * total
-    out = per_part.map_batches(
-        lambda b: b.loc[b["value"] > cut], batch_format="pandas") \
-        .to_pandas()
-    if "value" not in out.columns:
-        out = pd.DataFrame({"p_partkey": pd.Series(dtype="int64"),
-                            "value": pd.Series(dtype=float)})
-    out["value"] = out["value"].astype(float).round(4)
-    return (out.sort_values(["value", "p_partkey"],
-                            ascending=[False, True])
-            .reset_index(drop=True))
-
-
-Q11_SQL = """
-WITH tn AS (SELECT s_nationkey AS k FROM supplier
-            GROUP BY 1 ORDER BY COUNT(*) DESC, 1 LIMIT 1)
-SELECT l_partkey AS p_partkey,
-       ROUND(SUM(l_extendedprice * (1 - l_discount)), 4) AS value
-FROM lineitem, supplier
-WHERE s_suppkey = l_suppkey AND s_nationkey = (SELECT k FROM tn)
-GROUP BY 1
-HAVING SUM(l_extendedprice * (1 - l_discount)) > (
-  SELECT 0.04 / (SELECT COUNT(*) FROM supplier)
-         * SUM(l_extendedprice * (1 - l_discount))
-  FROM lineitem, supplier
-  WHERE s_suppkey = l_suppkey AND s_nationkey = (SELECT k FROM tn))
-ORDER BY value DESC, p_partkey
-"""
-
-
-# ------------------------------------------------------- Q16 (r4)
-
-def q16_supplier_part_counts(sf_dir: str):
-    """TPC-H Q16 shape: distinct-supplier count per part attribute
-    triple, excluding one brand and "complaint" suppliers (negative
-    account balance stands in for the comment-text predicate; lineitem
-    pairs stand in for partsupp). Two slim shuffles: pairs dedup +
-    attribute pickup resolve in the partkey-partitioned join bucket,
-    then distinct (brand, type, size, supplier) rows re-bucket by
-    attribute hash for the exact distinct count."""
-    bad = _collect_small(
-        _read(sf_dir, "supplier", ["s_suppkey", "s_acctbal"])
-        .map_batches(lambda b: b.loc[b["s_acctbal"] < 0,
-                                     ["s_suppkey"]],
-                     batch_format="pandas"))
-    bad_set = frozenset(bad["s_suppkey"].astype("int64"))
-
-    def pair_batch(b: pd.DataFrame) -> pd.DataFrame:
-        b = b.loc[~b["l_suppkey"].isin(bad_set)]
-        return (b.drop_duplicates(["l_partkey", "l_suppkey"])
-                .rename(columns={"l_partkey": "p_partkey"})
-                [["p_partkey", "l_suppkey"]])
-
-    pairs = _read(sf_dir, "lineitem", ["l_partkey", "l_suppkey"]) \
-        .map_batches(pair_batch, batch_format="pandas")
-
-    part = _read(sf_dir, "part",
-                 ["p_partkey", "p_brand", "p_type", "p_size"]) \
-        .map_batches(lambda t: t.filter(
-            pc.not_equal(t["p_brand"], pa.scalar("Brand#1"))),
-            batch_format="pyarrow")
-
-    def bucket_distinct(df: pd.DataFrame) -> pd.DataFrame:
-        # all rows of a partkey are in-bucket: pair dedup is global
-        df = df.drop_duplicates(["p_partkey", "l_suppkey"])
-        return df.drop_duplicates(
-            ["p_brand", "p_type", "p_size", "l_suppkey"])[
-            ["p_brand", "p_type", "p_size", "l_suppkey"]]
-
-    quads = hash_partition_join(pairs, part, on="p_partkey",
-                                num_buckets=16,
-                                group_fn=bucket_distinct)
-
-    def akey(b: pd.DataFrame) -> pd.DataFrame:
-        h = (pd.util.hash_array(b["p_brand"].to_numpy(dtype=object))
-             ^ pd.util.hash_array(b["p_type"].to_numpy(dtype=object))
-             ^ pd.util.hash_array(b["p_size"].to_numpy()))
-        return b.assign(__a=(h % 32).astype(np.int64))
-
-    def count_distinct(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.drop_duplicates(["p_brand", "p_type", "p_size",
-                               "l_suppkey"])
-        out = (g.groupby(["p_brand", "p_type", "p_size"],
-                         as_index=False)
-               .agg(supplier_cnt=("l_suppkey", "nunique")))
-        out["supplier_cnt"] = out["supplier_cnt"].astype("int64")
-        return out
-
-    out = (quads.map_batches(akey, batch_format="pandas")
-           .groupby("__a").map_groups(count_distinct,
-                                      batch_format="pandas")
-           .to_pandas())
-    return (out.sort_values(
-        ["supplier_cnt", "p_brand", "p_type", "p_size"],
-        ascending=[False, True, True, True]).reset_index(drop=True))
-
-
-Q16_SQL = """
-SELECT p_brand, p_type, p_size,
-       COUNT(DISTINCT l_suppkey) AS supplier_cnt
-FROM lineitem, part
-WHERE p_partkey = l_partkey
-  AND p_brand <> 'Brand#1'
-  AND l_suppkey NOT IN (SELECT s_suppkey FROM supplier
-                        WHERE s_acctbal < 0)
-GROUP BY p_brand, p_type, p_size
-ORDER BY supplier_cnt DESC, p_brand, p_type, p_size
-"""
-
-
-# ------------------------------------------------------- Q20 (r4)
-
-def q20_excess_shipments(sf_dir: str):
-    """TPC-H Q20 shape: suppliers whose shipped quantity of one
-    part-name family in one year exceeds the per-supplier average
-    (availqty has no partsupp source, so the threshold is the
-    average of the same per-supplier sums). Lineitem semi-joins the
-    part keys (broadcast) and the per-supplier sums fold distributed;
-    the supplier list (dimension-scale) resolves on the driver and
-    winner names fetch via in-list parquet pushdown."""
-    part = _collect_small(
-        _read(sf_dir, "part", ["p_partkey", "p_name"])
-        .map_batches(lambda t: t.filter(
-            pc.starts_with(t["p_name"], "cold"))
-            .select(["p_partkey"]), batch_format="pyarrow"))
-
-    def li_slim(t: pa.Table) -> pa.Table:
-        m = pc.and_(
-            pc.greater_equal(t["l_shipdate"],
-                             pa.scalar(pd.Timestamp("1996-01-01"))),
-            pc.less(t["l_shipdate"],
-                    pa.scalar(pd.Timestamp("1997-01-01"))))
-        f = t.filter(m)
-        return pa.table({"l_partkey": f["l_partkey"],
-                         "l_suppkey": f["l_suppkey"],
-                         "l_quantity": f["l_quantity"]})
-
-    li = _read(sf_dir, "lineitem",
-               ["l_partkey", "l_suppkey", "l_quantity", "l_shipdate"]) \
-        .map_batches(li_slim, batch_format="pyarrow")
-    li = broadcast_join(li, part, left_on="l_partkey",
-                        right_on="p_partkey")
-
-    per_supp = grouped_agg(
-        li.map_batches(lambda b: b.groupby("l_suppkey", as_index=False)
-                       .agg(q=("l_quantity", "sum")),
-                       batch_format="pandas"),
-        ["l_suppkey"], {"qty": ("q", "sum")}).to_pandas()
-    if "qty" not in per_supp.columns:
-        return pd.DataFrame({"s_suppkey": pd.Series(dtype="int64"),
-                             "s_name": pd.Series(dtype=object),
-                             "qty": pd.Series(dtype=float)})
-    # l_quantity values are small integers: float64 sums are exact, so
-    # the avg threshold is order-independent on both sides
-    win = per_supp[per_supp["qty"] > per_supp["qty"].mean()]
-    import pyarrow.dataset as pads
-    supp = pads.dataset(f"{sf_dir}/supplier.parquet").to_table(
-        columns=["s_suppkey", "s_name"],
-        filter=pads.field("s_suppkey").isin(
-            win["l_suppkey"].astype("int64").tolist())).to_pandas()
-    out = win.rename(columns={"l_suppkey": "s_suppkey"}) \
-        .merge(supp, on="s_suppkey")
-    out["qty"] = out["qty"].astype(float)
-    return (out[["s_suppkey", "s_name", "qty"]]
-            .sort_values("s_suppkey").reset_index(drop=True))
-
-
-Q20_SQL = """
-WITH sq AS (
-  SELECT l_suppkey, SUM(l_quantity) AS qty
-  FROM lineitem, part
-  WHERE p_partkey = l_partkey AND p_name LIKE 'cold%'
-    AND l_shipdate >= TIMESTAMP '1996-01-01'
-    AND l_shipdate <  TIMESTAMP '1997-01-01'
-  GROUP BY 1)
-SELECT s_suppkey, s_name, CAST(qty AS DOUBLE) AS qty
-FROM supplier, sq
-WHERE s_suppkey = l_suppkey AND qty > (SELECT AVG(qty) FROM sq)
-ORDER BY s_suppkey
-"""
-
-
-# ------------------------------------------------------- Q21 (r4)
-
-def q21_waiting_supplier(sf_dir: str, k: int = 20):
-    """TPC-H Q21 shape: suppliers that are the SOLE supplier with a
-    returned item on a finished multi-supplier order (returnflag 'R'
-    stands in for the missing receipt/commit-date lateness pair). The
-    EXISTS / NOT EXISTS pair resolves in-bucket: lineitems and
-    status-'F' orders co-partition on orderkey, and each bucket holds
-    every lineitem of its orders, so the per-order distinct-supplier
-    and distinct-R-supplier counts are exact there; only per-supplier
-    partial counts leave the shuffle."""
-    def li_slim(t: pa.Table) -> pa.Table:
-        return pa.table({
-            "okey": t["l_orderkey"], "l_suppkey": t["l_suppkey"],
-            "is_r": pc.cast(pc.equal(t["l_returnflag"],
-                                     pa.scalar("R")), pa.int8())})
-
-    li = _read(sf_dir, "lineitem",
-               ["l_orderkey", "l_suppkey", "l_returnflag"]) \
-        .map_batches(li_slim, batch_format="pyarrow")
-
-    orders = _read(sf_dir, "orders", ["o_orderkey", "o_orderstatus"]) \
-        .map_batches(lambda t: pa.table({
-            "okey": t.filter(pc.equal(t["o_orderstatus"],
-                                      pa.scalar("F")))["o_orderkey"]}),
-            batch_format="pyarrow")
-
-    def per_order(df: pd.DataFrame) -> pd.DataFrame:
-        g = df.groupby("okey")
-        stats = pd.DataFrame({
-            "n_supp": g["l_suppkey"].nunique(),
-            "n_r_supp": df.loc[df["is_r"] == 1].groupby("okey")
-            ["l_suppkey"].nunique()}).fillna(0)
-        ok = stats.index[(stats["n_supp"] >= 2)
-                         & (stats["n_r_supp"] == 1)]
-        r = df.loc[(df["is_r"] == 1) & df["okey"].isin(ok)]
-        return (r.groupby("l_suppkey", as_index=False)
-                .agg(numwait=("okey", "size")))
-
-    parts = hash_partition_join(li, orders, on="okey",
-                                num_buckets=16,
-                                group_fn=per_order).to_pandas()
-    if "numwait" not in parts.columns:
-        return pd.DataFrame({"s_name": pd.Series(dtype=object),
-                             "numwait": pd.Series(dtype="int64")})
-    per_supp = (parts.groupby("l_suppkey", as_index=False)
-                ["numwait"].sum())
-    supp = _collect_small(
-        _read(sf_dir, "supplier", ["s_suppkey", "s_name"]))
-    out = per_supp.merge(supp, left_on="l_suppkey",
-                         right_on="s_suppkey")
-    out["numwait"] = out["numwait"].astype("int64")
-    return (out.sort_values(["numwait", "s_name"],
-                            ascending=[False, True]).head(k)
-            [["s_name", "numwait"]].reset_index(drop=True))
-
-
-Q21_SQL = """
-SELECT s_name, numwait FROM (
-  SELECT l1.l_suppkey, COUNT(*) AS numwait
-  FROM lineitem l1, orders
-  WHERE o_orderkey = l1.l_orderkey AND o_orderstatus = 'F'
-    AND l1.l_returnflag = 'R'
-    AND EXISTS (SELECT 1 FROM lineitem l2
-                WHERE l2.l_orderkey = l1.l_orderkey
-                  AND l2.l_suppkey <> l1.l_suppkey)
-    AND NOT EXISTS (SELECT 1 FROM lineitem l3
-                    WHERE l3.l_orderkey = l1.l_orderkey
-                      AND l3.l_suppkey <> l1.l_suppkey
-                      AND l3.l_returnflag = 'R')
-  GROUP BY 1) q JOIN supplier ON s_suppkey = q.l_suppkey
-ORDER BY numwait DESC, s_name LIMIT 20
-"""
-
-
-# ------------------------------------------------------- Q22 (r4)
-
-def q22_global_sales_opportunity(sf_dir: str):
-    """TPC-H Q22 shape: wealthy customers with no RECENT order, per
-    country code (nationkey mod 5 stands in for the missing phone
-    prefix; "no order since 1999" stands in for never-ordered, which
-    is empty in this data). The positive-balance average folds from
-    distributed partials; the candidate filter runs in tasks; the NOT
-    EXISTS resolves as a partitioned LEFT join against batch-deduped
-    recent-order custkeys with the per-code count/sum pushed into the
-    join bucket."""
-    def avg_part(b: pd.DataFrame) -> pd.DataFrame:
-        m = (b["c_acctbal"] > 0) & ((b["c_nationkey"] % 5).isin([0, 2, 4]))
-        return pd.DataFrame({"s": [b.loc[m, "c_acctbal"].sum()],
-                             "n": [int(m.sum())]})
-
-    cust_cols = ["c_custkey", "c_nationkey", "c_acctbal"]
-    parts = _read(sf_dir, "customer", cust_cols) \
-        .map_batches(avg_part, batch_format="pandas").to_pandas()
-    avg_bal = float(parts["s"].sum()) / max(int(parts["n"].sum()), 1)
-
-    def cand(b: pd.DataFrame) -> pd.DataFrame:
-        code = (b["c_nationkey"] % 5).astype("int64")
-        m = code.isin([0, 2, 4]) & (b["c_acctbal"] > avg_bal)
-        return pd.DataFrame({"c_custkey": b.loc[m, "c_custkey"],
-                             "cntrycode": code[m],
-                             "c_acctbal": b.loc[m, "c_acctbal"]})
-
-    cust = _read(sf_dir, "customer", cust_cols) \
-        .map_batches(cand, batch_format="pandas")
-
-    def o_keys(t: pa.Table) -> pa.Table:
-        t = t.filter(pc.greater_equal(
-            t["o_orderdate"], pa.scalar(pd.Timestamp("1999-01-01"))))
-        u = np.unique(t["o_custkey"].to_numpy())
-        return pa.table({"c_custkey": pa.array(u, pa.int64()),
-                         "__hit": pa.array(np.ones(len(u), dtype=np.int8))})
-
-    keys = _read(sf_dir, "orders", ["o_custkey", "o_orderdate"]) \
-        .map_batches(o_keys, batch_format="pyarrow")
-
-    def bucket_fold(df: pd.DataFrame) -> pd.DataFrame:
-        # left join: no-recent-order candidates carry a null hit marker
-        no_orders = df.loc[df["__hit"].isna()]
-        return (no_orders.groupby("cntrycode", as_index=False)
-                .agg(numcust=("c_custkey", "nunique"),
-                     totacctbal=("c_acctbal", "sum")))
-
-    out = hash_partition_join(cust, keys, on="c_custkey", how="left",
-                              num_buckets=16,
-                              group_fn=bucket_fold).to_pandas()
-    if "numcust" not in out.columns:
-        return pd.DataFrame({"cntrycode": pd.Series(dtype="int64"),
-                             "numcust": pd.Series(dtype="int64"),
-                             "totacctbal": pd.Series(dtype=float)})
-    out = out.groupby("cntrycode", as_index=False).agg(
-        numcust=("numcust", "sum"), totacctbal=("totacctbal", "sum"))
-    out["cntrycode"] = out["cntrycode"].astype("int64")
-    out["numcust"] = out["numcust"].astype("int64")
-    out["totacctbal"] = out["totacctbal"].astype(float).round(4)
-    return out.sort_values("cntrycode").reset_index(drop=True)
-
-
-Q22_SQL = """
-SELECT CAST(c_nationkey % 5 AS BIGINT) AS cntrycode,
-       COUNT(*) AS numcust,
-       ROUND(SUM(c_acctbal), 4) AS totacctbal
-FROM customer
-WHERE c_nationkey % 5 IN (0, 2, 4)
-  AND c_acctbal > (SELECT AVG(c_acctbal) FROM customer
-                   WHERE c_acctbal > 0 AND c_nationkey % 5 IN (0, 2, 4))
-  AND NOT EXISTS (SELECT 1 FROM orders WHERE o_custkey = c_custkey
-                  AND o_orderdate >= TIMESTAMP '1999-01-01')
-GROUP BY 1 ORDER BY 1
-"""
-
-
-# ----------------------------------------- CUBE / ROLLUP / PIVOT (r4)
-#
-# Grouping-set and reshape surface over the events table; the CUBE
-# plan pays ONE corpus-size shuffle (the finest grouping) and derives
-# every coarser set from its slim result (functions/aggregates.cube_agg).
-# Dims are emitted as strings with an 'ALL' sentinel for rolled-up
-# levels so the oracle's NULLs compare stably; grouping_id carries the
-# SQL GROUPING() bitmask alongside.
-
-
-def _events_typed_dow(sf_dir: str):
-    ev = _read(sf_dir, "events", ["event_type", "ts", "value"])
-
-    def f(b: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame({
-            "event_type": b["event_type"],
-            # isodow: 1=Mon..7=Sun, matching DuckDB's isodow()
-            "dow": (b["ts"].dt.dayofweek + 1).astype("int64"),
-            "value": b["value"],
-        })
-
-    return ev.map_batches(f, batch_format="pandas")
-
-
-def events_cube(sf_dir: str):
-    from ..functions.aggregates import cube_agg
-    out = cube_agg(_events_typed_dow(sf_dir), ["event_type", "dow"],
-                   {"n": (None, "count"), "total_value": ("value", "sum"),
-                    "avg_value": ("value", "mean")})
-    out["event_type"] = out["event_type"].map(
-        lambda v: "ALL" if v is None else str(v))
-    out["dow"] = out["dow"].map(
-        lambda v: "ALL" if v is None or pd.isna(v) else str(int(v)))
-    out = _round(out, {"total_value": 4, "avg_value": 6})
-    return out.sort_values(["grouping_id", "event_type", "dow"]) \
-        .reset_index(drop=True)
-
-
-EVENTS_CUBE_SQL = """
-SELECT COALESCE(event_type, 'ALL') AS event_type,
-       COALESCE(CAST(isodow(ts) AS VARCHAR), 'ALL') AS dow,
-       CAST(COUNT(*) AS BIGINT) AS n,
-       ROUND(SUM(value), 4) AS total_value,
-       ROUND(AVG(value), 6) AS avg_value,
-       CAST(GROUPING(event_type) * 2 + GROUPING(isodow(ts)) AS BIGINT)
-         AS grouping_id
-FROM events
-GROUP BY CUBE (event_type, isodow(ts))
-ORDER BY grouping_id, event_type, dow
-"""
-
-
-def events_rollup_cube(sf_dir: str):
-    """ROLLUP variant (prefix sets only) over the same dims."""
-    from ..functions.aggregates import cube_agg
-    out = cube_agg(_events_typed_dow(sf_dir), ["event_type", "dow"],
-                   {"n": (None, "count")}, mode="rollup")
-    out["event_type"] = out["event_type"].map(
-        lambda v: "ALL" if v is None else str(v))
-    out["dow"] = out["dow"].map(
-        lambda v: "ALL" if v is None or pd.isna(v) else str(int(v)))
-    return out.sort_values(["grouping_id", "event_type", "dow"]) \
-        .reset_index(drop=True)
-
-
-EVENTS_ROLLUP_DOW_SQL = """
-SELECT COALESCE(event_type, 'ALL') AS event_type,
-       COALESCE(CAST(isodow(ts) AS VARCHAR), 'ALL') AS dow,
-       CAST(COUNT(*) AS BIGINT) AS n,
-       CAST(GROUPING(event_type) * 2 + GROUPING(isodow(ts)) AS BIGINT)
-         AS grouping_id
-FROM events
-GROUP BY ROLLUP (event_type, isodow(ts))
-ORDER BY grouping_id, event_type, dow
-"""
-
-
-def events_pivot(sf_dir: str):
-    from ..functions.aggregates import pivot_agg
-    out = pivot_agg(_events_typed_dow(sf_dir), "event_type", "dow",
-                    (None, "count"), col_values=list(range(1, 8)),
-                    prefix="dow").to_pandas()
-    for c in out.columns:
-        if c != "event_type":
-            out[c] = out[c].astype("int64")
-    return out.sort_values("event_type").reset_index(drop=True)
-
-
-EVENTS_PIVOT_SQL = """
-SELECT event_type,
-       CAST(COUNT(*) FILTER (WHERE isodow(ts) = 1) AS BIGINT) AS dow1,
-       CAST(COUNT(*) FILTER (WHERE isodow(ts) = 2) AS BIGINT) AS dow2,
-       CAST(COUNT(*) FILTER (WHERE isodow(ts) = 3) AS BIGINT) AS dow3,
-       CAST(COUNT(*) FILTER (WHERE isodow(ts) = 4) AS BIGINT) AS dow4,
-       CAST(COUNT(*) FILTER (WHERE isodow(ts) = 5) AS BIGINT) AS dow5,
-       CAST(COUNT(*) FILTER (WHERE isodow(ts) = 6) AS BIGINT) AS dow6,
-       CAST(COUNT(*) FILTER (WHERE isodow(ts) = 7) AS BIGINT) AS dow7
-FROM events GROUP BY event_type ORDER BY event_type
-"""
-
-
-# --------------------------------------- range join + hopping windows
-
-
-def customer_balance_range_join(sf_dir: str, half_width: float = 1000.0):
-    """Non-equi join: customers whose account balance falls inside
-    [s_acctbal - hw, s_acctbal + hw] of each supplier — the
-    point-in-interval join via the gridded-cell plan
-    (functions/joins.range_join; each pair meets in exactly one cell)."""
-    from ..functions.joins import range_join
-
-    cust = _read(sf_dir, "customer", ["c_custkey", "c_acctbal"])
-    sup = _read(sf_dir, "supplier", ["s_suppkey", "s_acctbal"])
-
-    def mk_interval(b: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame({
-            "s_suppkey": b["s_suppkey"].astype("int64"),
-            "lo": b["s_acctbal"] - half_width,
-            "hi": b["s_acctbal"] + half_width,
-        })
-
-    out = range_join(cust, sup.map_batches(mk_interval,
-                                           batch_format="pandas"),
-                     point_col="c_acctbal", lo_col="lo", hi_col="hi") \
-        .to_pandas()
-    out = out[["c_custkey", "s_suppkey", "c_acctbal"]].astype(
-        {"c_custkey": "int64", "s_suppkey": "int64"})
-    out = _round(out, {"c_acctbal": 2})
-    return out.sort_values(["c_custkey", "s_suppkey"]) \
-        .reset_index(drop=True)
-
-
-CUSTOMER_BALANCE_RANGE_JOIN_SQL = """
-SELECT c_custkey, s_suppkey, ROUND(c_acctbal, 2) AS c_acctbal
-FROM customer JOIN supplier
-  ON c_acctbal BETWEEN s_acctbal - 1000.0 AND s_acctbal + 1000.0
-ORDER BY c_custkey, s_suppkey
-"""
-
-
-def events_hopping_counts(sf_dir: str, size_days: int = 14,
-                          hop_days: int = 7):
-    """Overlapping (hopping) event-time windows: each event lands in
-    size/hop consecutive windows. The replicate-to-windows expansion is
-    a vectorized map (np.repeat), then one grouped_agg shuffle of the
-    already-partial (type, window) counts — the same replicate-then-
-    bucket shape as range_join, specialized to aligned windows."""
-    from ..functions.aggregates import grouped_agg
-
-    ev = _read(sf_dir, "events", ["event_type", "ts"])
-    k = -(-size_days // hop_days)  # windows containing one event
-
-    def expand(b: pd.DataFrame) -> pd.DataFrame:
-        day = (b["ts"].astype("int64") // 86_400_000_000).to_numpy()
-        base = np.floor_divide(day, hop_days) * hop_days
-        starts = (np.repeat(base, k)
-                  - np.tile(np.arange(k, dtype=np.int64) * hop_days,
-                            len(b)))
-        days = np.repeat(day, k)
-        keep = (days >= starts) & (days < starts + size_days)
-        return pd.DataFrame({
-            "event_type": np.repeat(b["event_type"].to_numpy(), k)[keep],
-            "wstart": starts[keep],
-        })
-
-    out = grouped_agg(ev.map_batches(expand, batch_format="pandas"),
-                      ["event_type", "wstart"],
-                      {"n": (None, "count")}).to_pandas()
-    out = out.astype({"wstart": "int64", "n": "int64"})
-    return out.sort_values(["event_type", "wstart"]).reset_index(drop=True)
-
-
-EVENTS_HOPPING_SQL = """
-WITH e AS (
-  SELECT event_type,
-         CAST(floor(epoch(ts) / 86400) AS BIGINT) AS day
-  FROM events),
-x AS (
-  SELECT event_type, day,
-         (CAST(floor(day / 7.0) AS BIGINT) - i.i) * 7 AS wstart
-  FROM e, unnest(generate_series(0, 1)) AS i(i)
-  WHERE day >= (CAST(floor(day / 7.0) AS BIGINT) - i.i) * 7
-    AND day <  (CAST(floor(day / 7.0) AS BIGINT) - i.i) * 7 + 14)
-SELECT event_type, wstart, CAST(COUNT(*) AS BIGINT) AS n
-FROM x GROUP BY event_type, wstart ORDER BY event_type, wstart
-"""
-
-
-# ------------------------------ global-order windows (prefix sums)
-
-
-def orders_cumulative_revenue(sf_dir: str):
-    """Running total over a GLOBAL order — ``SUM() OVER (ORDER BY
-    o_orderdate)`` with no partition key, the window family the
-    bucketed per-user map_groups shape can't express. Plan: daily
-    revenue via one grouped_agg shuffle (slim (date, rev) rows), then
-    ``functions/windows.running_sum`` — ordered date-range buckets,
-    intra-bucket cumsum, O(#buckets) driver offset fold, broadcast
-    finalize. The corpus never collects; only per-bucket totals do."""
-    from ..functions.windows import running_sum
-
-    ds = _read(sf_dir, "orders", ["o_orderdate", "o_totalprice"])
-
-    def to_day(b: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame({
-            "day": (b["o_orderdate"].astype("int64")
-                    // 86_400_000_000).astype("int64"),
-            "o_totalprice": b["o_totalprice"]})
-
-    daily = grouped_agg(ds.map_batches(to_day, batch_format="pandas"),
-                        ["day"], {"rev": ("o_totalprice", "sum")})
-    # round BEFORE the prefix sum so cumulative addition order can't
-    # produce sub-cent drift vs the SQL window sum
-    daily = daily.map_batches(
-        lambda b: b.assign(rev=b["rev"].round(2)),
-        batch_format="pandas")
-    out = running_sum(daily, "day", "rev", "cum_rev",
-                      bucket_width=64.0).to_pandas()
-    out = _round(out, {"rev": 2, "cum_rev": 2})
-    out["o_orderdate"] = pd.to_datetime(
-        out["day"].astype("int64") * 86_400_000_000, unit="us")
-    return (out[["o_orderdate", "rev", "cum_rev"]]
-            .sort_values("o_orderdate").reset_index(drop=True))
-
-
-ORDERS_CUMULATIVE_REVENUE_SQL = """
-WITH d AS (
-  SELECT CAST(date_trunc('day', o_orderdate) AS TIMESTAMP) AS o_orderdate,
-         ROUND(SUM(o_totalprice), 2) AS rev
-  FROM orders GROUP BY 1)
-SELECT o_orderdate, rev,
-       ROUND(SUM(rev) OVER (ORDER BY o_orderdate), 2) AS cum_rev
-FROM d ORDER BY o_orderdate
-"""
-
-
-def customer_balance_ntile(sf_dir: str, k: int = 4):
-    """Global NTILE(k) — every customer's balance quartile over the
-    WHOLE table's order, via ``functions/windows.global_rank`` (count
-    prefix over value-range buckets; ties broken by c_custkey so the
-    rank is a total order, matching the SQL ORDER BY)."""
-    from ..functions.windows import global_rank, ntile_of_rank
-
-    cust = _read(sf_dir, "customer", ["c_custkey", "c_acctbal"])
-    ranked, n = global_rank(cust, ["c_acctbal", "c_custkey"],
-                            out_col="rank", bucket_width=500.0)
-
-    def tile(b: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame({
-            "c_custkey": b["c_custkey"].astype("int64"),
-            "c_acctbal": b["c_acctbal"].round(2),
-            "tile": ntile_of_rank(b["rank"].to_numpy(), n, k)})
-
-    out = ranked.map_batches(tile, batch_format="pandas").to_pandas()
-    return out.sort_values("c_custkey").reset_index(drop=True)
-
-
-CUSTOMER_BALANCE_NTILE_SQL = """
-SELECT c_custkey, ROUND(c_acctbal, 2) AS c_acctbal,
-       CAST(NTILE(4) OVER (ORDER BY c_acctbal, c_custkey) AS BIGINT)
-         AS tile
-FROM customer ORDER BY c_custkey
-"""
-
-
-# ----------------------------- rolling window + algebraic correlation
-
-
-def events_rolling_avg(sf_dir: str, window: int = 7):
-    """Per-user trailing-N rolling mean of event values ordered by ts
-    (SQL `AVG() OVER (PARTITION BY u ORDER BY ts ROWS BETWEEN 6
-    PRECEDING AND CURRENT ROW)`): one user-hash bucket shuffle, one
-    vectorized pandas groupby-rolling per bucket."""
-    ds = _bucket_by_user(_read(sf_dir, "events",
-                               columns=["event_id", "user_id", "ts",
-                                        "value"]))
-
-    def roll(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["user_id", "ts", "event_id"],
-                          kind="mergesort")
-        r = (g.groupby("user_id", sort=False)["value"]
-             .rolling(window, min_periods=1).mean()
-             .reset_index(drop=True))
-        return pd.DataFrame({
-            "event_id": g["event_id"].to_numpy(),
-            "user_id": g["user_id"].to_numpy(),
-            "rolling_avg": np.round(r.to_numpy(np.float64), 6)})
-
-    out = ds.groupby("__ubucket").map_groups(roll,
-                                             batch_format="pandas")
-    return (out.to_pandas().sort_values("event_id")
-            .reset_index(drop=True))
-
-
-EVENTS_ROLLING_AVG_SQL = """
-SELECT event_id, user_id,
-       ROUND(AVG(value) OVER (PARTITION BY user_id
-             ORDER BY ts, event_id
-             ROWS BETWEEN 6 PRECEDING AND CURRENT ROW), 6)
-         AS rolling_avg
-FROM events ORDER BY event_id
-"""
-
-
-def events_rolling_anomalies(sf_dir: str, window: int = 7,
-                             z_thresh: float = 2.0):
-    """Trailing-window z-score anomaly flags per user (the streaming
-    outlier detector next to ``events_rolling_avg``): z = (value -
-    trailing mean) / trailing SAMPLE stddev over the last ``window``
-    rows (current included); zscore is NULL while the window has <2
-    rows or zero variance. Same single user-bucket shuffle + one
-    vectorized groupby-rolling per bucket as the rolling mean.
-
-    NOTE the threshold bound: a member's |z| against its OWN trailing
-    sample of n points is at most (n-1)/sqrt(n) (~2.27 at n=7), so
-    z_thresh must sit below that for the window in use."""
-    ds = _bucket_by_user(_read(sf_dir, "events",
-                               columns=["event_id", "user_id", "ts",
-                                        "value"]))
-
-    def roll(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["user_id", "ts", "event_id"],
-                          kind="mergesort")
-        grp = g.groupby("user_id", sort=False)["value"]
-        m = grp.rolling(window, min_periods=1).mean().to_numpy(np.float64)
-        s = grp.rolling(window, min_periods=1).std().to_numpy(np.float64)
-        v = g["value"].to_numpy(np.float64)
-        ok = np.isfinite(s) & (s > 0)
-        z = np.where(ok, (v - m) / np.where(ok, s, 1.0), np.nan)
-        return pd.DataFrame({
-            "event_id": g["event_id"].to_numpy(),
-            "user_id": g["user_id"].to_numpy(),
-            "zscore": np.round(z, 6),
-            "is_anomaly": ok & (np.abs(z) > z_thresh)})
-
-    out = ds.groupby("__ubucket").map_groups(roll,
-                                             batch_format="pandas")
-    return (out.to_pandas().sort_values("event_id")
-            .reset_index(drop=True))
-
-
-EVENTS_ROLLING_ANOMALIES_SQL = """
-SELECT event_id, user_id, ROUND(zscore, 6) AS zscore,
-       COALESCE(ABS(zscore) > 2.0, false) AS is_anomaly
-FROM (
-  SELECT event_id, user_id,
-         CASE WHEN s IS NULL OR s = 0 THEN NULL
-              ELSE (value - m) / s END AS zscore
-  FROM (
-    SELECT event_id, user_id, value,
-           AVG(value) OVER w AS m, STDDEV_SAMP(value) OVER w AS s
-    FROM events
-    WINDOW w AS (PARTITION BY user_id ORDER BY ts, event_id
-                 ROWS BETWEEN 6 PRECEDING AND CURRENT ROW)))
-ORDER BY event_id
-"""
-
-
-def lineitem_price_histogram(sf_dir: str, n_bins: int = 20):
-    """Equi-width histogram of l_extendedprice (width_bucket
-    semantics over the observed [min, max], spelled arithmetically —
-    this DuckDB build lacks width_bucket; bins 1..n, the max value
-    folded into bin n): a global (min, max) from two cheap aggregates,
-    then ONE pass of per-batch np.bincount partials — O(n_bins) rows
-    per batch reach the tiny final fold, zero shuffles. Empty bins are
-    emitted with n = 0 (no silent gaps)."""
-    ds = _read(sf_dir, "lineitem", columns=["l_extendedprice"])
-    lo = ds.min("l_extendedprice")
-    hi = ds.max("l_extendedprice")
-    if lo is None or hi == lo:
-        return pd.DataFrame({"bin": pd.Series([], dtype="int64"),
-                             "n": pd.Series([], dtype="int64")})
-    w = (hi - lo) / n_bins
-
-    def part(batch: pd.DataFrame) -> pd.DataFrame:
-        v = batch["l_extendedprice"].to_numpy(np.float64)
-        v = v[np.isfinite(v)]
-        b = np.minimum(((v - lo) / w).astype(np.int64), n_bins - 1)
-        cnt = np.bincount(b, minlength=n_bins)
-        return pd.DataFrame({"bin": np.arange(1, n_bins + 1),
-                             "n": cnt.astype(np.int64)})
-
-    parts = ds.map_batches(part, batch_format="pandas").to_pandas()
-    out = (parts.groupby("bin", sort=True)["n"].sum().reset_index())
-    return out.astype({"bin": "int64", "n": "int64"})
-
-
-LINEITEM_PRICE_HISTOGRAM_SQL = """
-WITH b AS (SELECT MIN(l_extendedprice) AS lo, MAX(l_extendedprice) AS hi
-           FROM lineitem),
-h AS (SELECT LEAST(CAST(FLOOR((l_extendedprice - lo)
-                          / ((hi - lo) / 20.0)) AS BIGINT) + 1, 20) AS bin
-      FROM lineitem, b),
-g AS (SELECT UNNEST(generate_series(1, 20)) AS bin)
-SELECT g.bin, COUNT(h.bin) AS n FROM g LEFT JOIN h USING (bin)
-GROUP BY g.bin ORDER BY g.bin
-"""
-
-
-def lineitem_price_quantity_corr(sf_dir: str):
-    """Global Pearson correlation as an ALGEBRAIC aggregate: each
-    batch contributes the five sufficient statistics (n, Σx, Σy, Σxy,
-    Σx², Σy²); the driver folds O(#batches) tiny rows — the canonical
-    way any moment-based statistic (corr, covar, stddev, skew)
-    distributes without a shuffle at all."""
-    ds = _read(sf_dir, "lineitem", ["l_quantity", "l_extendedprice"])
-
-    def partial(b: pd.DataFrame) -> pd.DataFrame:
-        x = b["l_quantity"].to_numpy(np.float64)
-        y = b["l_extendedprice"].to_numpy(np.float64)
-        return pd.DataFrame({
-            "n": [len(x)], "sx": [x.sum()], "sy": [y.sum()],
-            "sxy": [(x * y).sum()], "sxx": [(x * x).sum()],
-            "syy": [(y * y).sum()]})
-
-    p = ds.map_batches(partial, batch_format="pandas").to_pandas()
-    n = p["n"].sum()
-    sx, sy = p["sx"].sum(), p["sy"].sum()
-    sxy, sxx, syy = p["sxy"].sum(), p["sxx"].sum(), p["syy"].sum()
-    corr = ((n * sxy - sx * sy)
-            / np.sqrt((n * sxx - sx * sx) * (n * syy - sy * sy)))
-    return pd.DataFrame({"corr": [round(float(corr), 6)]})
-
-
-LINEITEM_CORR_SQL = """
-SELECT ROUND(CORR(l_quantity, l_extendedprice), 6) AS corr
-FROM lineitem
-"""
-
-
-# --------------------------------- resample/gap-fill + rank fractions
-
-
-def events_daily_gapfilled(sf_dir: str):
-    """Time-series RESAMPLE: daily event counts per type with missing
-    days ZERO-FILLED over each type's [min, max] day span — the gap
-    structure SQL gets from a generate_series lateral. Distributed:
-    one grouped_agg shuffle to slim (type, day, n) rows, then a
-    per-type co-group expands each type's day range vectorized
-    (np.arange + searchsorted scatter; the expansion is
-    output-proportional, days-not-events)."""
-    ds = _read(sf_dir, "events", columns=["event_type", "ts"])
-
-    def to_day(b: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame({
-            "event_type": b["event_type"],
-            "day": (b["ts"].astype("int64")
-                    // 86_400_000_000).astype("int64")})
-
-    daily = grouped_agg(ds.map_batches(to_day, batch_format="pandas"),
-                        ["event_type", "day"], {"n": (None, "count")})
-
-    def fill(g: pd.DataFrame) -> pd.DataFrame:
-        outs = []
-        for et, grp in g.groupby("event_type", sort=False):
-            days = np.arange(grp["day"].min(), grp["day"].max() + 1,
-                             dtype=np.int64)
-            n = np.zeros(len(days), dtype=np.int64)
-            n[np.searchsorted(days, grp["day"].to_numpy(np.int64))] \
-                = grp["n"].to_numpy(np.int64)
-            outs.append(pd.DataFrame({"event_type": et, "day": days,
-                                      "n": n}))
-        return pd.concat(outs, ignore_index=True)
-
-    def tag(b: pd.DataFrame) -> pd.DataFrame:
-        b = b.copy()
-        b["__tb"] = (pd.util.hash_array(
-            np.asarray(b["event_type"])) % 32).astype(np.int64)
-        return b
-
-    out = (daily.map_batches(tag, batch_format="pandas")
-           .groupby("__tb").map_groups(
-               lambda g: fill(g.drop(columns="__tb")),
-               batch_format="pandas").to_pandas())
-    return (out.sort_values(["event_type", "day"])
-            .reset_index(drop=True))
-
-
-EVENTS_GAPFILL_SQL = """
-WITH d AS (
-  SELECT event_type,
-         CAST(floor(epoch(ts) / 86400) AS BIGINT) AS day,
-         COUNT(*) AS n
-  FROM events GROUP BY 1, 2),
-spans AS (
-  SELECT event_type, MIN(day) AS lo, MAX(day) AS hi
-  FROM d GROUP BY event_type),
-grid AS (
-  SELECT s.event_type, g.day
-  FROM spans s, LATERAL unnest(generate_series(s.lo, s.hi))
-    AS g(day))
-SELECT grid.event_type, grid.day,
-       CAST(COALESCE(d.n, 0) AS BIGINT) AS n
-FROM grid LEFT JOIN d
-  ON d.event_type = grid.event_type AND d.day = grid.day
-ORDER BY grid.event_type, grid.day
-"""
-
-
-def customer_balance_percent_rank(sf_dir: str):
-    """Global PERCENT_RANK + CUME_DIST over the customer balance
-    order — plain maps over ``global_rank``'s distributed prefix
-    rank: pr = (rank-1)/(N-1), cd = rank_of_last_peer/N (peers share
-    the max rank among ties; ties broken in the rank by custkey, so
-    peer groups are exact-balance groups handled by a per-balance max
-    over the slim (balance, rank) rows)."""
-    from ..functions.windows import global_rank
-
-    cust = _read(sf_dir, "customer", ["c_custkey", "c_acctbal"])
-    ranked, n = global_rank(cust, ["c_acctbal", "c_custkey"],
-                            out_col="rank", bucket_width=500.0)
-
-    # peers = equal balances: cume_dist uses each peer group's top
-    # rank, percent_rank its bottom rank - 1. The peer fold runs on
-    # the collected slim (key, balance, rank) rows — a batch-local
-    # transform would be wrong (a peer group can straddle a batch
-    # boundary); the distributed form is one grouped_agg of
-    # (balance -> min/max rank) joined back, which this output-sized
-    # query form doesn't need
-    df = ranked.to_pandas()
-    grp = df.groupby("c_acctbal")["rank"]
-    top = grp.transform("max").to_numpy(np.int64)
-    bot = grp.transform("min").to_numpy(np.int64)
-    out = pd.DataFrame({
-        "c_custkey": df["c_custkey"].astype("int64"),
-        "pct_rank": np.round((bot - 1) / (n - 1), 6),
-        "cume_dist": np.round(top / n, 6)})
-    return out.sort_values("c_custkey").reset_index(drop=True)
-
-
-CUSTOMER_PERCENT_RANK_SQL = """
-SELECT c_custkey,
-       ROUND(PERCENT_RANK() OVER (ORDER BY c_acctbal), 6)
-         AS pct_rank,
-       ROUND(CUME_DIST() OVER (ORDER BY c_acctbal), 6) AS cume_dist
-FROM customer ORDER BY c_custkey
-"""
-
-
-# ------------------------------------------------------- unpivot (melt)
-#
-# Wide -> long reshaping: each input row becomes len(value_cols) output
-# rows (variable, value). Zero shuffle — a pure per-batch numpy repeat/
-# tile — so at 100 TB it streams block-by-block and the only cost is
-# the (intentional) row-count multiplication. The inverse of pivot_agg
-# (functions/aggregates.py).
-
-
-def unpivot_ds(ds, id_cols: list[str], value_cols: list[str],
-               var_name: str = "variable", value_name: str = "value"):
-    """Dataset -> Dataset long form: (id_cols..., var_name, value_name)
-    with one output row per (input row, value column). Value columns
-    are cast to float64 (the shared type of the long column)."""
-    vcols = list(value_cols)
-
-    def melt(b: pd.DataFrame) -> pd.DataFrame:
-        n, k = len(b), len(vcols)
-        out = {c: np.repeat(b[c].to_numpy(), k) for c in id_cols}
-        out[var_name] = np.tile(np.asarray(vcols, dtype=object), n)
-        vals = np.empty((n, k), dtype=np.float64)
-        for j, c in enumerate(vcols):
-            vals[:, j] = b[c].to_numpy(np.float64)
-        out[value_name] = vals.ravel()
-        return pd.DataFrame(out)
-
-    return ds.map_batches(melt, batch_format="pandas")
-
-
-def lineitem_unpivot(sf_dir: str):
-    """Long-form lineitem measures: (l_orderkey, l_linenumber) x
-    {quantity, extendedprice, discount, tax} -> (variable, value)."""
-    ds = _read(sf_dir, "lineitem",
-               columns=["l_orderkey", "l_linenumber", "l_quantity",
-                        "l_extendedprice", "l_discount", "l_tax"])
-    out = unpivot_ds(ds, ["l_orderkey", "l_linenumber"],
-                     ["l_quantity", "l_extendedprice", "l_discount",
-                      "l_tax"])
-    return (out.to_pandas()
-            .sort_values(["l_orderkey", "l_linenumber", "variable"])
-            .reset_index(drop=True))
-
-
-LINEITEM_UNPIVOT_SQL = """
-SELECT l_orderkey, l_linenumber, variable, value FROM (
-  SELECT l_orderkey, l_linenumber, 'l_quantity' AS variable,
-         CAST(l_quantity AS DOUBLE) AS value FROM lineitem
-  UNION ALL
-  SELECT l_orderkey, l_linenumber, 'l_extendedprice',
-         CAST(l_extendedprice AS DOUBLE) FROM lineitem
-  UNION ALL
-  SELECT l_orderkey, l_linenumber, 'l_discount',
-         CAST(l_discount AS DOUBLE) FROM lineitem
-  UNION ALL
-  SELECT l_orderkey, l_linenumber, 'l_tax',
-         CAST(l_tax AS DOUBLE) FROM lineitem
-) ORDER BY l_orderkey, l_linenumber, variable
-"""
-
-
-# ---------------------------------------------------------- winsorize
-#
-# Outlier clamping at exact percentiles: two distributed-selection
-# exact quantiles (functions/sketches.exact_quantile — interpolated,
-# quantile_cont semantics) bracket the column, then a zero-shuffle
-# per-batch clip. The quantile passes are slim counting scans; nothing
-# materializes.
-
-
-def winsorize_ds(ds, col: str, p_lo: float = 0.01, p_hi: float = 0.99,
-                 out_col: str | None = None):
-    """Clamp ``col`` into its [p_lo, p_hi] exact-quantile range
-    (winsorization). Returns (dataset, lo, hi). Both quantiles come
-    from ONE histogram pass on bounded-distinct columns (fallback:
-    two distributed selections)."""
-    from ..functions.sketches import (exact_quantile,
-                                      exact_quantile_histogram)
-    try:
-        lo, hi = exact_quantile_histogram(ds, col, [p_lo, p_hi])
-    except ValueError:
-        lo = exact_quantile(ds, col, p_lo)
-        hi = exact_quantile(ds, col, p_hi)
-    oc = out_col or col
-
-    def clip(b: pd.DataFrame) -> pd.DataFrame:
-        b = b.copy()
-        b[oc] = np.clip(b[col].to_numpy(np.float64), lo, hi)
-        return b
-
-    return ds.map_batches(clip, batch_format="pandas"), lo, hi
-
-
-def lineitem_winsorized_stats(sf_dir: str, p_lo: float = 0.01,
-                              p_hi: float = 0.99):
-    """Summary stats of l_extendedprice after winsorizing at
-    [p_lo, p_hi]: one row (w_min, w_max, w_sum, w_rows)."""
-    ds = _read(sf_dir, "lineitem", columns=["l_extendedprice"])
-    wds, _, _ = winsorize_ds(ds, "l_extendedprice", p_lo, p_hi,
-                             out_col="w")
-
-    def partial(b: pd.DataFrame) -> pd.DataFrame:
-        v = b["w"].to_numpy(np.float64)
-        return pd.DataFrame({"mn": [v.min() if len(v) else np.inf],
-                             "mx": [v.max() if len(v) else -np.inf],
-                             "s": [float(v.sum())],
-                             "n": [len(v)]})
-
-    p = wds.map_batches(partial, batch_format="pandas").to_pandas()
-    return pd.DataFrame({
-        "w_min": [round(float(p["mn"].min()), 4)],
-        "w_max": [round(float(p["mx"].max()), 4)],
-        "w_sum": [round(float(p["s"].sum()), 2)],
-        "w_rows": [int(p["n"].sum())]})
-
-
-LINEITEM_WINSORIZED_SQL = """
-WITH q AS (
-  SELECT quantile_cont(l_extendedprice, 0.01) AS lo,
-         quantile_cont(l_extendedprice, 0.99) AS hi
-  FROM lineitem
-)
-SELECT ROUND(MIN(LEAST(GREATEST(l_extendedprice, lo), hi)), 4)
-         AS w_min,
-       ROUND(MAX(LEAST(GREATEST(l_extendedprice, lo), hi)), 4)
-         AS w_max,
-       ROUND(SUM(LEAST(GREATEST(l_extendedprice, lo), hi)), 2)
-         AS w_sum,
-       COUNT(*) AS w_rows
-FROM lineitem, q
-"""
-
-
-# --------------------------------------------------- touch attribution
-#
-# Marketing-style conversion attribution: for every purchase event,
-# the strictly-preceding click by the same user — LAST touch (the most
-# recent preceding click) and FIRST touch (the user's earliest click,
-# provided it precedes the purchase). "Preceding" is exact in the
-# total (ts, event_id) order, so same-timestamp ties resolve
-# deterministically and identically to the SQL window frame
-# ``ROWS BETWEEN UNBOUNDED PRECEDING AND 1 PRECEDING``. One user-hash
-# bucket shuffle; inside a bucket one sorted vectorized pass (ffill
-# for last touch, per-user position-min for first touch).
-
-
-def events_attribution(sf_dir: str) -> pd.DataFrame:
-    """(event_id, user_id, last_click_id, first_click_id) for every
-    purchase; -1 when the user has no preceding click."""
-    ds = _bucket_by_user(_read(sf_dir, "events",
-                               columns=["event_id", "user_id", "ts",
-                                        "event_type"]))
-
-    def attribute(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["user_id", "ts", "event_id"],
-                          kind="mergesort").reset_index(drop=True)
-        is_click = (g["event_type"] == "click").to_numpy()
-        eid = g["event_id"].to_numpy(np.int64)
-        uid = g["user_id"].to_numpy(np.int64)
-        # last preceding click: forward-fill click ids within user;
-        # a purchase row's own cell is NaN so no self-inclusion
-        clicks = pd.Series(np.where(is_click, eid, np.nan))
-        last_id = clicks.groupby(uid).ffill().to_numpy()
-        pos = np.arange(len(g))
-        fpos = (pd.Series(np.where(is_click, pos, np.nan))
-                .groupby(uid).transform("min").to_numpy())
-        first_ok = ~np.isnan(fpos) & (fpos < pos)
-        first_id = np.where(first_ok,
-                            eid[np.nan_to_num(fpos).astype(np.int64)],
-                            -1)
-        m = (g["event_type"] == "purchase").to_numpy()
-        return pd.DataFrame({
-            "event_id": eid[m], "user_id": uid[m],
-            "last_click_id": np.where(np.isnan(last_id[m]), -1,
-                                      np.nan_to_num(last_id[m]))
-            .astype(np.int64),
-            "first_click_id": first_id[m].astype(np.int64)})
-
-    out = (ds.groupby("__ubucket")
-           .map_groups(lambda g: attribute(g.drop(columns="__ubucket")),
-                       batch_format="pandas").to_pandas())
-    return out.sort_values("event_id").reset_index(drop=True)
-
-
-EVENTS_ATTRIBUTION_SQL = """
-WITH w AS (
-  SELECT event_id, user_id, event_type,
-         LAST_VALUE(CASE WHEN event_type = 'click' THEN event_id END
-                    IGNORE NULLS) OVER
-           (PARTITION BY user_id ORDER BY ts, event_id
-            ROWS BETWEEN UNBOUNDED PRECEDING AND 1 PRECEDING)
-           AS last_click_id,
-         FIRST_VALUE(CASE WHEN event_type = 'click' THEN event_id END
-                     IGNORE NULLS) OVER
-           (PARTITION BY user_id ORDER BY ts, event_id
-            ROWS BETWEEN UNBOUNDED PRECEDING AND 1 PRECEDING)
-           AS first_click_id
-  FROM events
-)
-SELECT event_id, user_id,
-       COALESCE(last_click_id, -1) AS last_click_id,
-       COALESCE(first_click_id, -1) AS first_click_id
-FROM w WHERE event_type = 'purchase' ORDER BY event_id
-"""
-
-
-# ------------------------------------------------ grouped z-score
-#
-# Per-group standardization (feature normalization for training): a
-# two-pass plan — pass 1 is the slim grouped_agg combiner (mean +
-# sample stddev per group, O(groups) rows), whose result broadcasts
-# into a zero-shuffle pass 2 that standardizes every row. No row-level
-# shuffle at any point, so the op streams at any scale; groups with
-# fewer than 2 rows or zero variance emit NULL-like NaN -> -0.0 guard
-# handled by the caller (the driver form maps them to 0 to match the
-# SQL CASE).
-
-
-def grouped_zscore_ds(ds, key: str, value_col: str,
-                      out_col: str = "zscore",
-                      num_buckets: int = 32):
-    """Add ``out_col`` = (value - group mean) / group SAMPLE stddev.
-    Groups with <2 rows or zero variance get NaN."""
-    from ..functions.aggregates import grouped_agg
-
-    # sample variance needs sum of squares: widen rows with v^2 so ONE
-    # combiner pass carries (n, sum, sum_sq) per group
-    def sq(b: pd.DataFrame) -> pd.DataFrame:
-        v = b[value_col].to_numpy(np.float64)
-        return pd.DataFrame({key: b[key], "v2": v * v, "v": v})
-
-    var_stats = grouped_agg(
-        ds.map_batches(sq, batch_format="pandas"),
-        [key], {"n": (None, "count"), "s": ("v", "sum"),
-                "s2": ("v2", "sum")}, num_buckets=num_buckets)
-    st = var_stats.to_pandas()
-    n = st["n"].to_numpy(np.float64)
-    mean = st["s"].to_numpy() / n
-    with np.errstate(invalid="ignore", divide="ignore"):
-        var = (st["s2"].to_numpy() - n * mean * mean) \
-            / np.where(n > 1, n - 1, np.nan)
-        sd = np.sqrt(var)
-    lut_mean = dict(zip(st[key], mean))
-    lut_sd = dict(zip(st[key], sd))
-
-    def norm(b: pd.DataFrame) -> pd.DataFrame:
-        b = b.copy()
-        mu = b[key].map(lut_mean).to_numpy(np.float64)
-        s = b[key].map(lut_sd).to_numpy(np.float64)
-        v = b[value_col].to_numpy(np.float64)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            z = (v - mu) / s
-        b[out_col] = np.where(np.isfinite(z), z, np.nan)
-        return b
-
-    return ds.map_batches(norm, batch_format="pandas")
-
-
-def events_value_zscore(sf_dir: str) -> pd.DataFrame:
-    """Per-event-type standardized event values (z = (v - mean_t) /
-    stddev_samp_t), NaN->0 for degenerate groups to mirror the SQL
-    CASE."""
-    ds = _read(sf_dir, "events",
-               columns=["event_id", "event_type", "value"])
-    out = grouped_zscore_ds(ds, "event_type", "value").to_pandas()
-    out["zscore"] = np.round(np.nan_to_num(out["zscore"]), 6)
-    return (out[["event_id", "event_type", "zscore"]]
-            .sort_values("event_id").reset_index(drop=True))
-
-
-EVENTS_VALUE_ZSCORE_SQL = """
-SELECT event_id, event_type,
-       ROUND(CASE WHEN COUNT(*) OVER w > 1
-                   AND STDDEV_SAMP(value) OVER w > 0
-             THEN (value - AVG(value) OVER w)
-                  / STDDEV_SAMP(value) OVER w
-             ELSE 0 END, 6) AS zscore
-FROM events
-WINDOW w AS (PARTITION BY event_type)
-ORDER BY event_id
-"""
-
-
-# ------------------------------------------- equi-depth histogram
-#
-# The skew-proof complement to the equi-width histogram: bin EDGES at
-# exact quantiles (functions/sketches.exact_quantile distributed
-# selections — slim counting passes), then ONE zero-shuffle bincount
-# pass (np.searchsorted against the 7 broadcast edges). Rows per bin
-# are ~equal by construction no matter how heavy the value skew —
-# the same property that makes these edges the right range-partition
-# boundaries.
-
-
-def lineitem_price_equidepth(sf_dir: str, n_bins: int = 8
-                             ) -> pd.DataFrame:
-    """(bin, n_rows) equi-depth histogram of l_extendedprice; bin i
-    holds values in (edge_{i-1}, edge_i] with edges at the exact
-    i/n_bins quantiles (quantile_cont interpolation). All n_bins-1
-    edges come from ONE histogram pass (fallback: one distributed
-    selection per edge)."""
-    from ..functions.sketches import (exact_quantile,
-                                      exact_quantile_histogram)
-
-    ds = _read(sf_dir, "lineitem", columns=["l_extendedprice"])
-    qs = [i / n_bins for i in range(1, n_bins)]
-    try:
-        edges = np.array(exact_quantile_histogram(
-            ds, "l_extendedprice", qs))
-    except ValueError:
-        edges = np.array([exact_quantile(ds, "l_extendedprice", q)
-                          for q in qs])
-
-    def partial(b: pd.DataFrame) -> pd.DataFrame:
-        v = b["l_extendedprice"].to_numpy(np.float64)
-        bins = np.searchsorted(edges, v, side="left")
-        return pd.DataFrame({
-            "bin": np.arange(n_bins, dtype=np.int64),
-            "n_rows": np.bincount(bins, minlength=n_bins)
-            .astype(np.int64)})
-
-    df = (ds.map_batches(partial, batch_format="pandas").to_pandas()
-          .groupby("bin", as_index=False)["n_rows"].sum())
-    return df.sort_values("bin").reset_index(drop=True)
-
-
-LINEITEM_EQUIDEPTH_SQL = """
-WITH e AS (
-  SELECT quantile_cont(l_extendedprice,
-           [0.125, 0.25, 0.375, 0.5, 0.625, 0.75, 0.875]) AS qs
-  FROM lineitem
-),
-b AS (
-  SELECT len(list_filter(e.qs, q -> l_extendedprice > q)) AS bin
-  FROM lineitem, e
-)
-SELECT bin, COUNT(*) AS n_rows FROM b GROUP BY bin ORDER BY bin
-"""
-
-
-# ------------------------------------------- grouped OLS regression
-#
-# Per-group simple linear regression y = slope*x + intercept, plus R².
-# Fully algebraic (like the corr/covariance ops): each batch
-# contributes one (n, Σx, Σy, Σxx, Σyy, Σxy) row per key through the
-# bucketed grouped_agg combiner — O(keys) rows cross the shuffle, the
-# finalize arithmetic runs vectorized over the already-small grouped
-# result. Zero-variance-x groups yield NULL slope/intercept/r2.
-
-
-def grouped_regression_ds(ds, key: str, x_col: str, y_col: str,
-                          num_buckets: int = 32):
-    """Dataset of (key, slope, intercept, r2, n) per group."""
-    from ..functions.aggregates import grouped_agg
-
-    def with_products(b: pd.DataFrame) -> pd.DataFrame:
-        x = b[x_col].to_numpy(np.float64)
-        y = b[y_col].to_numpy(np.float64)
-        return pd.DataFrame({key: b[key].to_numpy(),
-                             "__x": x, "__y": y, "__xx": x * x,
-                             "__yy": y * y, "__xy": x * y})
-
-    agg = grouped_agg(
-        ds.map_batches(with_products, batch_format="pandas"), [key],
-        {"n": ("__x", "count"), "sx": ("__x", "sum"),
-         "sy": ("__y", "sum"), "sxx": ("__xx", "sum"),
-         "syy": ("__yy", "sum"), "sxy": ("__xy", "sum")},
-        num_buckets=num_buckets)
-
-    def finalize(b: pd.DataFrame) -> pd.DataFrame:
-        n = b["n"].to_numpy(np.float64)
-        sx, sy = b["sx"].to_numpy(), b["sy"].to_numpy()
-        dxx = n * b["sxx"].to_numpy() - sx * sx
-        dyy = n * b["syy"].to_numpy() - sy * sy
-        dxy = n * b["sxy"].to_numpy() - sx * sy
-        with np.errstate(divide="ignore", invalid="ignore"):
-            slope = np.where(dxx > 0, dxy / dxx, np.nan)
-            r2 = np.where((dxx > 0) & (dyy > 0),
-                          dxy * dxy / (dxx * dyy), np.nan)
-        return pd.DataFrame({key: b[key].to_numpy(),
-                             "slope": slope,
-                             "intercept": (sy - slope * sx) / n,
-                             "r2": r2,
-                             "n": b["n"].to_numpy(np.int64)})
-
-    return agg.map_batches(finalize, batch_format="pandas")
-
-
-def lineitem_price_regression(sf_dir: str) -> pd.DataFrame:
-    """Driver form: per l_returnflag OLS of extendedprice on
-    quantity."""
-    ds = _read(sf_dir, "lineitem",
-               ["l_returnflag", "l_quantity", "l_extendedprice"])
-    out = grouped_regression_ds(ds, "l_returnflag", "l_quantity",
-                                "l_extendedprice").to_pandas()
-    for c in ("slope", "intercept", "r2"):
-        out[c] = out[c].round(6)
-    return (out.sort_values("l_returnflag").reset_index(drop=True)
-            [["l_returnflag", "slope", "intercept", "r2", "n"]])
-
-
-LINEITEM_REGRESSION_SQL = """
-SELECT l_returnflag,
-       ROUND(regr_slope(l_extendedprice, l_quantity), 6) AS slope,
-       ROUND(regr_intercept(l_extendedprice, l_quantity), 6)
-         AS intercept,
-       ROUND(regr_r2(l_extendedprice, l_quantity), 6) AS r2,
-       COUNT(*) AS n
-FROM lineitem GROUP BY l_returnflag ORDER BY l_returnflag
-"""
-
-
-# ------------------------------------------------ SCD2 history build
-#
-# Slowly-changing-dimension type 2 from a change log: per user,
-# consecutive runs of the same event_type (in the exact total
-# (ts, event_id) order) collapse into one versioned validity row
-# (valid_from, valid_to, version); the current run's valid_to is NULL.
-# The classic warehouse op for turning an append-only attribute log
-# into an as-of-joinable dimension. One user-hash bucket shuffle;
-# inside a bucket one sorted vectorized pass (shift-compare run
-# starts, next-start lookup for valid_to).
-
-
-def scd2_history_ds(ds, key: str, attr: str, ts_col: str,
-                    tie_col: str, num_buckets: int = 32):
-    """Dataset of (key, attr, valid_from, valid_to, version)."""
-    def bucket(t: pa.Table) -> pa.Table:
-        h = pd.util.hash_array(t[key].to_numpy())
-        return t.append_column(
-            "__kb", pa.array((h % num_buckets).astype(np.int64)))
-
-    def collapse(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values([key, ts_col, tie_col],
-                          kind="mergesort").reset_index(drop=True)
-        k = g[key].to_numpy()
-        a = g[attr].to_numpy()
-        ts = g[ts_col].to_numpy()
-        new_key = np.empty(len(g), dtype=bool)
-        new_key[0] = True
-        new_key[1:] = k[1:] != k[:-1]
-        start = new_key.copy()
-        start[1:] |= a[1:] != a[:-1]
-        sidx = np.flatnonzero(start)
-        # valid_to = next run start's ts within the same key
-        nxt = np.empty(len(sidx), dtype="datetime64[ns]")
-        nxt[:-1] = ts[sidx[1:]]
-        nxt[-1] = np.datetime64("NaT")
-        same_key = np.empty(len(sidx), dtype=bool)
-        same_key[:-1] = k[sidx[:-1]] == k[sidx[1:]]
-        same_key[-1] = False
-        run_key_start = np.flatnonzero(new_key[sidx])
-        version = np.arange(len(sidx)) - np.repeat(
-            run_key_start,
-            np.diff(np.append(run_key_start, len(sidx)))) + 1
-        return pd.DataFrame({
-            key: k[sidx], attr: a[sidx], "valid_from": ts[sidx],
-            "valid_to": np.where(same_key, nxt,
-                                 np.datetime64("NaT")),
-            "version": version.astype(np.int64)})
-
-    return (ds.map_batches(bucket, batch_format="pyarrow")
-            .groupby("__kb")
-            .map_groups(lambda g: collapse(g.drop(columns="__kb")),
-                        batch_format="pandas"))
-
-
-def events_scd2(sf_dir: str) -> pd.DataFrame:
-    """Driver form: per-user event_type validity history."""
-    ds = _read(sf_dir, "events",
-               columns=["user_id", "ts", "event_id", "event_type"])
-    out = scd2_history_ds(ds, "user_id", "event_type", "ts",
-                          "event_id").to_pandas()
-    return (out.sort_values(["user_id", "valid_from", "version"])
-            .reset_index(drop=True))
-
-
-EVENTS_SCD2_SQL = """
-WITH o AS (
-  SELECT user_id, ts, event_id, event_type,
-         CASE WHEN LAG(event_type) OVER w IS DISTINCT FROM event_type
-              THEN 1 ELSE 0 END AS chg
-  FROM events
-  WINDOW w AS (PARTITION BY user_id ORDER BY ts, event_id)
-),
-r AS (
-  SELECT *, SUM(chg) OVER (PARTITION BY user_id ORDER BY ts, event_id
-             ROWS UNBOUNDED PRECEDING) AS run
-  FROM o
-),
-g AS (
-  SELECT user_id, ANY_VALUE(event_type) AS event_type, run,
-         MIN(ts) AS valid_from
-  FROM r GROUP BY user_id, run
-)
-SELECT user_id, event_type, valid_from,
-       LEAD(valid_from) OVER (PARTITION BY user_id ORDER BY run)
-         AS valid_to,
-       CAST(run AS BIGINT) AS version
-FROM g ORDER BY user_id, valid_from, version
-"""
-
-
-# ------------------------------------------------- Welch's t-test
-#
-# Two-sample A/B significance over a metric column: Welch's unequal-
-# variance t statistic plus the Welch–Satterthwaite df. Purely
-# algebraic — one slim grouped_agg pass collects (n, Σv, Σv²) per arm,
-# the driver finalize is O(1).
-
-
-def welch_ttest_ds(ds, group_col: str, value_col: str,
-                   group_a: str, group_b: str,
-                   num_buckets: int = 8) -> pd.DataFrame:
-    """One row: (mean_a, mean_b, t_stat, df, n_a, n_b)."""
-    from ..functions.aggregates import grouped_agg
-
-    def keep(b: pd.DataFrame) -> pd.DataFrame:
-        m = b[group_col].isin([group_a, group_b]).to_numpy()
-        v = b[value_col].to_numpy(np.float64)[m]
-        return pd.DataFrame({group_col: b[group_col].to_numpy()[m],
-                             "__v": v, "__v2": v * v})
-
-    agg = grouped_agg(ds.map_batches(keep, batch_format="pandas"),
-                      [group_col],
-                      {"n": ("__v", "count"), "s": ("__v", "sum"),
-                       "s2": ("__v2", "sum")},
-                      num_buckets=num_buckets).to_pandas()
-    agg = agg.set_index(group_col)
-    n1, n2 = float(agg.loc[group_a, "n"]), float(agg.loc[group_b, "n"])
-    m1, m2 = agg.loc[group_a, "s"] / n1, agg.loc[group_b, "s"] / n2
-    v1 = (agg.loc[group_a, "s2"] - n1 * m1 * m1) / (n1 - 1)
-    v2 = (agg.loc[group_b, "s2"] - n2 * m2 * m2) / (n2 - 1)
-    se2_1, se2_2 = v1 / n1, v2 / n2
-    t = (m1 - m2) / np.sqrt(se2_1 + se2_2)
-    df = (se2_1 + se2_2) ** 2 / (se2_1 ** 2 / (n1 - 1)
-                                 + se2_2 ** 2 / (n2 - 1))
-    return pd.DataFrame({"mean_a": [round(float(m1), 6)],
-                         "mean_b": [round(float(m2), 6)],
-                         "t_stat": [round(float(t), 6)],
-                         "df": [round(float(df), 4)],
-                         "n_a": [int(n1)], "n_b": [int(n2)]})
-
-
-def events_ab_ttest(sf_dir: str) -> pd.DataFrame:
-    """Driver form: Welch t-test of value, click vs purchase arms."""
-    ds = _read(sf_dir, "events", columns=["event_type", "value"])
-    return welch_ttest_ds(ds, "event_type", "value",
-                          "click", "purchase")
-
-
-EVENTS_AB_TTEST_SQL = """
-WITH a AS (
-  SELECT COUNT(*) AS n, AVG(value) AS m, VAR_SAMP(value) AS v
-  FROM events WHERE event_type = 'click'
-),
-b AS (
-  SELECT COUNT(*) AS n, AVG(value) AS m, VAR_SAMP(value) AS v
-  FROM events WHERE event_type = 'purchase'
-)
-SELECT ROUND(a.m, 6) AS mean_a, ROUND(b.m, 6) AS mean_b,
-       ROUND((a.m - b.m) / SQRT(a.v / a.n + b.v / b.n), 6) AS t_stat,
-       ROUND(POW(a.v / a.n + b.v / b.n, 2)
-             / (POW(a.v / a.n, 2) / (a.n - 1)
-                + POW(b.v / b.n, 2) / (b.n - 1)), 4) AS df,
-       a.n AS n_a, b.n AS n_b
-FROM a, b
-"""
-
-
-# ------------------------------------------------------------ pivot
-#
-# Long-to-wide pivot (the inverse of unpivot_ds): one output row per
-# index key, one column per DISTINCT pivot value, cells aggregated
-# with sum/count/min/max/mean. Plan: the heavy reduction happens FIRST
-# through the slim grouped_agg combiner on (index, pivot) — only one
-# row per populated cell crosses the shuffle — then an index-bucketed
-# map_groups reshapes each bucket with ONE vectorized pandas
-# pivot_table. The pivot column's distinct values must be bounded
-# (they become schema columns); the index cardinality is unbounded.
-
-
-def pivot_ds(ds, index: str, pivot_col: str, value_col: str,
-             agg: str = "sum", columns: list[str] | None = None,
-             fill_value: float = 0.0, num_buckets: int = 32):
-    """Dataset of (index, <col_v1>, <col_v2>, ...) — one column per
-    pivot value. ``columns`` fixes the output column set (required
-    schema stability at scale); when None it is discovered with one
-    small distinct pass over the aggregated cells."""
-    from ..functions.aggregates import grouped_agg
-
-    cells = grouped_agg(ds, [index, pivot_col],
-                        {"v": (value_col, agg)},
-                        num_buckets=num_buckets)
-    if columns is None:
-        columns = sorted(
-            cells.groupby(pivot_col).count().to_pandas()[pivot_col]
-            .astype(str).tolist())
-    cols = [str(c) for c in columns]
-
-    def reshape(g: pd.DataFrame) -> pd.DataFrame:
-        w = g.pivot_table(index=index, columns=pivot_col, values="v",
-                          aggfunc="first")
-        w.columns = [str(c) for c in w.columns]
-        w = w.reindex(columns=cols)
-        if fill_value is not None:
-            w = w.fillna(fill_value)
-        return w.reset_index()
-
-    def bucket(b: pd.DataFrame) -> pd.DataFrame:
-        h = pd.util.hash_array(np.asarray(b[index]))
-        b = b.copy()
-        b["__pb"] = (h % num_buckets).astype(np.int64)
-        return b
-
-    return (cells.map_batches(bucket, batch_format="pandas")
-            .groupby("__pb")
-            .map_groups(lambda g: reshape(g.drop(columns="__pb")),
-                        batch_format="pandas"))
-
-
-def events_type_pivot(sf_dir: str) -> pd.DataFrame:
-    """Driver form: per-user total value by event type, wide."""
-    ds = _read(sf_dir, "events",
-               columns=["user_id", "event_type", "value"])
-    out = pivot_ds(ds, "user_id", "event_type", "value", agg="sum",
-                   columns=["click", "error", "purchase", "signup",
-                            "view"]).to_pandas()
-    for c in ("click", "error", "purchase", "signup", "view"):
-        out[c] = out[c].round(4)
-    return out.sort_values("user_id").reset_index(drop=True)
-
-
-EVENTS_TYPE_PIVOT_SQL = """
-SELECT user_id,
-       ROUND(COALESCE(SUM(value) FILTER (event_type = 'click'),
-                      0), 4) AS click,
-       ROUND(COALESCE(SUM(value) FILTER (event_type = 'error'),
-                      0), 4) AS error,
-       ROUND(COALESCE(SUM(value) FILTER (event_type = 'purchase'),
-                      0), 4) AS purchase,
-       ROUND(COALESCE(SUM(value) FILTER (event_type = 'signup'),
-                      0), 4) AS signup,
-       ROUND(COALESCE(SUM(value) FILTER (event_type = 'view'),
-                      0), 4) AS view
-FROM events GROUP BY user_id ORDER BY user_id
-"""
-
-
-# ------------------------------------------------- robust MAD stats
-#
-# Median absolute deviation — the robust dispersion used for outlier
-# fences where stddev is skew-poisoned. Two distributed exact-quantile
-# selections (median of x, then median of |x − med|): each is
-# O(log n) slim counting passes, nothing row-proportional ever reaches
-# the driver.
-
-
-def _median_fast(ds, col: str) -> float:
-    """Median via the one-pass value-histogram when the column's
-    distinct count is bounded (most real metric columns), else the
-    O(log)-pass distributed selection."""
-    from ..functions.sketches import (exact_quantile,
-                                      exact_quantile_histogram)
-    try:
-        return exact_quantile_histogram(ds, col, [0.5])[0]
-    except ValueError:
-        return exact_quantile(ds, col, 0.5)
-
-
-def mad_ds(ds, col: str) -> pd.DataFrame:
-    """One row: (median, mad, mad_sigma) with mad_sigma = 1.4826*mad
-    (the normal-consistent scale estimate). Two passes total on
-    bounded-distinct columns (histogram median each), falling back to
-    the selection path beyond the distinct cap."""
-    med = _median_fast(ds, col)
-
-    def absdev(b: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {"__d": np.abs(b[col].to_numpy(np.float64) - med)})
-
-    mad = _median_fast(ds.map_batches(absdev,
-                                      batch_format="pandas"), "__d")
-    return pd.DataFrame({"median": [round(med, 6)],
-                         "mad": [round(mad, 6)],
-                         "mad_sigma": [round(1.4826 * mad, 6)]})
-
-
-def lineitem_price_mad(sf_dir: str) -> pd.DataFrame:
-    return mad_ds(_read(sf_dir, "lineitem", ["l_extendedprice"]),
-                  "l_extendedprice")
-
-
-LINEITEM_MAD_SQL = """
-WITH m AS (SELECT MEDIAN(l_extendedprice) AS med FROM lineitem)
-SELECT ROUND(ANY_VALUE(med), 6) AS median,
-       ROUND(MEDIAN(ABS(l_extendedprice - med)), 6) AS mad,
-       ROUND(1.4826 * MEDIAN(ABS(l_extendedprice - med)), 6)
-         AS mad_sigma
-FROM lineitem, m
-"""
-
-
-# ------------------------------------------- pairwise correlations
-#
-# Full Pearson correlation matrix over a set of numeric columns in
-# ONE streaming pass: each batch emits a single packed partial
-# (n, Σx vector, X'X matrix) row; the driver fold is O(d²). The
-# standard feature-redundancy screen before training.
-
-
-def correlation_matrix_ds(ds, cols: list[str]) -> pd.DataFrame:
-    """Long-form (col_a, col_b, corr) for every unordered pair
-    (col_a < col_b positionally), rounded to 6."""
-    k = len(cols)
-
-    def partial(b: pd.DataFrame) -> pd.DataFrame:
-        m = np.column_stack([b[c].to_numpy(np.float64) for c in cols])
-        return pd.DataFrame({"n": [len(m)],
-                             "s": [m.sum(axis=0)],
-                             "ss": [(m.T @ m).ravel()]})
-
-    p = ds.map_batches(partial, batch_format="pandas").to_pandas()
-    n = float(p["n"].sum())
-    s = np.sum(np.stack(p["s"].map(np.asarray).to_list()), axis=0)
-    ss = np.sum(np.stack(p["ss"].map(np.asarray).to_list()),
-                axis=0).reshape(k, k)
-    cov = ss - np.outer(s, s) / n
-    sd = np.sqrt(np.diag(cov))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        corr = cov / np.outer(sd, sd)
-    ia, ib = np.triu_indices(k, 1)
-    return pd.DataFrame({
-        "col_a": [cols[i] for i in ia],
-        "col_b": [cols[j] for j in ib],
-        "corr": np.round(corr[ia, ib], 6)})
-
-
-def lineitem_corr_matrix(sf_dir: str) -> pd.DataFrame:
-    cols = ["l_quantity", "l_extendedprice", "l_discount", "l_tax"]
-    return correlation_matrix_ds(_read(sf_dir, "lineitem", cols),
-                                 cols)
-
-
-LINEITEM_CORR_MATRIX_SQL = """
-SELECT * FROM (
-  SELECT 'l_quantity' AS col_a, 'l_extendedprice' AS col_b,
-         ROUND(CORR(l_quantity, l_extendedprice), 6) AS corr
-  FROM lineitem
-  UNION ALL SELECT 'l_quantity', 'l_discount',
-         ROUND(CORR(l_quantity, l_discount), 6) FROM lineitem
-  UNION ALL SELECT 'l_quantity', 'l_tax',
-         ROUND(CORR(l_quantity, l_tax), 6) FROM lineitem
-  UNION ALL SELECT 'l_extendedprice', 'l_discount',
-         ROUND(CORR(l_extendedprice, l_discount), 6) FROM lineitem
-  UNION ALL SELECT 'l_extendedprice', 'l_tax',
-         ROUND(CORR(l_extendedprice, l_tax), 6) FROM lineitem
-  UNION ALL SELECT 'l_discount', 'l_tax',
-         ROUND(CORR(l_discount, l_tax), 6) FROM lineitem
-)
-"""
-
-
-# --------------------------------------------- time-weighted average
-#
-# Per-user time-weighted mean of `value` between first and last event:
-# each inter-event interval weights the value that was CURRENT during
-# it (step-function integral / elapsed time) — the standard metric for
-# irregularly-sampled state series. One user-bucket shuffle, one
-# sorted vectorized pass per bucket. Single-event users are excluded
-# (zero elapsed time).
-
-
-def events_time_weighted_value(sf_dir: str) -> pd.DataFrame:
-    """(user_id, twa) per user with >= 2 events."""
-    ds = _bucket_by_user(_read(sf_dir, "events",
-                               columns=["user_id", "ts", "event_id",
-                                        "value"]))
-
-    def twa(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["user_id", "ts", "event_id"],
-                          kind="mergesort").reset_index(drop=True)
-        uid = g["user_id"].to_numpy(np.int64)
-        ts = g["ts"].to_numpy("datetime64[ns]").astype(np.int64)
-        v = g["value"].to_numpy(np.float64)
-        same = np.empty(len(g), dtype=bool)
-        same[:-1] = uid[:-1] == uid[1:]
-        same[-1] = False
-        dt = np.where(same, np.append(ts[1:], 0) - ts, 0).astype(
-            np.float64)
-        num = pd.Series(v * dt).groupby(uid).sum()
-        den = pd.Series(dt).groupby(uid).sum()
-        keep = den > 0
-        return pd.DataFrame({
-            "user_id": num.index.to_numpy(np.int64)[keep],
-            "twa": np.round((num[keep] / den[keep]).to_numpy(), 6)})
-
-    out = (ds.groupby("__ubucket")
-           .map_groups(lambda g: twa(g.drop(columns="__ubucket")),
-                       batch_format="pandas").to_pandas())
-    return out.sort_values("user_id").reset_index(drop=True)
-
-
-EVENTS_TWA_SQL = """
-WITH w AS (
-  SELECT user_id, value,
-         CAST(date_diff('microsecond', ts,
-              LEAD(ts) OVER (PARTITION BY user_id
-                             ORDER BY ts, event_id)) AS DOUBLE) AS dt
-  FROM events
-)
-SELECT user_id,
-       ROUND(SUM(value * dt) / SUM(dt), 6) AS twa
-FROM w WHERE dt IS NOT NULL
-GROUP BY user_id HAVING SUM(dt) > 0 ORDER BY user_id
-"""
-
-
-# -------------------------------------------------- cohort retention
-#
-# Classic cohort analysis: users grouped by first-activity day
-# (cohort), counted by day offset of each later activity — the
-# retention triangle. Two slim passes: (1) per-user first day via the
-# grouped_agg min combiner; (2) first days broadcast back into a
-# zero-row-shuffle distinct-count pass per (cohort_day, day_offset).
-# The broadcast is the per-user first-day table — at 100x user
-# cardinality swap it for the partitioned hash join (same contract as
-# q3's size gate); the o(users) map is the right default here.
-
-
-def events_cohort_retention(sf_dir: str) -> pd.DataFrame:
-    """(cohort_day, day_offset, n_users) — distinct users of each
-    first-day cohort active at each day offset >= 0."""
-    from ..functions.aggregates import grouped_agg
-    ds = _read(sf_dir, "events", columns=["user_id", "ts"])
-
-    def to_day(b: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame({
-            "user_id": b["user_id"].to_numpy(np.int64),
-            "day": b["ts"].to_numpy("datetime64[D]")
-            .astype(np.int64)})
-
-    days = ds.map_batches(to_day, batch_format="pandas")
-    first = grouped_agg(days, ["user_id"],
-                        {"first_day": ("day", "min")}).to_pandas()
-    fmap = ray.put(first.set_index("user_id")["first_day"])
-
-    def offsets(b: pd.DataFrame) -> pd.DataFrame:
-        fm = ray.get(fmap)
-        fd = fm.reindex(b["user_id"]).to_numpy(np.int64)
-        out = pd.DataFrame({
-            "user_id": b["user_id"].to_numpy(np.int64),
-            "cohort_day": fd,
-            "day_offset": b["day"].to_numpy(np.int64) - fd})
-        # per-batch distinct pre-reduce: the combiner for COUNT(
-        # DISTINCT user) — only distinct triples leave the batch
-        return out.drop_duplicates()
-
-    trip = days.map_batches(offsets, batch_format="pandas")
-    # batch-distinct triples can still repeat ACROSS batches: dedup
-    # through one slim (user, cohort, offset) shuffle, then count
-    ded = grouped_agg(trip, ["user_id", "cohort_day", "day_offset"],
-                      {"one": (None, "count")})
-    out = grouped_agg(ded, ["cohort_day", "day_offset"],
-                      {"n_users": ("one", "count")}).to_pandas()
-    out["cohort_date"] = pd.to_datetime(out["cohort_day"] * 86400
-                                        * 10 ** 9).dt.date.astype(str)
-    out = out[["cohort_date", "day_offset", "n_users"]]
-    return (out.sort_values(["cohort_date", "day_offset"])
-            .reset_index(drop=True).astype({"day_offset": np.int64,
-                                            "n_users": np.int64}))
-
-
-EVENTS_COHORT_SQL = """
-WITH f AS (
-  SELECT user_id, MIN(CAST(ts AS DATE)) AS first_day
-  FROM events GROUP BY user_id
-),
-a AS (
-  SELECT DISTINCT e.user_id,
-         CAST(f.first_day AS VARCHAR) AS cohort_date,
-         date_diff('day', f.first_day, CAST(e.ts AS DATE))
-           AS day_offset
-  FROM events e JOIN f USING (user_id)
-)
-SELECT cohort_date, day_offset, COUNT(*) AS n_users
-FROM a GROUP BY cohort_date, day_offset
-ORDER BY cohort_date, day_offset
-"""
-
-
-# ------------------------------------------------- exact group mode
-#
-# Most frequent value per group with deterministic ties (smallest
-# value wins — DuckDB's mode() tie rule is unspecified, so the SQL
-# oracle pins the same rule via row_number). Two slim combiner
-# passes: (group, value) counts, then per-group argmax inside the
-# group-hash bucket.
-
-
-def grouped_mode_ds(ds, key: str, value_col: str,
-                    num_buckets: int = 32):
-    """Dataset of (key, mode, n) — n = occurrences of the mode."""
-    from ..functions.aggregates import grouped_agg
-    counts = grouped_agg(ds, [key, value_col],
-                         {"n": (None, "count")},
-                         num_buckets=num_buckets)
-
-    def bucket(b: pd.DataFrame) -> pd.DataFrame:
-        b = b.copy()
-        b["__gb"] = (pd.util.hash_array(np.asarray(b[key]))
-                     % num_buckets).astype(np.int64)
-        return b
-
-    def argmax(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["__gb", key, "n", value_col],
-                          ascending=[True, True, False, True],
-                          kind="mergesort")
-        top = g.groupby(key, sort=False).head(1)
-        return pd.DataFrame({key: top[key].to_numpy(),
-                             "mode": top[value_col].to_numpy(),
-                             "n": top["n"].to_numpy(np.int64)})
-
-    return (counts.map_batches(bucket, batch_format="pandas")
-            .groupby("__gb").map_groups(argmax,
-                                        batch_format="pandas"))
-
-
-def user_top_event_type(sf_dir: str) -> pd.DataFrame:
-    """Driver form: each user's most frequent event_type."""
-    ds = _read(sf_dir, "events", columns=["user_id", "event_type"])
-    out = grouped_mode_ds(ds, "user_id", "event_type").to_pandas()
-    return out.sort_values("user_id").reset_index(drop=True)
-
-
-USER_TOP_EVENT_SQL = """
-WITH c AS (
-  SELECT user_id, event_type, COUNT(*) AS n
-  FROM events GROUP BY user_id, event_type
-),
-r AS (
-  SELECT *, ROW_NUMBER() OVER (PARTITION BY user_id
-             ORDER BY n DESC, event_type) AS rn
-  FROM c
-)
-SELECT user_id, event_type AS mode, n FROM r WHERE rn = 1
-ORDER BY user_id
-"""
-
-
-# --------------------------------------------- group-mean imputation
-#
-# Feature-pipeline staple: fill NULLs in a numeric column with the
-# group mean (global mean for groups that are entirely NULL). Pass 1:
-# slim grouped_agg (sum, count of non-null) per key; pass 2: stats
-# broadcast into a zero-shuffle fill map. NULL bookkeeping is exact.
-
-
-def impute_group_mean_ds(ds, key: str, value_col: str,
-                         out_col: str | None = None,
-                         num_buckets: int = 32):
-    """Add ``out_col`` (default: value_col + '_filled') — value_col
-    with NULLs replaced by the key's mean, else the global mean.
-
-    The per-key mean table broadcasts (``ray.put`` once, zero-copy
-    per task) — right while keys are dimension-scale; beyond that,
-    attach means with ``hash_partition_join`` instead (the same
-    size-gate contract as q3 / broadcast_join)."""
-    from ..functions.aggregates import grouped_agg
-    oc = out_col or f"{value_col}_filled"
-    stats = grouped_agg(ds, [key],
-                        {"s": (value_col, "sum"),
-                         "c": (value_col, "count")},
-                        num_buckets=num_buckets).to_pandas()
-    g_sum, g_cnt = float(stats["s"].sum()), int(stats["c"].sum())
-    gmean = g_sum / g_cnt if g_cnt else np.nan
-    means = stats["s"] / stats["c"].replace(0, np.nan)
-    mref = ray.put(pd.Series(means.to_numpy(),
-                             index=stats[key].to_numpy()))
-
-    def fill(b: pd.DataFrame) -> pd.DataFrame:
-        mm = ray.get(mref)
-        v = b[value_col].to_numpy(np.float64)
-        fillv = mm.reindex(b[key]).to_numpy(np.float64)
-        fillv = np.where(np.isnan(fillv), gmean, fillv)
-        b = b.copy()
-        b[oc] = np.where(np.isnan(v), fillv, v)
-        return b
-
-    return ds.map_batches(fill, batch_format="pandas")
-
-
-# --------------------------------------------- grouped percent rank
-#
-# PERCENT_RANK within a group: (rank - 1) / (n - 1) with SQL RANK tie
-# semantics. One group-hash bucket shuffle, vectorized rank per
-# bucket. Partitioning assumption (documented per the brief): one
-# GROUP fits a task; for groups beyond that, compose the global-order
-# machinery in functions/windows.py (t-digest bucket_edges +
-# distributed prefix sums) per group instead.
-
-
-def grouped_percent_rank_ds(ds, key: str, value_col: str,
-                            out_col: str = "pct_rank",
-                            num_buckets: int = 32):
-    """Add ``out_col``; single-row groups get 0.0 (SQL convention)."""
-    def bucket(t: pa.Table) -> pa.Table:
-        h = pd.util.hash_array(np.asarray(t[key]))
-        return t.append_column(
-            "__gb", pa.array((h % num_buckets).astype(np.int64)))
-
-    def rank(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.drop(columns="__gb")
-        r = g.groupby(key, sort=False)[value_col].rank(method="min")
-        n = g.groupby(key, sort=False)[value_col].transform("size") \
-            .to_numpy(np.float64)
-        g = g.copy()
-        g[out_col] = np.where(n > 1,
-                              (r.to_numpy() - 1) / np.maximum(n - 1,
-                                                              1), 0.0)
-        return g
-
-    return (ds.map_batches(bucket, batch_format="pyarrow")
-            .groupby("__gb").map_groups(rank, batch_format="pandas"))
-
-
-def events_value_pct_rank(sf_dir: str) -> pd.DataFrame:
-    """Driver form: percent rank of value within event_type."""
-    ds = _read(sf_dir, "events",
-               columns=["event_id", "event_type", "value"])
-    out = grouped_percent_rank_ds(ds, "event_type",
-                                  "value").to_pandas()
-    out["pct_rank"] = out["pct_rank"].round(6)
-    return (out.sort_values("event_id").reset_index(drop=True)
-            [["event_id", "event_type", "pct_rank"]])
-
-
-EVENTS_PCT_RANK_SQL = """
-SELECT event_id, event_type,
-       ROUND(PERCENT_RANK() OVER (PARTITION BY event_type
-                                  ORDER BY value), 6) AS pct_rank
-FROM events ORDER BY event_id
-"""
-
-
-# ------------------------------------------- event Markov transitions
-#
-# First-order behavior model: counts and probabilities of event_type
-# -> next event_type transitions within a user's exact (ts, event_id)
-# order — the input to next-action prediction and to funnel-drop
-# diagnostics. One user-bucket shuffle; per bucket a vectorized shift
-# compare emits slim (prev, next, n) partials that fold through the
-# grouped_agg combiner.
-
-
-def events_markov_transitions(sf_dir: str) -> pd.DataFrame:
-    """(prev_type, next_type, n, p) with p normalized per prev_type."""
-    from ..functions.aggregates import grouped_agg
-    ds = _bucket_by_user(_read(sf_dir, "events",
-                               columns=["user_id", "ts", "event_id",
-                                        "event_type"]))
-
-    def pairs(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["user_id", "ts", "event_id"],
-                          kind="mergesort").reset_index(drop=True)
-        uid = g["user_id"].to_numpy(np.int64)
-        et = g["event_type"].to_numpy()
-        same = uid[:-1] == uid[1:]
-        df = pd.DataFrame({"prev_type": et[:-1][same],
-                           "next_type": et[1:][same]})
-        return (df.groupby(["prev_type", "next_type"], sort=False)
-                .size().reset_index(name="n"))
-
-    part = (ds.groupby("__ubucket")
-            .map_groups(lambda g: pairs(g.drop(columns="__ubucket")),
-                        batch_format="pandas"))
-    out = grouped_agg(part, ["prev_type", "next_type"],
-                      {"n": ("n", "sum")}).to_pandas()
-    tot = out.groupby("prev_type")["n"].transform("sum")
-    out["p"] = (out["n"] / tot).round(6)
-    out["n"] = out["n"].astype(np.int64)
-    return (out.sort_values(["prev_type", "next_type"])
-            .reset_index(drop=True))
-
-
-EVENTS_MARKOV_SQL = """
-WITH w AS (
-  SELECT event_type AS prev_type,
-         LEAD(event_type) OVER (PARTITION BY user_id
-                                ORDER BY ts, event_id) AS next_type
-  FROM events
-),
-c AS (
-  SELECT prev_type, next_type, COUNT(*) AS n
-  FROM w WHERE next_type IS NOT NULL
-  GROUP BY prev_type, next_type
-)
-SELECT prev_type, next_type, n,
-       ROUND(n * 1.0 / SUM(n) OVER (PARTITION BY prev_type), 6) AS p
-FROM c ORDER BY prev_type, next_type
-"""
-
-
-# --------------------------------------------- per-user event entropy
-#
-# Behavioral diversity score: Shannon entropy (bits) of each user's
-# event_type distribution — bot/spam triage (near-zero entropy) and
-# engagement profiling. Slim (user, type, n) combiner rows, then one
-# vectorized per-user entropy inside the user-hash bucket.
-
-
-def user_event_entropy(sf_dir: str) -> pd.DataFrame:
-    """(user_id, entropy_bits, n_events) per user."""
-    from ..functions.aggregates import grouped_agg
-    ds = _read(sf_dir, "events", columns=["user_id", "event_type"])
-    cnt = grouped_agg(ds, ["user_id", "event_type"],
-                      {"n": (None, "count")})
-
-    def bucket(b: pd.DataFrame) -> pd.DataFrame:
-        b = b.copy()
-        b["__ub"] = (pd.util.hash_array(b["user_id"].to_numpy())
-                     % 32).astype(np.int64)
-        return b
-
-    def ent(g: pd.DataFrame) -> pd.DataFrame:
-        tot = g.groupby("user_id", sort=False)["n"].transform("sum") \
-            .to_numpy(np.float64)
-        p = g["n"].to_numpy(np.float64) / tot
-        h = pd.Series(-p * np.log2(p)).groupby(
-            g["user_id"].to_numpy()).sum()
-        nn = g.groupby("user_id", sort=False)["n"].sum()
-        return pd.DataFrame({
-            "user_id": h.index.to_numpy(np.int64),
-            "entropy_bits": np.round(h.to_numpy(), 6),
-            "n_events": nn.reindex(h.index).to_numpy(np.int64)})
-
-    out = (cnt.map_batches(bucket, batch_format="pandas")
-           .groupby("__ub")
-           .map_groups(lambda g: ent(g.drop(columns="__ub")),
-                       batch_format="pandas").to_pandas())
-    return out.sort_values("user_id").reset_index(drop=True)
-
-
-USER_ENTROPY_SQL = """
-WITH c AS (
-  SELECT user_id, event_type, CAST(COUNT(*) AS DOUBLE) AS n
-  FROM events GROUP BY user_id, event_type
-),
-t AS (SELECT user_id, SUM(n) AS tot FROM c GROUP BY user_id)
-SELECT c.user_id,
-       ROUND(-SUM((n / tot) * LOG2(n / tot)), 6) AS entropy_bits,
-       CAST(ANY_VALUE(tot) AS BIGINT) AS n_events
-FROM c JOIN t USING (user_id)
-GROUP BY c.user_id ORDER BY c.user_id
-"""
-
-
-# --------------------------------------------- rolling active users
-#
-# Trailing-7-day distinct active users per observed day (the DAU/WAU
-# engagement series). Exact distinct over a sliding window without
-# any windowed-distinct machinery: distinct (user, day) rows (slim
-# combiner) explode to their <= 7 window-end days, a second slim
-# dedup-and-count combiner collapses (user, window_day); output is
-# restricted to days that actually occur. Shuffled rows are bounded
-# by 7 x |distinct (user, day)| — never event-proportional.
-
-
-def events_rolling_active_users(sf_dir: str, window: int = 7
-                                ) -> pd.DataFrame:
-    """(day, n_users) — distinct users active in [day-6, day]."""
-    from ..functions.aggregates import grouped_agg
-    ds = _read(sf_dir, "events", columns=["user_id", "ts"])
-
-    def to_day(b: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame({
-            "user_id": b["user_id"].to_numpy(np.int64),
-            "day": b["ts"].to_numpy("datetime64[D]")
-            .astype(np.int64)}).drop_duplicates()
-
-    ud = grouped_agg(ds.map_batches(to_day, batch_format="pandas"),
-                     ["user_id", "day"], {"one": (None, "count")})
-    obs_days = np.sort(
-        grouped_agg(ud, ["day"], {"n": (None, "count")})
-        .to_pandas()["day"].to_numpy(np.int64))
-    days_ref = ray.put(obs_days)
-
-    def explode(b: pd.DataFrame) -> pd.DataFrame:
-        od = ray.get(days_ref)
-        u = np.repeat(b["user_id"].to_numpy(np.int64), window)
-        w = (b["day"].to_numpy(np.int64)[:, None]
-             + np.arange(window)[None, :]).ravel()
-        keep = np.isin(w, od)  # only observed window-end days
-        return pd.DataFrame({"user_id": u[keep],
-                             "day": w[keep]}).drop_duplicates()
-
-    uw = grouped_agg(ud.map_batches(explode, batch_format="pandas"),
-                     ["user_id", "day"], {"one": (None, "count")})
-    out = grouped_agg(uw, ["day"],
-                      {"n_users": ("one", "count")}).to_pandas()
-    out["date"] = pd.to_datetime(out["day"] * 86400 * 10 ** 9) \
-        .dt.date.astype(str)
-    out = out[["date", "n_users"]].astype({"n_users": np.int64})
-    return out.sort_values("date").reset_index(drop=True)
-
-
-EVENTS_ROLLING_ACTIVE_SQL = """
-WITH ud AS (
-  SELECT DISTINCT user_id, CAST(ts AS DATE) AS d FROM events
-),
-days AS (SELECT DISTINCT d FROM ud)
-SELECT CAST(days.d AS VARCHAR) AS date,
-       COUNT(DISTINCT ud.user_id) AS n_users
-FROM days JOIN ud
-  ON ud.d BETWEEN days.d - INTERVAL 6 DAY AND days.d
-GROUP BY days.d ORDER BY date
-"""
-
-
-# ----------------------------------------- robust outlier screening
-#
-# MAD-based robust z-score flags (|x - median| / (1.4826 * MAD) above
-# a cutoff) — the outlier screen that survives heavy tails where
-# mean/stddev z-scores drown. Reuses the two exact-quantile
-# selections from mad_ds; the flag pass is one zero-shuffle map.
-
-
-def mad_outlier_summary(sf_dir: str, cutoff: float = 3.5
-                        ) -> pd.DataFrame:
-    """One row: (n_outliers, n_rows, out_min) — count of
-    l_extendedprice rows beyond the robust-z cutoff and the smallest
-    flagged value."""
-    stats = lineitem_price_mad(sf_dir)
-    med = float(stats["median"][0])
-    sigma = float(stats["mad_sigma"][0])
-    ds = _read(sf_dir, "lineitem", ["l_extendedprice"])
-
-    def partial(b: pd.DataFrame) -> pd.DataFrame:
-        v = b["l_extendedprice"].to_numpy(np.float64)
-        z = np.abs(v - med) / sigma
-        out = v[z > cutoff]
-        return pd.DataFrame({
-            "n_out": [len(out)], "n": [len(v)],
-            "mn": [float(out.min()) if len(out) else np.inf]})
-
-    p = ds.map_batches(partial, batch_format="pandas").to_pandas()
-    mn = float(p["mn"].min())
-    return pd.DataFrame({
-        "n_outliers": [int(p["n_out"].sum())],
-        "n_rows": [int(p["n"].sum())],
-        "out_min": [round(mn, 4) if np.isfinite(mn) else None]})
-
-
-MAD_OUTLIER_SQL = """
-WITH m AS (SELECT MEDIAN(l_extendedprice) AS med FROM lineitem),
-s AS (
-  SELECT ANY_VALUE(med) AS med,
-         1.4826 * MEDIAN(ABS(l_extendedprice - med)) AS sig
-  FROM lineitem, m
-)
-SELECT COUNT(*) FILTER (ABS(l_extendedprice - med) / sig > 3.5)
-         AS n_outliers,
-       COUNT(*) AS n_rows,
-       ROUND(MIN(l_extendedprice)
-             FILTER (ABS(l_extendedprice - med) / sig > 3.5), 4)
-         AS out_min
-FROM lineitem, s
-"""
-
-
-# --------------------------------------- population stability index
-#
-# PSI between two slices of a numeric column — the standard
-# model-monitoring drift score (sum over bins of (p_a - p_b) *
-# ln(p_a / p_b), equi-width bins over the COMBINED observed range).
-# Two scalar aggregates for the range, then ONE bincount-partial pass
-# per slice (zero shuffles, O(bins) driver rows) — the numeric
-# complement of the token-level JS divergence in textops.
-
-
-def psi_ds(ds_a, ds_b, col: str, n_bins: int = 10,
-           eps: float = 1e-6) -> pd.DataFrame:
-    """One row: (psi, n_a, n_b). Empty bins are smoothed with eps."""
-    def rng_partial(b: pd.DataFrame) -> pd.DataFrame:
-        v = b[col].to_numpy(np.float64)
-        return pd.DataFrame({"mn": [v.min() if len(v) else np.inf],
-                             "mx": [v.max() if len(v) else -np.inf]})
-
-    r = pd.concat([ds_a.map_batches(rng_partial,
-                                    batch_format="pandas")
-                   .to_pandas(),
-                   ds_b.map_batches(rng_partial,
-                                    batch_format="pandas")
-                   .to_pandas()])
-    lo, hi = float(r["mn"].min()), float(r["mx"].max())
-    width = (hi - lo) / n_bins or 1.0
-
-    def hist(ds):
-        def partial(b: pd.DataFrame) -> pd.DataFrame:
-            v = b[col].to_numpy(np.float64)
-            bins = np.minimum(((v - lo) / width).astype(np.int64),
-                              n_bins - 1)
-            return pd.DataFrame({
-                "h": [np.bincount(bins, minlength=n_bins)
-                      .astype(np.int64)]})
-
-        p = ds.map_batches(partial, batch_format="pandas").to_pandas()
-        return np.sum(np.stack(p["h"].map(np.asarray).to_list()),
-                      axis=0)
-
-    ha, hb = hist(ds_a), hist(ds_b)
-    pa = np.maximum(ha / max(ha.sum(), 1), eps)
-    pb = np.maximum(hb / max(hb.sum(), 1), eps)
-    psi = float(np.sum((pa - pb) * np.log(pa / pb)))
-    return pd.DataFrame({"psi": [round(psi, 6)],
-                         "n_a": [int(ha.sum())],
-                         "n_b": [int(hb.sum())]})
-
-
-def events_value_psi(sf_dir: str) -> pd.DataFrame:
-    """Driver form: drift of `value` between click and purchase
-    events."""
-    ev = _read(sf_dir, "events", ["event_type", "value"])
-
-    def side(which: str):
-        return ev.map_batches(
-            lambda b, w=which: b.loc[b["event_type"] == w,
-                                     ["value"]],
-            batch_format="pandas")
-
-    return psi_ds(side("click"), side("purchase"), "value")
-
-
-# ------------------------------------------- frequent event paths
-#
-# Sequential pattern counts: the top event-type TRIGRAM paths
-# (a -> b -> c over consecutive events per user, exact (ts, event_id)
-# order) — the path-mining step behind funnel discovery. One
-# user-bucket shuffle; per bucket a vectorized double-shift builds
-# all trigrams at once; slim (a, b, c, n) partials fold through the
-# combiner.
-
-
-def events_top_paths(sf_dir: str, k: int = 10) -> pd.DataFrame:
-    """(step1, step2, step3, n) for the k most frequent 3-step
-    paths, ties broken lexicographically."""
-    from ..functions.aggregates import grouped_agg
-    ds = _bucket_by_user(_read(sf_dir, "events",
-                               columns=["user_id", "ts", "event_id",
-                                        "event_type"]))
-
-    def trigrams(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["user_id", "ts", "event_id"],
-                          kind="mergesort").reset_index(drop=True)
-        uid = g["user_id"].to_numpy(np.int64)
-        et = g["event_type"].to_numpy()
-        same2 = (uid[:-2] == uid[1:-1]) & (uid[1:-1] == uid[2:])
-        df = pd.DataFrame({"step1": et[:-2][same2],
-                           "step2": et[1:-1][same2],
-                           "step3": et[2:][same2]})
-        return (df.groupby(["step1", "step2", "step3"], sort=False)
-                .size().reset_index(name="n"))
-
-    part = (ds.groupby("__ubucket")
-            .map_groups(lambda g: trigrams(g.drop(columns="__ubucket")),
-                        batch_format="pandas"))
-    out = grouped_agg(part, ["step1", "step2", "step3"],
-                      {"n": ("n", "sum")}).to_pandas()
-    out["n"] = out["n"].astype(np.int64)
-    return (out.sort_values(["n", "step1", "step2", "step3"],
-                            ascending=[False, True, True, True])
-            .head(k).reset_index(drop=True))
-
-
-EVENTS_TOP_PATHS_SQL = """
-WITH w AS (
-  SELECT event_type AS step1,
-         LEAD(event_type, 1) OVER u AS step2,
-         LEAD(event_type, 2) OVER u AS step3
-  FROM events
-  WINDOW u AS (PARTITION BY user_id ORDER BY ts, event_id)
-)
-SELECT step1, step2, step3, COUNT(*) AS n
-FROM w WHERE step3 IS NOT NULL
-GROUP BY step1, step2, step3
-ORDER BY n DESC, step1, step2, step3 LIMIT 10
 """

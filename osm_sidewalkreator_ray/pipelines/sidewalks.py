@@ -940,10 +940,6 @@ def build_features(streets, cfg: PipelineConfig = DEFAULT_CONFIG):
     return add_ratio_columns(full)
 
 
-def features_of_kind(features, kind: str):
-    return features.filter(expr=f"kind == '{kind}'")
-
-
 def _add_ratio_columns(batch: pd.DataFrame) -> pd.DataFrame:
     """M11 output attributes (reference osm_sidewalkreator.py:2144-2190):
     norm_ratio = perimeter / sqrt(area), simple_ratio = perimeter / area

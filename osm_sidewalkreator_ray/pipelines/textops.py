@@ -21,6 +21,8 @@ import pyarrow.compute as pc
 import ray
 import ray.data as rd
 
+from ..functions.aggregates import _round_half_away
+
 _WS = re.compile(r"\s+")
 
 STOPWORDS = {
@@ -45,18 +47,6 @@ def _tokens(text: str) -> list[str]:
 # documents Dataset -> Dataset (streaming, what a 100 TB pipeline
 # composes), and the plain form is the driver-oracle wrapper that reads
 # sf_dir, collects and sorts (small results only).
-
-
-def _round_half_away(x, nd: int = 6):
-    """Round half-away-from-zero at ``nd`` decimals — matching
-    DuckDB's ROUND(), where Python's round() and np.round() are
-    half-to-even. Exactly-representable half cases (e.g. jaccard
-    65/128 = 0.5078125) would otherwise diverge from every SQL
-    oracle by one ulp of the last kept digit. Sign-symmetric (log
-    scores are negative)."""
-    m = 10.0 ** nd
-    v = np.asarray(x, dtype=np.float64) * m
-    return np.where(v >= 0, np.floor(v + 0.5), np.ceil(v - 0.5)) / m
 
 
 def _token_count_batch(batch: pa.Table) -> pa.Table:
@@ -622,31 +612,28 @@ def _shingle_hashes_batch(texts, k: int = 3, *, hash_fn=None,
     return res + (ntok,) if with_ntok else res
 
 
+# token-hash marker carried by every MinHash signature row
+_THASH = "md5"
+
+
 class MinHasher:
     """Actor-pool stage: permutation parameters built once per actor.
 
-    ``token_hash`` selects the shingle-hash family: ``"md5"`` (default
-    of the public minhash entry points) is the SQL-reproducible
-    md5+rotation scheme that buys ``minhash_dedup_pairs`` its full
-    DuckDB oracle (MINHASH_DEDUP_SQL); ``"sip"`` is the historical
-    pandas-siphash + odd-multiplier scheme shared with the n-gram
-    family's golden fixtures."""
+    Shingles use the SQL-reproducible md5+rotation scheme
+    (``_md5_token_hashes`` + ``_rotmix``) that buys
+    ``minhash_dedup_pairs`` its full DuckDB oracle (MINHASH_DEDUP_SQL).
+    Every signature row carries ``thash="md5"`` so a stored artifact
+    can be checked against it."""
 
-    def __init__(self, num_perm: int = 64, k: int = 3, seed: int = 42,
-                 token_hash: str = "md5"):
+    def __init__(self, num_perm: int = 64, k: int = 3, seed: int = 42):
         self.a, self.b = _minhash_params(num_perm, seed)
         self.k = k
         self.num_perm = num_perm
-        if token_hash not in ("md5", "sip"):
-            raise ValueError(f"token_hash={token_hash!r}")
-        self.token_hash = token_hash
-        self._hash_fn = _md5_token_hashes if token_hash == "md5" else None
-        self._mix = _rotmix if token_hash == "md5" else None
 
     def signature(self, words: list[str]) -> np.ndarray:
         return self.signature_from_shingles(
-            _shingle_hashes(words, self.k, hash_fn=self._hash_fn,
-                            mix=self._mix))
+            _shingle_hashes(words, self.k, hash_fn=_md5_token_hashes,
+                            mix=_rotmix))
 
     def signature_from_shingles(self, sh: np.ndarray) -> np.ndarray:
         if len(sh) == 0:
@@ -664,7 +651,7 @@ class MinHasher:
         # with per-doc mins via minimum.reduceat — byte-identical to
         # the per-doc signature_from_shingles loop (identity-tested)
         flat, counts = _shingle_hashes_batch(
-            batch["text"], self.k, hash_fn=self._hash_fn, mix=self._mix)
+            batch["text"], self.k, hash_fn=_md5_token_hashes, mix=_rotmix)
         nd = len(counts)
         sig = np.zeros((nd, self.num_perm), dtype=np.uint64)
         nz = counts > 0
@@ -717,18 +704,18 @@ class MinHasher:
                     for i in range(nd)]
         sigs = [sig[i].tobytes() for i in range(nd)]
         # the thash marker rides the signature rows so a STORED
-        # artifact can be validated against the consumer's scheme
-        # (mixing md5- and sip-built sides silently finds nothing)
+        # artifact can be validated (signatures built with another
+        # token hash silently find nothing)
         if isinstance(batch, pa.Table):
             return pa.table({"doc_id": batch["doc_id"],
                              "sig": pa.array(sigs, pa.binary()),
                              "shingles": pa.array(shingles,
                                                   pa.binary()),
                              "thash": pa.array(
-                                 [self.token_hash] * nd, pa.string())})
+                                 [_THASH] * nd, pa.string())})
         return pd.DataFrame({"doc_id": batch["doc_id"],
                              "sig": sigs, "shingles": shingles,
-                             "thash": self.token_hash})
+                             "thash": _THASH})
 
 
 # task-form of MinHasher: the only state is the (a, b) permutation
@@ -767,33 +754,31 @@ def _explode_bands(batch: pd.DataFrame, num_perm: int, bands: int,
 
 
 def _minhash_batch(batch: pd.DataFrame, num_perm: int, k: int,
-                   seed: int, token_hash: str = "md5") -> pd.DataFrame:
-    key = (num_perm, k, seed, token_hash)
+                   seed: int) -> pd.DataFrame:
+    key = (num_perm, k, seed)
     h = _HASHER_CACHE.get(key)
     if h is None:
-        h = _HASHER_CACHE[key] = MinHasher(num_perm, k, seed, token_hash)
+        h = _HASHER_CACHE[key] = MinHasher(num_perm, k, seed)
     return h(batch)
 
 
 def minhash_dedup_pairs(sf_dir: str, num_perm: int = 64, bands: int = 16,
                         threshold: float = 0.5, coarse_buckets: int = 64,
-                        token_hash: str = "md5",
                         _as_dataset: bool = False):
     """MinHash+LSH near-dup pairs with a FULL DuckDB oracle.
     (Broder '97 resemblance sketches; banding per Leskovec/Rajaraman/
     Ullman, Mining of Massive Datasets ch. 3.)
 
-    The default ``token_hash="md5"`` makes every step SQL-reproducible
-    (MINHASH_DEDUP_SQL): token hash = first 8 md5 bytes (the SimHash
-    family's scheme), shingle = XOR of per-position rotations,
+    Every step is SQL-reproducible (MINHASH_DEDUP_SQL): token hash =
+    first 8 md5 bytes (the SimHash family's scheme), shingle = XOR of
+    per-position rotations,
     signature = min over shingles of ``(a*x + b) mod 2^64 mod (2^61-1)``
     with the (a, b) literals inlined into the SQL, LSH candidacy =
     exact equality of a band's value tuple, and the verify step's
     Jaccard computed over the same md5 shingle sets. The oracle's only
     approximation is a ~2^-63 band-hash collision that could surface
     an extra (still Jaccard-verified) engine pair — negligible at any
-    tested scale. ``token_hash="sip"`` keeps the historical
-    pandas-siphash scheme.
+    tested scale.
 
     Physical plan: shingle->minhash signatures (actor pool, shingle
     hashes kept as a bytes column) -> SLIM band rows (band, band_hash,
@@ -812,8 +797,7 @@ def minhash_dedup_pairs(sf_dir: str, num_perm: int = 64, bands: int = 16,
     ds = _read_docs(sf_dir, ["doc_id", "text"])
     from ..functions.blocks import coalesce_slim
     sigs = coalesce_slim(ds.map_batches(
-        functools.partial(_minhash_batch, num_perm=num_perm, k=3, seed=42,
-                          token_hash=token_hash),
+        functools.partial(_minhash_batch, num_perm=num_perm, k=3, seed=42),
         batch_format="pyarrow", zero_copy_batch=True,
         batch_size=1024).materialize())
 
@@ -1388,9 +1372,6 @@ WHERE inter > 0
   AND GREATEST(inter * 1.0 / na, inter * 1.0 / nb) >= {threshold}
 ORDER BY doc_a, doc_b
 """
-
-NGRAM_CONTAINMENT_SQL = NGRAM_CONTAINMENT_SQL_TMPL.format(
-    threshold=0.8)
 
 
 def ngram_jaccard_pairs_prefix(sf_dir: str, threshold: float = 0.5,
@@ -3907,8 +3888,7 @@ def pmi_collocations(sf_dir: str, min_count: int = 5, top_k: int = 20):
 
 def incremental_minhash_pairs(existing, new, num_perm: int = 64,
                               bands: int = 16, threshold: float = 0.5,
-                              coarse_buckets: int = 64,
-                              token_hash: str = "md5"):
+                              coarse_buckets: int = 64):
     """Verified near-dup pairs (doc_a, doc_b, jaccard) where AT LEAST
     ONE side is a NEW doc — new-vs-existing plus new-vs-new; the
     existing corpus is assumed internally deduped, so its
@@ -3930,8 +3910,9 @@ def incremental_minhash_pairs(existing, new, num_perm: int = 64,
     straight into this function to skip re-sharding the corpus text
     (the pass-through is keyed on column presence, like
     ``incremental_exact_dedup``'s content_hash). Stored sigs must
-    have been built with the SAME ``token_hash`` family — mixing the
-    md5 and sip schemes across the two sides silently finds nothing.
+    carry ``thash="md5"``: signatures built with any other token hash
+    would silently find nothing, so a missing or different marker
+    raises ValueError.
     """
     import functools
     from ..functions.blocks import coalesce_slim
@@ -3939,21 +3920,23 @@ def incremental_minhash_pairs(existing, new, num_perm: int = 64,
     def sigs_of(ds):
         names = ds.schema().names
         if "sig" in names and "shingles" in names:
-            if "thash" in names:
-                def validate(b: pd.DataFrame) -> pd.DataFrame:
-                    bad = b.loc[b["thash"] != token_hash, "thash"]
-                    if len(bad):
-                        raise ValueError(
-                            f"stored signatures were built with "
-                            f"token_hash={bad.iloc[0]!r}; this run "
-                            f"uses {token_hash!r} — rebuild the "
-                            f"artifact or pass the matching scheme")
-                    return b
-                return ds.map_batches(validate, batch_format="pandas")
-            return ds
+            if "thash" not in names:
+                raise ValueError(
+                    "stored signatures have no thash column; rebuild "
+                    f"the artifact with thash={_THASH!r} signatures")
+
+            def validate(b: pd.DataFrame) -> pd.DataFrame:
+                bad = b.loc[b["thash"] != _THASH, "thash"]
+                if len(bad):
+                    raise ValueError(
+                        f"stored signatures were built with "
+                        f"thash={bad.iloc[0]!r}; this run uses "
+                        f"{_THASH!r} — rebuild the artifact")
+                return b
+            return ds.map_batches(validate, batch_format="pandas")
         return coalesce_slim(ds.map_batches(
             functools.partial(_minhash_batch, num_perm=num_perm, k=3,
-                              seed=42, token_hash=token_hash),
+                              seed=42),
             batch_format="pyarrow", zero_copy_batch=True,
             batch_size=1024).materialize())
 
@@ -4644,8 +4627,6 @@ SELECT a.w AS w1, b.w AS w2, COUNT(*) AS support
 FROM dt a JOIN dt b ON a.doc_id = b.doc_id AND a.w < b.w
 GROUP BY 1, 2 HAVING COUNT(*) >= {min_support} ORDER BY 1, 2
 """
-
-FREQUENT_PAIRS_SQL = FREQUENT_PAIRS_SQL_TMPL.format(min_support=60)
 
 
 # ----------------------------------------------- regex span extraction

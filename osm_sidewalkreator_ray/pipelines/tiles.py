@@ -167,7 +167,7 @@ ORDER BY res, cell
 
 # --- vector tiles: geometry sliced per cell -----------------------------
 
-MAX_COVER_CELLS = 4096  # per feature; same policy as range_join's cap
+MAX_COVER_CELLS = 4096  # per feature; as interval_overlap_join's cap
 
 
 def _check_cover(mnx, mny, mxx, mxy, res: int) -> None:

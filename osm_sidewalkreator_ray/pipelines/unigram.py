@@ -46,7 +46,7 @@ import ray
 
 from ..functions.aggregates import grouped_agg
 from .bpe import word_type_table
-from .textops import _read_docs, _tokens
+from .textops import _tokens
 
 
 def viterbi_segment(word: str, logp: dict, max_len: int) -> list[str]:
@@ -259,15 +259,3 @@ def unigram_encode_ds(docs, model: pd.DataFrame,
     return docs.map_batches(f, batch_format="pandas")
 
 
-def unigram_pipeline(sf_dir: str, vocab_size: int = 96,
-                     **train_kw):
-    """Collecting form: train on the corpus, encode the corpus.
-    ``max_piece_len`` threads through to BOTH training and encoding —
-    encoding with a shorter viterbi window than the model was trained
-    with would silently never use the longer pieces."""
-    docs = _read_docs(sf_dir, ["doc_id", "text"])
-    model = unigram_train(docs, vocab_size=vocab_size, **train_kw)
-    df = unigram_encode_ds(
-        docs, model,
-        max_piece_len=train_kw.get("max_piece_len", 6)).to_pandas()
-    return model, df.sort_values("doc_id").reset_index(drop=True)

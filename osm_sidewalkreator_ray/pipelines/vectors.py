@@ -765,14 +765,6 @@ def kmeans_assign_ds(ds, centroids: np.ndarray):
     return ds.map_batches(f, batch_format="pandas")
 
 
-def kmeans_clusters(sf_dir: str, k: int = 8, iters: int = 10):
-    """Collecting form: fit + assign over the embeddings table."""
-    ds = _read_emb(sf_dir, ["vec_id", "embedding"])
-    fit = kmeans_fit_ds(ds, k=k, iters=iters)
-    df = kmeans_assign_ds(ds, fit["centroids"]).to_pandas()
-    return df.sort_values("vec_id").reset_index(drop=True)
-
-
 # ----------------------------------------------------------- SemDeDup
 #
 # Semantic deduplication (Abbas et al. 2023, arXiv:2303.09540):
@@ -829,17 +821,6 @@ def semantic_dedup_ds(emb_ds, centroids: np.ndarray,
 
     return tagged.groupby("cluster").map_groups(dedup_cluster,
                                                 batch_format="pandas")
-
-
-def semantic_dedup(sf_dir: str, k: int = 8, iters: int = 5,
-                   sim_threshold: float = 0.95):
-    """Collecting form: fit k-means, then greedy within-cluster
-    cosine dedup."""
-    ds = _read_emb(sf_dir, ["vec_id", "embedding"])
-    fit = kmeans_fit_ds(ds, k=k, iters=iters)
-    df = semantic_dedup_ds(ds, fit["centroids"],
-                           sim_threshold=sim_threshold).to_pandas()
-    return df.sort_values("vec_id").reset_index(drop=True)
 
 
 # --------------------------- in-context pretraining document order

@@ -109,12 +109,6 @@ def url_parse_ds(ds, url_col: str = "url"):
     return ds.map_batches(f, batch_format="pandas")
 
 
-# Gate order is part of the contract: drop_reason reports the FIRST
-# failing gate, so reordering changes outputs.
-_GATES = ("bad_scheme", "blocked_host", "blocked_domain", "blocked_tld",
-          "too_long", "too_deep", "too_many_params")
-
-
 def url_filter_ds(parsed, blocked_hosts=frozenset(),
                   blocked_domains=frozenset(), blocked_tlds=frozenset(),
                   max_url_len: int = 2048, max_path_depth: int = 12,
@@ -122,7 +116,8 @@ def url_filter_ds(parsed, blocked_hosts=frozenset(),
                   allowed_schemes=("http", "https")):
     """C4-style URL gating over a ``url_parse_ds`` output: appends
     ``keep`` (bool) and ``drop_reason`` ('' when kept; else the first
-    failing gate in ``_GATES`` order).
+    failing gate in ``checks`` order — the order is part of the
+    contract, so reordering changes outputs).
 
     Blocklists may be plain sets (small; shipped in the task closure)
     or ``ray.ObjectRef`` s to frozensets (``ray.put`` once for

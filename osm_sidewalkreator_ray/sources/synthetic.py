@@ -321,11 +321,6 @@ def n_pages_for_sf(sf_dir: str) -> int:
     return max(200, int(1_000_000 * sf_from_dir(sf_dir)))
 
 
-def pages_for_sf(sf_dir: str) -> pa.Table:
-    """Driver-side corpus scaled to the testdata sf (1000 at sf0.001)."""
-    return pages_corpus(n_pages_for_sf(sf_dir))
-
-
 def pages_dataset_for_sf(sf_dir: str):
     """Distributed corpus scaled to the testdata sf — the bench path."""
     return pages_dataset(n_pages_for_sf(sf_dir))

@@ -129,7 +129,6 @@ ZIGZAG = np.array([
     29, 22, 15, 23, 30, 37, 44, 51,
     58, 59, 52, 45, 38, 31, 39, 46,
     53, 60, 61, 54, 47, 55, 62, 63], dtype=np.int64)
-UNZIGZAG = np.argsort(ZIGZAG)  # raster index -> zigzag position
 
 
 def _dct_matrix() -> np.ndarray:

@@ -278,12 +278,38 @@ class TestOsmLayers:
             expr="kind == 'sidewalk'").count()
 
 
+def _fallback_buildings_osm() -> bytes:
+    """Deterministic little extract with a closed building way, a
+    2-outer multipolygon relation, and tagged addr nodes — needs no
+    reference checkout."""
+    return b"""<osm>
+<node id="1" lat="0.0000" lon="0.0000"/><node id="2" lat="0.0000" lon="0.0010"/>
+<node id="3" lat="0.0010" lon="0.0010"/><node id="4" lat="0.0010" lon="0.0000"/>
+<node id="11" lat="0.0020" lon="0.0000"/><node id="12" lat="0.0020" lon="0.0010"/>
+<node id="13" lat="0.0030" lon="0.0010"/><node id="14" lat="0.0030" lon="0.0000"/>
+<node id="21" lat="0.0040" lon="0.0000"/><node id="22" lat="0.0040" lon="0.0010"/>
+<node id="23" lat="0.0050" lon="0.0010"/><node id="24" lat="0.0050" lon="0.0000"/>
+<node id="31" lat="0.0005" lon="0.0005">
+  <tag k="addr:housenumber" v="12"/></node>
+<node id="32" lat="0.0025" lon="0.0005">
+  <tag k="addr:housenumber" v="34"/></node>
+<way id="100"><nd ref="1"/><nd ref="2"/><nd ref="3"/><nd ref="4"/>
+  <nd ref="1"/><tag k="building" v="yes"/>
+  <tag k="addr:housenumber" v="7"/></way>
+<way id="101"><nd ref="11"/><nd ref="12"/><nd ref="13"/><nd ref="14"/>
+  <nd ref="11"/></way>
+<way id="102"><nd ref="21"/><nd ref="22"/><nd ref="23"/><nd ref="24"/>
+  <nd ref="21"/></way>
+<relation id="200"><tag k="type" v="multipolygon"/>
+  <tag k="building" v="yes"/>
+  <member type="way" ref="101" role="outer"/>
+  <member type="way" ref="102" role="outer"/></relation>
+</osm>"""
+
+
 @pytest.mark.usefixtures("ray_session")
 class TestMultiOuterRelations:
     def test_two_outer_rings_become_two_buildings(self):
-        from osm_sidewalkreator_ray.pipelines.geospatial import \
-            _fallback_buildings_osm
-        from osm_sidewalkreator_ray.sources.osm_xml import parse_osm_xml
         t = parse_osm_xml(_fallback_buildings_osm(),
                           layer="multipolygons").to_pandas()
         # 1 closed way + 2 parts of the 2-outer relation
@@ -302,10 +328,7 @@ class TestMultiOuterRelations:
             assert len(ring_offs) - 1 == 1  # exactly one ring
 
     def test_fallback_pois_pipeline(self):
-        from osm_sidewalkreator_ray.pipelines.geospatial import \
-            _fallback_buildings_osm
-        from osm_sidewalkreator_ray.sources.osm_xml import (parse_osm_xml,
-                                                            build_pois)
+        from osm_sidewalkreator_ray.sources.osm_xml import build_pois
         bld = parse_osm_xml(_fallback_buildings_osm(), layer="multipolygons")
         pts = parse_osm_xml(_fallback_buildings_osm(), layer="points")
         pois = build_pois(bld, pts).to_pandas()

@@ -599,8 +599,9 @@ class TestIncrementalMinhash:
         pd.testing.assert_frame_equal(via_sigs, via_text)
 
     def test_signature_scheme_mismatch_raises(self):
-        # stored sip-built signatures fed to an md5-default run must
-        # raise, not silently find zero pairs (the thash marker)
+        # stored signatures whose thash marker is not md5, or that
+        # carry no marker at all, must raise, not silently find zero
+        # pairs
         import functools
         import pytest as _pt
         import ray
@@ -610,12 +611,18 @@ class TestIncrementalMinhash:
                                     batch_format="pandas")
         new = docs.map_batches(lambda b: b[b["doc_id"] % 5 == 0],
                                batch_format="pandas")
-        sig_sip = existing.map_batches(
+        sigs = existing.map_batches(
             functools.partial(T._minhash_batch, num_perm=64, k=3,
-                              seed=42, token_hash="sip"),
+                              seed=42),
             batch_format="pandas")
+        relabelled = sigs.map_batches(lambda b: b.assign(thash="sip"),
+                                      batch_format="pandas")
         with _pt.raises((ValueError, ray.exceptions.RayTaskError)):
-            T.incremental_minhash_pairs(sig_sip, new)
+            T.incremental_minhash_pairs(relabelled, new)
+        unmarked = sigs.map_batches(lambda b: b.drop(columns="thash"),
+                                    batch_format="pandas")
+        with _pt.raises(ValueError, match="thash"):
+            T.incremental_minhash_pairs(unmarked, new)
 
     def test_disjoint_batches_no_pairs(self):
         import pandas as pd

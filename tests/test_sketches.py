@@ -134,53 +134,6 @@ def test_mg_heavy_hitters_grouped():
 
 
 @pytest.mark.usefixtures("ray_session")
-class TestExactQuantile:
-    def test_matches_duckdb_quantile_cont(self):
-        import duckdb
-        import ray.data as rd
-        from osm_sidewalkreator_ray.functions.sketches import \
-            exact_quantile
-        sf = "/root/testdata/sf0.01"
-        ds = rd.read_parquet(f"{sf}/lineitem.parquet",
-                             columns=["l_extendedprice"])
-        con = duckdb.connect()
-        for q in (0.5, 0.9, 0.01, 1.0, 0.0):
-            got = exact_quantile(ds, "l_extendedprice", q,
-                                 max_collect=512)
-            want = con.sql(
-                f"SELECT quantile_cont(l_extendedprice, {q}) FROM "
-                f"'{sf}/lineitem.parquet'").fetchone()[0]
-            assert abs(got - want) < 1e-9, (q, got, want)
-
-    def test_massive_ties(self):
-        import ray.data as rd
-        from osm_sidewalkreator_ray.functions.sketches import \
-            exact_quantile
-        df = pd.DataFrame({"x": np.concatenate(
-            [np.full(50_000, 7.0), np.array([1.0, 2.0, 100.0])])})
-        got = exact_quantile(rd.from_pandas(df), "x", 0.5,
-                             max_collect=64)
-        assert got == 7.0
-
-    def test_nan_ignored(self):
-        import duckdb
-        import ray.data as rd
-        from osm_sidewalkreator_ray.functions.sketches import \
-            exact_quantile
-        rng = np.random.RandomState(9)
-        x = rng.normal(size=20_000)
-        x[::7] = np.nan
-        df = pd.DataFrame({"x": x})
-        got = exact_quantile(rd.from_pandas(df), "x", 0.25,
-                             max_collect=256)
-        c = duckdb.connect()
-        c.register("t", df)
-        want = c.sql("SELECT quantile_cont(x, 0.25) FROM t "
-                     "WHERE NOT isnan(x)").fetchone()[0]
-        assert abs(got - want) < 1e-12
-
-
-@pytest.mark.usefixtures("ray_session")
 class TestCountMin:
     def test_never_undercounts_and_bounded_overcount(self):
         import ray.data as rd
@@ -268,36 +221,6 @@ class TestCorpusJSDivergence:
 
 
 @pytest.mark.usefixtures("ray_session")
-class TestQuantileHistogram:
-    def test_equals_selection_path(self):
-        import ray.data as rd
-        from osm_sidewalkreator_ray.functions.sketches import (
-            exact_quantile, exact_quantile_histogram)
-        ds = rd.read_parquet(
-            "/root/testdata/sf0.001/lineitem.parquet",
-            columns=["l_extendedprice"])
-        for q in (0.1, 0.5, 0.9):
-            a = exact_quantile_histogram(ds, "l_extendedprice",
-                                         [q])[0]
-            b = exact_quantile(ds, "l_extendedprice", q)
-            assert np.isclose(a, b), (q, a, b)
-
-    def test_nan_and_cap(self):
-        import ray.data as rd
-        from osm_sidewalkreator_ray.functions.sketches import \
-            exact_quantile_histogram
-        df = pd.DataFrame({"v": [1.0, np.nan, 2.0, 3.0, np.nan]})
-        got = exact_quantile_histogram(rd.from_pandas(df), "v",
-                                       [0.5])[0]
-        assert got == 2.0
-        with pytest.raises(ValueError):
-            exact_quantile_histogram(
-                rd.from_pandas(pd.DataFrame(
-                    {"v": np.arange(100.0)})), "v", [0.5],
-                max_distinct=10)
-
-
-@pytest.mark.usefixtures("ray_session")
 class TestHLLSetOps:
     def test_union_intersection_estimates(self):
         import ray.data as rd
@@ -317,25 +240,3 @@ class TestHLLSetOps:
         sc = hll_sketch(rd.from_pandas(pd.DataFrame(
             {"v": np.arange(200000, 260000, dtype=np.int64)})), "v")
         assert hll_intersection_count(sa, sc) < 6000
-
-
-@pytest.mark.usefixtures("ray_session")
-def test_exact_quantile_straddle_pivot_fractional_h():
-    """Regression: a pivot landing BETWEEN the two interpolation order
-    statistics (fractional h; rows-below == k_hi) used to narrow the
-    bracket past the upper statistic and crash at the collect step."""
-    import ray.data as rd
-    from osm_sidewalkreator_ray.functions.sketches import exact_quantile
-
-    rng = np.random.RandomState(0)
-    for n, q in [(200, 0.5), (1000, 0.25), (1000, 0.99)]:
-        v = rng.permutation(np.arange(n, dtype=np.float64))
-        ds = rd.from_pandas(pd.DataFrame({"x": v})).repartition(8)
-        # tiny max_collect forces the bisection path at any n
-        got = exact_quantile(ds, "x", q, max_collect=10)
-        assert got == pytest.approx(float(np.quantile(v, q)), abs=1e-9)
-    # massive ties still resolve via the collapsed-bracket branch
-    v = np.repeat([1.0, 2.0, 2.0, 3.0], 500)
-    ds = rd.from_pandas(
-        pd.DataFrame({"x": rng.permutation(v)})).repartition(8)
-    assert exact_quantile(ds, "x", 0.5, max_collect=10) == 2.0

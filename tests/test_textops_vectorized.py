@@ -92,16 +92,15 @@ class TestShingleBatchIdentity:
 
 
 class TestMinHasherIdentity:
-    @pytest.mark.parametrize("token_hash", ["sip", "md5"])
+    @pytest.mark.parametrize("token_hash", ["md5"])
     def test_call_matches_per_doc_loop(self, token_hash):
-        h = T.MinHasher(num_perm=32, k=3, seed=7, token_hash=token_hash)
-        per_doc = (T._shingle_hashes if token_hash == "sip"
-                   else T._md5_shingle_hashes)
+        h = T.MinHasher(num_perm=32, k=3, seed=7)
         batch = pd.DataFrame({"doc_id": np.arange(len(EDGE_TEXTS)),
                               "text": EDGE_TEXTS})
         out = h(batch)
+        assert (out["thash"] == token_hash).all()
         for i, t in enumerate(EDGE_TEXTS):
-            sh = per_doc(_ref_tokens(t), 3)
+            sh = T._md5_shingle_hashes(_ref_tokens(t), 3)
             assert out["shingles"].iloc[i] == np.sort(sh).tobytes()
             assert out["sig"].iloc[i] == \
                 h.signature_from_shingles(sh).tobytes()

@@ -168,9 +168,9 @@ class TestUnigramEncode:
 
 @pytest.mark.usefixtures("ray_session")
 def test_pipeline_threads_max_piece_len():
-    """Regression: unigram_pipeline trained with max_piece_len but
-    encoded with the default 6, so longer trained pieces were never
-    used at encode time."""
+    """Regression: a model trained with max_piece_len but encoded with
+    the default 6 never used its longer trained pieces; encoding must
+    honour the window it is given."""
     from osm_sidewalkreator_ray.pipelines.unigram import (
         unigram_encode_ds, viterbi_segment)
     lp = {"abcdefgh": -1.0, **{c: -10.0 for c in "abcdefgh"}}
