@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import shutil
 import sys
 import time
 
@@ -54,13 +55,13 @@ def main(argv=None) -> int:
           "video": video_near_dups_ds}[args.mode]
     pairs = fn(ds, max_hamming=args.max_hamming)
     os.makedirs(args.out, exist_ok=True)
-    # a retried/refreshed run must not double-count: clear the
-    # previous run's parquet before writing (write_parquet appends
-    # uniquely-named files, it does not overwrite). Only OUR files
-    # may be deleted — a previous run leaves a marker; parquet in an
-    # unmarked dir is foreign data (e.g. --out mispointed at the
-    # input directory, which the lazy pipeline has not read yet) and
-    # deleting it would destroy it
+    # a retried/refreshed run must not double-count: it REPLACES the
+    # previous run's parquet (write_parquet appends uniquely-named
+    # files, it does not overwrite). Only OUR files may be replaced —
+    # a previous run leaves a marker; parquet in an unmarked dir is
+    # foreign data (e.g. --out mispointed at the input directory,
+    # which the lazy pipeline has not read yet) and deleting it would
+    # destroy it
     marker = os.path.join(args.out, "_media_job.json")
     existing_parquet = [f for f in os.listdir(args.out)
                         if f.endswith(".parquet")]
@@ -69,26 +70,42 @@ def main(argv=None) -> int:
             f"refusing to overwrite: {args.out} contains parquet "
             f"files but no _media_job.json marker — it is not a "
             f"previous run's output directory")
-    for old in existing_parquet:
-        os.unlink(os.path.join(args.out, old))
-    # stream the pair Dataset straight to parquet — no driver collect
-    # (pair volume is cluster-sized at 100 TB even though it is tiny
-    # at test scale); count comes off the written dataset
-    import pyarrow as pa
-    pairs.write_parquet(args.out)
-    # an all-empty Dataset writes ZERO files (and read_parquet on an
-    # empty dir raises) — pin the typed empty file FIRST, then count
-    if not any(f.endswith(".parquet") for f in os.listdir(args.out)):
-        import pyarrow.parquet as pq
-        empty = pa.table({c: pa.array([], pa.int64())
-                          for c in ("media_a", "media_b", "hamming")})
-        pq.write_table(empty, os.path.join(args.out,
-                                           "pairs-empty.parquet"))
-    written = rd.read_parquet(args.out,
-                              file_extensions=["parquet"])
-    n_pairs = written.count()
-    with open(marker, "w") as f:
-        json.dump({"mode": args.mode, "pairs": int(n_pairs)}, f)
+    # crash-safe refresh: write and count in a staging dir next to
+    # --out (same filesystem, so the swap is renames); the previous
+    # run's files and marker are touched only after both succeed, and
+    # a failed run removes the staging dir
+    out = os.path.abspath(args.out)
+    staging = os.path.join(os.path.dirname(out),
+                           f".{os.path.basename(out)}.staging")
+    shutil.rmtree(staging, ignore_errors=True)
+    try:
+        # stream the pair Dataset straight to parquet — no driver
+        # collect (pair volume is cluster-sized at 100 TB even though
+        # it is tiny at test scale); count comes off the written files
+        pairs.write_parquet(staging)
+        os.makedirs(staging, exist_ok=True)
+        # an all-empty Dataset writes ZERO files (and read_parquet on
+        # an empty dir raises) — pin the typed empty file FIRST, then
+        # count
+        if not any(f.endswith(".parquet") for f in os.listdir(staging)):
+            import pyarrow as pa
+            import pyarrow.parquet as pq
+            empty = pa.table({c: pa.array([], pa.int64())
+                              for c in ("media_a", "media_b", "hamming")})
+            pq.write_table(empty, os.path.join(staging,
+                                               "pairs-empty.parquet"))
+        n_pairs = rd.read_parquet(staging,
+                                  file_extensions=["parquet"]).count()
+        # marker first: a crash mid-swap leaves a dir a rerun may clear
+        with open(marker, "w") as f:
+            json.dump({"mode": args.mode, "pairs": int(n_pairs)}, f)
+        for old in existing_parquet:
+            os.unlink(os.path.join(args.out, old))
+        for new in os.listdir(staging):
+            os.replace(os.path.join(staging, new),
+                       os.path.join(args.out, new))
+    finally:
+        shutil.rmtree(staging, ignore_errors=True)
     print(json.dumps({"mode": args.mode, "pairs": int(n_pairs),
                       "max_hamming": args.max_hamming,
                       "out": args.out,

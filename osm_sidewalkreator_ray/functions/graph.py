@@ -197,6 +197,30 @@ def connected_components(edges, num_buckets: int = 32,
     return df.sort_values("vertex").reset_index(drop=True)
 
 
+def min_label_components(src, dst) -> pd.DataFrame:
+    """In-process ``connected_components`` for edge arrays ALREADY on
+    the driver (e.g. collected near-dup pairs): same (vertex,
+    component = min vertex id) frame, sorted by vertex. Min-label
+    hooking over the edge arrays plus one pointer jump per round, on
+    dense vertex indices (ascending, so min index == min id) — no
+    shuffle, no Ray execution."""
+    src = np.asarray(src, dtype=np.int64)
+    dst = np.asarray(dst, dtype=np.int64)
+    verts, idx = np.unique(np.concatenate([src, dst]), return_inverse=True)
+    a, b = idx[:len(src)], idx[len(src):]
+    lab = np.arange(len(verts))
+    while True:
+        m = np.minimum(lab[a], lab[b])
+        new = lab.copy()
+        np.minimum.at(new, a, m)
+        np.minimum.at(new, b, m)
+        new = new[new]
+        if np.array_equal(new, lab):
+            break
+        lab = new
+    return pd.DataFrame({"vertex": verts, "component": verts[lab]})
+
+
 def pagerank_ds(edges, damping: float = 0.85, iters: int = 20,
                 num_buckets: int = 32, weight_col: str | None = None,
                 personalization: dict | None = None) -> "rd.Dataset":

@@ -275,6 +275,13 @@ def hash_partition_join(left, right, on: str | list[str],
     semi/anti are safe because each salt sees the full replicated
     right key set and emits only left rows). Use ``detect_hot_keys``
     for the one-pass sketch that finds them.
+
+    Both input schemas are read ON THE DRIVER before the join is
+    built. ``Dataset.schema()`` on a lazy input executes its plan up
+    to the first row, so a lazy input with a shuffle upstream runs
+    that shuffle twice (probe + join) unless the caller pins it with
+    ``materialize()``; an input with no rows has no schema and fails
+    here, so callers check a pinned input's count first.
     """
     if how not in ("inner", "left", "right", "outer", "semi", "anti"):
         raise ValueError(f"unsupported how={how!r}")

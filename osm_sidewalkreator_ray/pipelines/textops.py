@@ -931,8 +931,20 @@ def _exact_verify_pairs(cand, docs_with_shingles, threshold: float):
     Jaccard. A pair found by several bands/prefix-tokens lands in
     several coarse buckets; every copy of pair (a, b) shares doc_a, so
     it co-locates in the SAME j1 bucket — the cross-bucket pair dedup
-    runs as j1's group_fn instead of costing its own shuffle."""
+    runs as j1's group_fn instead of costing its own shuffle.
+
+    ``cand`` and ``j1`` are pinned: each join reads its inputs'
+    schemas on the driver, which would otherwise re-run every shuffle
+    upstream of them once per probe. Both are bounded by the candidate
+    pairs, and the pinned count lets zero candidates return a typed
+    empty Dataset (an empty input has no schema to join on)."""
     from ..functions.joins import hash_partition_join
+    cand = cand.materialize()
+    if cand.count() == 0:
+        return rd.from_arrow(pa.table({
+            "doc_a": pa.array([], pa.int64()),
+            "doc_b": pa.array([], pa.int64()),
+            "jaccard": pa.array([], pa.float64())}))
     # explicit Arrow schemas (binary shingles) so the join's tagged
     # union pads with the right types
     shingle_tbl = docs_with_shingles.map_batches(
@@ -948,7 +960,7 @@ def _exact_verify_pairs(cand, docs_with_shingles, threshold: float):
     j1 = hash_partition_join(left_a, shingle_tbl, on="doc_id",
                              num_buckets=32,
                              group_fn=lambda df: df.drop_duplicates(
-                                 ["doc_id", "doc_b"]))
+                                 ["doc_id", "doc_b"])).materialize()
     left_b = j1.map_batches(
         lambda b: pa.table({
             "doc_a": pa.array(b["doc_id"].to_numpy(), pa.int64()),
@@ -1486,9 +1498,11 @@ ORDER BY doc_a, doc_b
 
 def near_dup_components(sf_dir: str, threshold: float = 0.5):
     """Dedup DECISIONS from near-dup pairs: exact n-gram Jaccard pairs
-    (the DuckDB-oracled pair source) -> distributed connected
-    components (functions.graph, iterative min-label propagation) ->
-    one row per clustered doc: (doc_id, component, keep) with
+    (the DuckDB-oracled pair source) -> connected components of the
+    collected pairs (functions.graph.min_label_components, in-process
+    min-label propagation — the pair set is bounded by near-dup
+    cluster membership) -> one row per clustered doc:
+    (doc_id, component, keep) with
     keep = the cluster's min doc_id. Docs in no near-dup pair are
     implicitly kept and not listed.
 
@@ -1498,16 +1512,10 @@ def near_dup_components(sf_dir: str, threshold: float = 0.5):
     edges->components chain; driving THIS export from the exact pairs
     makes the whole decision chain SQL-checkable
     (NEAR_DUP_COMPONENTS_SQL: recursive closure over the pair CTE)."""
-    from ..functions.graph import connected_components
+    from ..functions.graph import min_label_components
     pairs = ngram_jaccard_pairs(sf_dir, threshold=threshold)
-    if pairs.empty:
-        return pd.DataFrame({"doc_id": pd.Series([], dtype="int64"),
-                             "component": pd.Series([], dtype="int64"),
-                             "keep": pd.Series([], dtype="bool")})
-    edges = pd.DataFrame({"src": pairs["doc_a"].astype("int64"),
-                          "dst": pairs["doc_b"].astype("int64")})
-    comp = connected_components(edges)
-    comp = comp.rename(columns={"vertex": "doc_id"})
+    comp = min_label_components(pairs["doc_a"], pairs["doc_b"]).rename(
+        columns={"vertex": "doc_id"})
     comp["keep"] = comp["doc_id"] == comp["component"]
     return comp.sort_values("doc_id").reset_index(drop=True)
 
@@ -3014,16 +3022,30 @@ def _near_dup_losers(docs, kept_ids_ds, threshold: float, k: int,
     """Near-dup cluster LOSERS among the kept docs: shingle the corpus
     once, semi-join the slim shingle table against the kept ids (a
     hash-partition join — no corpus-sized broadcast), prefix-filtered
-    exact-Jaccard pairs, connected components, keep-longest. The pair
-    set, the components and the loser list are all bounded by
-    near-dup CLUSTER membership (the op's inherent output size), so
-    the driver-side component step holds at corpus scale; the shuffles
-    before it move one slim row per doc/candidate."""
+    exact-Jaccard pairs, connected components, keep-longest.
+
+    Each shuffled intermediate a later join reads a schema from is
+    pinned — ``sh`` (all docs), the kept ids and ``sh_kept`` (kept
+    docs), and inside the pair chain the candidates and the first
+    verify join — so every shuffle runs once. The pair set, the
+    components and the loser list are all bounded by near-dup CLUSTER
+    membership (the op's inherent output size), so the pairs are
+    collected and their components found in-process
+    (``min_label_components``: same min-doc-id component ids as the
+    distributed ``connected_components``, without its per-round
+    shuffles). No kept doc, or no candidate pair, gives no losers."""
     import functools
     from ..functions.blocks import coalesce_slim
-    from ..functions.graph import connected_components
+    from ..functions.graph import min_label_components
     from ..functions.joins import hash_partition_join
 
+    no_losers = np.empty(0, dtype=np.int64)
+    kept_arrow = kept_ids_ds.map_batches(
+        lambda b: pa.table({
+            "doc_id": pa.array(b["doc_id"].to_numpy(), pa.int64())}),
+        batch_format="pandas").materialize()
+    if kept_arrow.count() == 0:
+        return no_losers
     sh = coalesce_slim(docs.map_batches(
         functools.partial(_shingle_batch, k=k, with_ntok=True),
         batch_format="pyarrow", zero_copy_batch=True,
@@ -3038,25 +3060,19 @@ def _near_dup_losers(docs, kept_ids_ds, threshold: float, k: int,
             "n_sh": pa.array(b["n_sh"].to_numpy(), pa.int64()),
             "n_tok": pa.array(b["n_tok"].to_numpy(), pa.int64())}),
         batch_format="pandas")
-    kept_arrow = kept_ids_ds.map_batches(
-        lambda b: pa.table({
-            "doc_id": pa.array(b["doc_id"].to_numpy(), pa.int64())}),
-        batch_format="pandas")
     sh_kept = hash_partition_join(sh_arrow, kept_arrow, on="doc_id",
-                                  how="semi")
+                                  how="semi").materialize()
     pairs = _prefix_pairs_from_shingles(sh_kept, threshold,
                                         coarse_buckets).to_pandas()
     if pairs.empty:
-        return np.empty(0, dtype=np.int64)
-    comp = connected_components(pd.DataFrame({
-        "src": pairs["doc_a"].astype("int64"),
-        "dst": pairs["doc_b"].astype("int64")}))
-    comp = comp.rename(columns={"vertex": "doc_id"})
+        return no_losers
+    comp = min_label_components(pairs["doc_a"], pairs["doc_b"]).rename(
+        columns={"vertex": "doc_id"})
     ids = frozenset(comp["doc_id"].tolist())
-    # token counts come off the ALREADY-MATERIALIZED shingle table
-    # (slim columns, cluster members only) — the tokenization
-    # happened in the shingle pass; no third read of the corpus text
-    tc = (sh.map_batches(
+    # token counts come off the pinned kept-doc shingle table (slim
+    # columns, cluster members only) — the tokenization happened in
+    # the shingle pass; no third read of the corpus text
+    tc = (sh_kept.map_batches(
         lambda b: b.loc[b["doc_id"].isin(ids),
                         ["doc_id", "n_tok"]]
         .rename(columns={"n_tok": "n_tokens"}),
@@ -3086,13 +3102,16 @@ def curate_corpus_full_ds(docs, bench_hashes, threshold: float = 0.5,
     not the corpus) so stage 2 can (a) semi-join the shingle table
     down to the kept docs and (b) re-emit every verdict row. Stage 2
     runs the prefix-filtered exact-Jaccard chain
-    (:func:`_near_dup_losers`); the MinHash+LSH candidates plug into
-    the identical pair->components->keep-best chain at lower cost
-    when approximate recall is acceptable — driving the composed op
-    from the exact pairs keeps the WHOLE pipeline SQL-checkable
+    (:func:`_near_dup_losers`), whose shuffles each run once and
+    whose components are found in-process on the collected pairs; the
+    MinHash+LSH candidates plug into the identical
+    pair->components->keep-best chain at lower cost when approximate
+    recall is acceptable — driving the composed op from the exact
+    pairs keeps the WHOLE pipeline SQL-checkable
     (CURATE_CORPUS_FULL_SQL). Losers are re-labeled by a broadcast
     sorted id array (bounded by cluster membership, never the
-    corpus)."""
+    corpus); when no doc is kept, or no kept docs share a prefix
+    shingle, there are no losers and the verdicts pass through."""
     import ray as _ray
     verdicts = curate_corpus_ds(
         docs, bench_hashes, min_tokens=min_tokens,
@@ -3974,16 +3993,11 @@ def incremental_minhash_pairs(existing, new, num_perm: int = 64,
         return (pd.DataFrame({"doc_a": a[keep], "doc_b": b[keep]})
                 .drop_duplicates())
 
-    # candidates are slim (doc_a, doc_b) rows — materializing them is
-    # cheap and lets the zero-candidate case short-circuit before the
-    # verify joins (whose schema inference needs at least one block)
     cand = (exploded.groupby("__cb")
-            .map_groups(candidates, batch_format="pandas")).materialize()
+            .map_groups(candidates, batch_format="pandas"))
     empty = pd.DataFrame({"doc_a": pd.Series([], dtype="int64"),
                           "doc_b": pd.Series([], dtype="int64"),
                           "jaccard": pd.Series([], dtype="float64")})
-    if cand.count() == 0:
-        return empty
     pairs = _exact_verify_pairs(cand, sigs_ex.union(sigs_new), threshold)
     df = pairs.to_pandas()
     if df.empty:

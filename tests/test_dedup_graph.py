@@ -135,6 +135,54 @@ class TestConnectedComponents:
 
 
 @pytest.mark.usefixtures("ray_session")
+class TestMinLabelComponents:
+    """The in-process helper returns exactly the distributed op's
+    (vertex, component) frame."""
+
+    @staticmethod
+    def _both(edges: pd.DataFrame):
+        from osm_sidewalkreator_ray.functions.graph import (
+            connected_components, min_label_components)
+        return (min_label_components(edges["src"], edges["dst"]),
+                connected_components(edges))
+
+    @pytest.mark.parametrize("seed", [0, 7, 29])
+    def test_equals_distributed_random(self, seed):
+        rng = np.random.RandomState(seed)
+        edges = pd.DataFrame(rng.randint(0, 60, size=(45, 2)),
+                             columns=["src", "dst"])
+        got, want = self._both(edges)
+        pd.testing.assert_frame_equal(got, want)
+
+    def test_duplicate_reversed_and_self_loop_edges(self):
+        edges = pd.DataFrame({"src": [4, 9, 9, 2, 2, 50, 31],
+                              "dst": [9, 4, 4, 2, 4, 31, 50]})
+        got, want = self._both(edges)
+        pd.testing.assert_frame_equal(got, want)
+        assert dict(zip(got["vertex"], got["component"])) == {
+            2: 2, 4: 2, 9: 2, 31: 31, 50: 31}
+
+    def test_empty_edges(self):
+        empty = pd.DataFrame({"src": pd.Series([], dtype="int64"),
+                              "dst": pd.Series([], dtype="int64")})
+        got, want = self._both(empty)
+        pd.testing.assert_frame_equal(got, want)
+
+    def test_200_vertex_chain(self):
+        # a path over shuffled ids (the min id sits mid-path); the
+        # distributed min-label op needs ~200 rounds here, so the
+        # reference is the O(log n)-round star variant, itself checked
+        # against min-label in TestStarComponents
+        from osm_sidewalkreator_ray.functions.graph import (
+            connected_components_star, min_label_components)
+        ids = np.random.RandomState(3).permutation(200) + 1000
+        edges = pd.DataFrame({"src": ids[:-1], "dst": ids[1:]})
+        got = min_label_components(edges["src"], edges["dst"])
+        assert len(got) == 200 and (got["component"] == 1000).all()
+        pd.testing.assert_frame_equal(got, connected_components_star(edges))
+
+
+@pytest.mark.usefixtures("ray_session")
 class TestSimhashNearDups:
     def test_exact_recall_vs_bruteforce(self):
         """The banded plan must return EXACTLY the brute-force

@@ -487,3 +487,34 @@ def test_media_job_cli_no_pairs(tmp_path):
     got = pads.dataset(out, format="parquet").to_table().to_pandas()
     assert rep["pairs"] == len(got)
     assert sorted(got.columns) == ["hamming", "media_a", "media_b"]
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_media_job_failed_refresh_keeps_prior_output(tmp_path, monkeypatch):
+    # the refresh writes to a staging dir next to --out: a write that
+    # fails leaves the previous run's files and marker untouched and
+    # removes the staging dir
+    import contextlib
+    import io
+    import os
+    import pyarrow.parquet as pq
+    import ray.data as rd
+    from jobs.media_job import main
+    from osm_sidewalkreator_ray.stages import multimodal as M
+    data = str(tmp_path / "media.parquet")
+    pq.write_table(M.synthetic_media(60, seed=11), data)
+    out = tmp_path / "dups"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["audio", "--data", data, "--out", str(out)]) == 0
+    before = {f: (out / f).read_bytes() for f in os.listdir(out)}
+    assert "_media_job.json" in before
+    assert any(f.endswith(".parquet") for f in before)
+
+    def boom(self, path, *a, **kw):
+        raise RuntimeError("injected write failure")
+
+    monkeypatch.setattr(rd.Dataset, "write_parquet", boom)
+    with pytest.raises(RuntimeError, match="injected"):
+        main(["audio", "--data", data, "--out", str(out)])
+    assert {f: (out / f).read_bytes() for f in os.listdir(out)} == before
+    assert sorted(os.listdir(tmp_path)) == ["dups", "media.parquet"]

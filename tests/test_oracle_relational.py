@@ -559,6 +559,60 @@ class TestRound4TextOps:
             "near_duplicate", "duplicate", "gate_fail", "contaminated",
             "gate_fail", "kept"]
 
+    @pytest.mark.parametrize("texts,want", [
+        # kept docs that share no prefix shingle: no candidate pairs
+        (["one two three four five six",
+          "red green blue cyan magenta yellow black"], ["kept", "kept"]),
+        # no doc survives the gates: nothing to near-dedup
+        (["too short"], ["gate_fail"]),
+    ])
+    def test_curate_corpus_full_nothing_to_compare(self, texts, want):
+        import ray
+        import ray.data as rd
+        from osm_sidewalkreator_ray.pipelines import textops as T
+        bench = T.benchmark_ngram_hashes(["zeta eta theta iota"])
+        docs = rd.from_items([{"doc_id": i, "text": t}
+                              for i, t in enumerate(texts)])
+        df = (T.curate_corpus_full_ds(docs, ray.put(bench))
+              .to_pandas().sort_values("doc_id"))
+        assert df["status"].tolist() == want
+
+    def test_curate_corpus_full_no_schema_probe_reruns_a_shuffle(self):
+        """Every shuffled input a join reads a schema from is pinned:
+        no Ray Data execution is a ``limit(1)`` schema probe that
+        re-runs an all-to-all stage."""
+        import ray
+        import ray.data as rd
+        from osm_sidewalkreator_ray.pipelines import textops as T
+        from perfbench.tracing import RayDataProbe, Tracer
+
+        # installed before any Dataset exists: a Dataset keeps the
+        # context (and callbacks) it was created under
+        tracer = Tracer()
+        probe = RayDataProbe(tracer)
+        probe.install()
+        try:
+            body = "alpha beta gamma delta epsilon zeta"
+            bench = T.benchmark_ngram_hashes(["zeta eta theta iota"])
+            docs = rd.from_items([
+                {"doc_id": 0, "text": body}, {"doc_id": 1, "text": body},
+                {"doc_id": 2, "text": "too short"},
+                {"doc_id": 3, "text": body + " zeta eta theta iota"},
+                {"doc_id": 4, "text": "zeta eta"},
+                {"doc_id": 5, "text": body + " longer tail"}])
+            df = T.curate_corpus_full_ds(docs, ray.put(bench)).to_pandas()
+        finally:
+            probe.uninstall()
+        assert len(df) == 6
+        runs = [s["ops"] for s in tracer.spans
+                if s["name"] == "ray.execution"]
+        assert any("SortMap" in r for r in runs)  # the probe saw runs
+        probes = [r for r in runs
+                  if "limit_1" in r and any(
+                      n in ("SortMap", "SortReduce")
+                      or n.startswith("Aggregate") for n in r)]
+        assert probes == []
+
     def test_curate_corpus_full_checkpoint_resume(self, tmp_path):
         """Two-phase resume: a run that loses final-phase buckets
         (fault injection) resumes computing ONLY those, and the
