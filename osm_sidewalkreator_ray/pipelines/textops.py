@@ -3659,12 +3659,12 @@ def packed_token_sequences_ds(ds, budget: int = 512,
     Plan: the pack_sequences prefix sum assigns every doc its global
     token offset (O(#buckets) driver state); a second streaming pass
     re-tokenizes each doc, hash-maps tokens to ids (2^vocab_bits — a
-    deterministic stand-in; swap in BPE ranks from
-    ``pipelines/bpe.py`` for a real vocab), SLICES the doc's id array
-    at sequence boundaries, and emits one (seq_id, offset, ids-bytes)
-    SPAN row per doc×sequence overlap — O(docs + crossings) rows, not
-    O(tokens); a seq-bucket co-group assembles each sequence's spans
-    by offset. No step holds more than a bucket of spans."""
+    deterministic stand-in for a trained subword vocab), SLICES the
+    doc's id array at sequence boundaries, and emits one (seq_id,
+    offset, ids-bytes) SPAN row per doc×sequence overlap — O(docs +
+    crossings) rows, not O(tokens); a seq-bucket co-group assembles
+    each sequence's spans by offset. No step holds more than a bucket
+    of spans."""
     def count(b: pd.DataFrame) -> pd.DataFrame:
         ids = b["doc_id"].to_numpy(dtype=np.int64)
         n = b["text"].map(lambda s: len(_tokens(s))).to_numpy(np.int64)
@@ -3751,151 +3751,6 @@ def packed_token_sequences_ds(ds, budget: int = 512,
 
     return span_rows.groupby("sb").map_groups(assemble,
                                               batch_format="pandas")
-
-
-# ----------------------------------------- PMI collocation mining
-#
-# Pointwise mutual information over adjacent token pairs (Church &
-# Hanks 1990): pmi(x,y) = ln( p(xy) / (p(x) p(y)) ) with
-# p(xy) = c_xy / N_bigrams and p(x) = c_x / N_tokens. The classic
-# corpus-analysis pass for multi-word expressions; at training-data
-# scale it doubles as a tokenizer-vocabulary sanity check.
-
-def pmi_collocations_ds(docs, min_count: int = 5, top_k: int = 20):
-    """documents Dataset (doc_id, text) -> top-k collocations
-    (w1, w2, c_xy, pmi), ordered by (pmi desc, w1, w2).
-
-    Physical plan — the corpus is read ONCE and nothing vocab-sized
-    ever reaches the driver: a single per-batch VECTORIZED partial
-    pass emits slim (w1, w2, cnt, kind) count rows (kind 0 =
-    unigram, one boundary-masked shift gives all adjacent pairs for
-    kind 1), MATERIALIZED once (partials are vocab-not-corpus sized)
-    -> `grouped_agg` bucket combine for the global unigram and
-    bigram tables -> min_count prune (bigram side shrinks BEFORE any
-    join) -> two `hash_partition_join`s attach c_x and c_y (vocab
-    joins vocab: distributed, no broadcast) -> per-block top-k, then
-    a final (blocks x k)-row driver fold. Totals N_tokens /
-    N_bigrams are scalar sums on the materialized partials.
-    """
-    from ..functions.aggregates import grouped_agg
-    from ..functions.joins import hash_partition_join
-
-    def counts_partial(batch: pd.DataFrame) -> pd.DataFrame:
-        per_doc = [_tokens(t) for t in batch["text"]]
-        lens = np.fromiter((len(w) for w in per_doc), dtype=np.int64,
-                           count=len(per_doc))
-        cols = ("w1", "w2", "cnt", "kind")
-
-        def frame(w1, w2, cnt, kind):
-            return pd.DataFrame({
-                "w1": pd.Series(w1, dtype=object),
-                "w2": pd.Series(w2, dtype=object),
-                "cnt": pd.Series(cnt, dtype="int64"),
-                "kind": pd.Series(kind, dtype="int8")})[list(cols)]
-
-        if not lens.sum():
-            return frame([], [], [], [])
-        alltok = np.concatenate([np.asarray(w, dtype=object)
-                                 for w in per_doc if w])
-        vc = pd.Series(alltok).value_counts()
-        uni = frame(vc.index.to_numpy(object),
-                    np.full(len(vc), "", dtype=object),
-                    vc.to_numpy(np.int64), np.zeros(len(vc), np.int8))
-        # a bigram may not straddle a document boundary: mask out the
-        # last token of every doc as a pair start
-        valid = np.ones(len(alltok) - 1, dtype=bool) \
-            if len(alltok) > 1 else np.zeros(0, dtype=bool)
-        ends = np.cumsum(lens[lens > 0]) - 1
-        valid[ends[ends < len(valid)]] = False
-        if not valid.any():
-            return uni
-        g = (pd.DataFrame({"w1": alltok[:-1][valid],
-                           "w2": alltok[1:][valid]})
-             .groupby(["w1", "w2"], sort=False).size())
-        bi = frame(g.index.get_level_values(0).to_numpy(object),
-                   g.index.get_level_values(1).to_numpy(object),
-                   g.to_numpy(np.int64), np.ones(len(g), np.int8))
-        return pd.concat([uni, bi], ignore_index=True)
-
-    partials = docs.map_batches(
-        counts_partial, batch_format="pandas").materialize()
-    uni_p = partials.map_batches(
-        lambda b: b.loc[b["kind"] == 0, ["w1", "cnt"]]
-                   .rename(columns={"w1": "w"}), batch_format="pandas")
-    bi_p = partials.map_batches(
-        lambda b: b.loc[b["kind"] == 1, ["w1", "w2", "cnt"]],
-        batch_format="pandas")
-    n_tokens = uni_p.sum("cnt") or 0
-    n_bigrams = bi_p.sum("cnt") or 0
-    if not n_bigrams:
-        return pd.DataFrame({"w1": pd.Series([], dtype=object),
-                             "w2": pd.Series([], dtype=object),
-                             "c_xy": pd.Series([], dtype="int64"),
-                             "pmi": pd.Series([], dtype="float64")})
-    uni = grouped_agg(uni_p, ["w"], {"c": ("cnt", "sum")})
-    bi = (grouped_agg(bi_p, ["w1", "w2"], {"c_xy": ("cnt", "sum")})
-          .map_batches(lambda b: b[b["c_xy"] >= min_count],
-                       batch_format="pandas"))
-    def _ren(w_to: str, c_to: str):
-        # Dataset.rename_columns breaks on pandas-format blocks
-        # (grouped_agg emits those); a pandas rename per batch is free
-        return lambda b: b.rename(columns={"w": w_to, "c": c_to})
-    j1 = hash_partition_join(
-        bi, uni.map_batches(_ren("w1", "c_x"), batch_format="pandas"),
-        on="w1")
-    j2 = hash_partition_join(
-        j1, uni.map_batches(_ren("w2", "c_y"), batch_format="pandas"),
-        on="w2")
-    nw, nb = float(n_tokens), float(n_bigrams)
-
-    def score_topk(batch: pd.DataFrame) -> pd.DataFrame:
-        b = batch.copy()
-        b["pmi"] = np.log((b["c_xy"].to_numpy(np.float64) / nb)
-                          / ((b["c_x"].to_numpy(np.float64) / nw)
-                             * (b["c_y"].to_numpy(np.float64) / nw)))
-        b = b.sort_values(["pmi", "w1", "w2"],
-                          ascending=[False, True, True]).head(top_k)
-        return b[["w1", "w2", "c_xy", "pmi"]]
-
-    parts = j2.map_batches(score_topk, batch_format="pandas").to_pandas()
-    out = (parts.sort_values(["pmi", "w1", "w2"],
-                             ascending=[False, True, True])
-           .head(top_k).reset_index(drop=True))
-    out["c_xy"] = out["c_xy"].astype("int64")
-    return out
-
-
-PMI_SQL_TMPL = r"""
-WITH tok AS (
-  SELECT doc_id, regexp_split_to_array(trim(text), '\s+') AS w
-  FROM documents WHERE trim(text) <> ''
-),
-uni AS (
-  SELECT t AS w, COUNT(*) AS c
-  FROM (SELECT unnest(w) AS t FROM tok) GROUP BY 1
-),
-bi AS (
-  SELECT b[1] AS w1, b[2] AS w2, COUNT(*) AS c_xy
-  FROM (SELECT unnest(list_transform(generate_series(1, len(w) - 1),
-                                     i -> [w[i], w[i + 1]])) AS b
-        FROM tok)
-  GROUP BY 1, 2
-),
-tot AS (SELECT (SELECT SUM(c) FROM uni) AS nw,
-               (SELECT SUM(c_xy) FROM bi) AS nb)
-SELECT bi.w1, bi.w2, bi.c_xy,
-       ln((bi.c_xy::DOUBLE / nb)
-          / ((u1.c::DOUBLE / nw) * (u2.c::DOUBLE / nw))) AS pmi
-FROM bi, tot, uni u1, uni u2
-WHERE u1.w = bi.w1 AND u2.w = bi.w2 AND bi.c_xy >= {min_count}
-ORDER BY pmi DESC, bi.w1, bi.w2 LIMIT {top_k}
-"""
-
-
-def pmi_collocations(sf_dir: str, min_count: int = 5, top_k: int = 20):
-    """Oracle form over the documents table (PMI_SQL_TMPL mirror)."""
-    return pmi_collocations_ds(_read_docs(sf_dir, ["doc_id", "text"]),
-                               min_count=min_count, top_k=top_k)
 
 
 # ----------------------------- incremental (new-vs-corpus) minhash

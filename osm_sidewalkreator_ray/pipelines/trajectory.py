@@ -30,7 +30,7 @@ per worker process) while the trajectory side streams; at 100 TB the
 trajectories are the big side, never collected.
 
 Reference parity: the reference plugin has no trajectory mining —
-these extend the engine's webtext/geotag surface (SURVEY.md §2.9's
+these extend the engine's page-text/geotag surface (SURVEY.md §2.9's
 "beyond-reference training-data operators") reusing its kernels
 (``joins.haversine_m``, the cell grid of ``cells.py``).
 """

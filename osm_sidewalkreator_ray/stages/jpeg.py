@@ -24,9 +24,10 @@ Progressive JPEG (SOF2) DECODES too: spectral selection, successive
 approximation (DC/AC first + refinement passes with EOB-run coding per
 T.81 G.1.2 / Annex G), interleaved DC scans and the non-interleaved
 per-component scan geometry, restart markers inside progressive scans.
-``stages/jpeg_progressive.py`` holds the matching scan-script encoder
-(with T.81 K.2 optimal Huffman tables), so the decode path is testable
-against baseline decode bit-exactly without any codec library.
+The matching scan-script encoder (with T.81 K.2 optimal Huffman
+tables) is test-only and lives in ``tests/test_jpeg_progressive.py``,
+which checks this decode path against baseline decode bit-exactly
+without any codec library.
 Arithmetic-coded, hierarchical, lossless and 12-bit streams raise
 ``NotImplementedError`` with the marker named — the same honest
 plug-point contract as the other codecs.

@@ -14,9 +14,8 @@ Five codecs are fully real, implemented on numpy + stdlib only:
 - **JPEG** (ITU-T T.81; gray + YCbCr, any sampling-factor geometry
   on decode, 4:4:4/4:2:0 + restart markers on encode): baseline
   sequential AND progressive (SOF2 spectral-selection + successive-
-  approximation) streams decode — ``stages/jpeg.py`` /
-  ``stages/jpeg_progressive.py``. Arithmetic-coded streams still
-  raise.
+  approximation) streams decode — ``stages/jpeg.py``.
+  Arithmetic-coded streams still raise.
 - **GIF** (87a/89a: real LZW both directions, interlace, local/global
   palettes, transparency, multi-frame animation with disposal
   compositing): ``stages/gif.py`` — animated GIFs also feed the

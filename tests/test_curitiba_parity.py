@@ -12,6 +12,7 @@ golden byte comparison either, SURVEY.md §5).
 """
 
 import json
+import os
 
 import numpy as np
 import pytest
@@ -26,12 +27,19 @@ from osm_sidewalkreator_ray.sources.synthetic import STREET_SCHEMA
 
 GEOJSON = "/root/reference/assets/test_data/osm_roads_sample_bbox.geojson"
 OSM = "/root/reference/test/data/curitiba_sample.osm"
+# the fixtures live in a reference checkout that a host may not have;
+# each test is gated on exactly the files it reads
+needs_geojson = pytest.mark.skipif(not os.path.exists(GEOJSON),
+                                   reason=f"{GEOJSON} not present")
+needs_osm = pytest.mark.skipif(not os.path.exists(OSM),
+                               reason=f"{OSM} not present")
 
 
 from osm_sidewalkreator_ray.sources.geojson import \
     read_streets_geojson as _streets_from_geojson  # noqa: E402
 
 
+@needs_geojson
 @pytest.mark.usefixtures("ray_session")
 class TestCuritibaSample:
     @pytest.fixture(scope="class")
@@ -60,6 +68,7 @@ class TestCuritibaSample:
         nkb = len(features[features["kind"] == "kerb"])
         assert nkb == 2 * ncr
 
+    @needs_osm
     def test_count_parity_band_both_crossing_modes(self):
         """Recorded count band for G5 on the reference's own fixtures
         (VERDICT r2 #6). The reference itself cannot run here (QGIS is
@@ -112,6 +121,7 @@ class TestCuritibaSample:
             assert coords[:, 1].min() > -25.520 and coords[:, 1].max() < -25.514
 
 
+@needs_osm
 @pytest.mark.usefixtures("ray_session")
 class TestCuritibaOsmExtract:
     def test_parse_real_overpass_extract(self):
@@ -134,6 +144,7 @@ class TestCuritibaOsmExtract:
         assert len(feats[feats["kind"] == "kerb"]) == 2 * ncr
 
 
+@needs_geojson
 @pytest.mark.usefixtures("ray_session")
 class TestGuiCrossings:
     """G5 GUI fidelity (draw_crossings) on the reference's own
@@ -214,6 +225,7 @@ class TestOsmLayers:
         shell = coords[ro[0]:ro[1]]
         assert np.allclose(shell[0], shell[-1])  # closed
 
+    @needs_osm
     def test_curitiba_buildings_and_pois(self):
         from osm_sidewalkreator_ray.sources.osm_xml import (build_pois,
                                                             parse_osm_xml)
@@ -228,6 +240,7 @@ class TestOsmLayers:
         xy = wkb.decode_points(pois["geometry_wkb"].to_pylist())
         assert (xy[:, 0] > -49.4).all() and (xy[:, 0] < -49.2).all()
 
+    @needs_osm
     def test_width_shrink_on_parsed_buildings(self):
         """M5 runs on real parsed building footprints, not synthetic."""
         from osm_sidewalkreator_ray.pipelines import enrich as EN

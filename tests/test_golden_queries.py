@@ -17,9 +17,15 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
 
+from osm_sidewalkreator_ray.pipelines.geospatial import _CURITIBA_OSM
+
 FIXTURE_DIR = os.path.join(os.path.dirname(__file__), "..", "fixtures",
                            "queries_sf001")
 SF = "/root/testdata/sf0.01"
+# osm_xml_parse folds in the POI layers of the reference's Curitiba
+# extract; a host without a reference checkout cannot run it
+_needs_curitiba = pytest.mark.skipif(
+    not os.path.exists(_CURITIBA_OSM), reason=f"{_CURITIBA_OSM} not present")
 
 # every query the driver records as `no_oracle` in CORRECTNESS_r03
 NO_ORACLE_QUERIES = [
@@ -35,7 +41,7 @@ NO_ORACLE_QUERIES = [
     "protoblock_coverage",
     "crossing_spacing",
     "sidewalk_split",
-    "osm_xml_parse",
+    pytest.param("osm_xml_parse", marks=_needs_curitiba),
     "media_features",
     "intersections_voronoi",
 ]

@@ -1,6 +1,7 @@
 """hash_partition_join `how` completeness vs DuckDB on skewed keyed
 data with NULL keys: inner/left/right/outer plus SQL-semantics
-semi/anti, and salted-path equivalence for the salt-safe hows."""
+semi/anti, and salted-path equivalence for the salt-safe hows; plus
+the broadcast_join path the driver queries use."""
 
 import duckdb
 import numpy as np
@@ -8,7 +9,8 @@ import pandas as pd
 import pytest
 import ray.data as rd
 
-from osm_sidewalkreator_ray.functions.joins import (hash_partition_join,
+from osm_sidewalkreator_ray.functions.joins import (broadcast_join,
+                                                     hash_partition_join,
                                                      join)
 
 pytestmark = pytest.mark.usefixtures("ray_session")
@@ -292,3 +294,23 @@ class TestJoinFacade:
         want = _norm(_duck(left, right, "inner"))
         pd.testing.assert_frame_equal(_norm(out), want,
                                       check_dtype=False)
+
+
+def test_broadcast_join_matches_pandas_and_gates():
+    rng = np.random.RandomState(0)
+    big = pd.DataFrame({"k": rng.randint(0, 20, 5000),
+                        "v": rng.uniform(size=5000)})
+    small = pd.DataFrame({"k": np.arange(10),
+                          "name": [f"n{i}" for i in range(10)]})
+    got = (broadcast_join(rd.from_pandas(big).repartition(4),
+                          small, left_on="k").to_pandas()
+           .sort_values(["k", "v"]).reset_index(drop=True))
+    ref = (big.merge(small, on="k")
+           .sort_values(["k", "v"]).reset_index(drop=True))
+    pd.testing.assert_frame_equal(got, ref)
+    left = (broadcast_join(rd.from_pandas(big), small,
+                           left_on="k", how="left").to_pandas())
+    assert len(left) == len(big)
+    with pytest.raises(ValueError):
+        broadcast_join(rd.from_pandas(big), big, left_on="k",
+                       max_small_rows=100)

@@ -746,9 +746,9 @@ def test_no_shadowed_module_constants():
     from osm_sidewalkreator_ray.pipelines import (geospatial,
                                                   relational, search,
                                                   textops, tiles,
-                                                  vectors, webtext)
+                                                  vectors)
     for mod in (relational, textops, vectors, geospatial, search,
-                webtext, tiles, joins, aggregates, graph, sketches):
+                tiles, joins, aggregates, graph, sketches):
         tree = ast.parse(inspect.getsource(mod))
         seen: dict[str, int] = {}
         for node in tree.body:
@@ -825,6 +825,85 @@ def test_no_unreferenced_package_defs():
     dead = [f"{rel}:{line} {name}" for rel, line, name in defs
             if name not in refs]
     assert not dead, "unreferenced top-level defs:\n" + "\n".join(dead)
+
+
+def test_package_imports_resolve():
+    """Guard: every import of a package module — absolute or relative,
+    at module level or inside a function body — names a module file
+    that exists, and every name taken from it is a submodule or a
+    top-level binding of that module. The name guard above cannot see
+    a function-local import of a deleted module."""
+    import ast
+    import functools
+    import os
+    pkg = "osm_sidewalkreator_ray"
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+    def module_file(dotted: str) -> str | None:
+        base = os.path.join(root, *dotted.split("."))
+        for cand in (base + ".py", os.path.join(base, "__init__.py")):
+            if os.path.isfile(cand):
+                return cand
+        return None
+
+    @functools.cache
+    def top_level_names(path: str) -> set[str]:
+        with open(path) as fh:
+            tree = ast.parse(fh.read())
+        names: set[str] = set()
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+                names.add(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = (node.targets if isinstance(node, ast.Assign)
+                           else [node.target])
+                names.update(t.id for t in targets
+                             if isinstance(t, ast.Name))
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                names.update((a.asname or a.name).split(".")[0]
+                             for a in node.names)
+        return names
+
+    paths = [os.path.join(root, f) for f in sorted(os.listdir(root))
+             if f.endswith(".py")]
+    for top in (pkg, "jobs", "tests"):
+        for d, dirs, files in os.walk(os.path.join(root, top)):
+            dirs[:] = [x for x in dirs if x != "__pycache__"]
+            paths += [os.path.join(d, f) for f in sorted(files)
+                      if f.endswith(".py")]
+    bad = []
+    for path in paths:
+        rel = os.path.relpath(path, root)
+        here = os.path.dirname(rel).split(os.sep)
+        with open(path) as fh:
+            tree = ast.parse(fh.read())
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Import):
+                wanted = [(a.name, None) for a in n.names
+                          if a.name.split(".")[0] == pkg]
+            elif isinstance(n, ast.ImportFrom):
+                if n.level:
+                    parts = here[:len(here) - (n.level - 1)]
+                    mod = ".".join(parts + ([n.module] if n.module
+                                            else []))
+                else:
+                    mod = n.module or ""
+                if mod.split(".")[0] != pkg:
+                    continue
+                wanted = [(mod, a.name) for a in n.names]
+            else:
+                continue
+            for mod, name in wanted:
+                f = module_file(mod)
+                where = f"{rel}:{n.lineno}"
+                if f is None:
+                    bad.append(f"{where} no module {mod}")
+                elif (name is not None and name != "*"
+                      and module_file(f"{mod}.{name}") is None
+                      and name not in top_level_names(f)):
+                    bad.append(f"{where} {mod} has no {name}")
+    assert not bad, "unresolved package imports:\n" + "\n".join(bad)
 
 
 @pytest.mark.usefixtures("ray_session")
@@ -1209,6 +1288,15 @@ class TestMIAndBootstrap:
         got2 = poisson_bootstrap_mean(rd.from_pandas(df), "id", "v",
                                       n_boot=100)
         pd.testing.assert_frame_equal(got, got2)
+
+    def test_poisson_counts_match_poisson1(self):
+        from osm_sidewalkreator_ray.pipelines.textops import \
+            _poisson_counts
+        c = _poisson_counts(np.arange(100000, dtype=np.int64), 1, 42)
+        h = np.bincount(c, minlength=6) / len(c)
+        expect = np.exp(-1.0) * np.array([1, 1, 1 / 2, 1 / 6, 1 / 24,
+                                          1 / 120])
+        assert np.allclose(h[:6], expect, atol=0.01)
 
 
 @pytest.mark.usefixtures("ray_session")

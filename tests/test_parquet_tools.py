@@ -58,46 +58,6 @@ class TestHarmonized:
 
 
 @pytest.mark.usefixtures("ray_session")
-class TestTextFormats:
-    def test_jsonl_roundtrip(self, tmp_path):
-        import pyarrow.parquet as pq
-        import ray.data as rd
-        from osm_sidewalkreator_ray.sources.text_formats import (
-            read_jsonl_ds, write_jsonl)
-        src = "/root/testdata/sf0.001/documents.parquet"
-        schema = pq.read_schema(src)
-        ds = rd.read_parquet(src)
-        out = str(tmp_path / "jsonl")
-        write_jsonl(ds, out)
-        back = (read_jsonl_ds(out, schema=schema).to_pandas()
-                .sort_values("doc_id").reset_index(drop=True))
-        orig = (ds.to_pandas().sort_values("doc_id")
-                .reset_index(drop=True))
-        pd.testing.assert_frame_equal(back, orig[back.columns])
-        # typed: schema cast reproduces the parquet types exactly
-        assert read_jsonl_ds(out, schema=schema).schema().names \
-            == list(schema.names)
-
-    def test_csv_roundtrip_lineitem(self, tmp_path):
-        import pyarrow.parquet as pq
-        import ray.data as rd
-        from osm_sidewalkreator_ray.sources.text_formats import (
-            read_csv_ds, write_csv)
-        src = "/root/testdata/sf0.001/lineitem.parquet"
-        schema = pq.read_schema(src)
-        ds = rd.read_parquet(src)
-        out = str(tmp_path / "csv")
-        write_csv(ds, out)
-        back = (read_csv_ds(out, schema=schema).to_pandas()
-                .sort_values(["l_orderkey", "l_linenumber"])
-                .reset_index(drop=True))
-        orig = (ds.to_pandas()
-                .sort_values(["l_orderkey", "l_linenumber"])
-                .reset_index(drop=True))
-        pd.testing.assert_frame_equal(back, orig[back.columns])
-
-
-@pytest.mark.usefixtures("ray_session")
 class TestZoneMapPruning:
     def _layout(self, tmp_path):
         """4 files with disjoint l_orderkey ranges (a sorted layout)."""
@@ -156,41 +116,6 @@ class TestZoneMapPruning:
                     & (full["l_orderkey"] <= 2100)]
                .sort_values("l_orderkey").reset_index(drop=True))
         pd.testing.assert_frame_equal(got, ref)
-
-
-@pytest.mark.usefixtures("ray_session")
-class TestOrcIpcFormats:
-    def _roundtrip(self, reader, writer, tmp_path, name):
-        import pyarrow.parquet as pq
-        import ray.data as rd
-        src = "/root/testdata/sf0.001/lineitem.parquet"
-        schema = pq.read_schema(src)
-        ds = rd.read_parquet(src).repartition(3)
-        out = str(tmp_path / name)
-        writer(ds, out)
-        back = (reader(out, schema=schema).to_pandas()
-                .sort_values(["l_orderkey", "l_linenumber"])
-                .reset_index(drop=True))
-        orig = (ds.to_pandas()
-                .sort_values(["l_orderkey", "l_linenumber"])
-                .reset_index(drop=True))
-        pd.testing.assert_frame_equal(back, orig[back.columns])
-        import os
-        files = os.listdir(out)
-        assert len(files) >= 2  # one file per block
-        # idempotent re-write: same content-hash names, no dup files
-        writer(rd.read_parquet(src).repartition(3), out)
-        assert sorted(os.listdir(out)) == sorted(files)
-
-    def test_orc_roundtrip(self, tmp_path):
-        from osm_sidewalkreator_ray.sources.text_formats import (
-            read_orc_ds, write_orc)
-        self._roundtrip(read_orc_ds, write_orc, tmp_path, "orc")
-
-    def test_ipc_roundtrip(self, tmp_path):
-        from osm_sidewalkreator_ray.sources.text_formats import (
-            read_ipc_ds, write_ipc)
-        self._roundtrip(read_ipc_ds, write_ipc, tmp_path, "ipc")
 
 
 @pytest.mark.usefixtures("ray_session")
