@@ -115,6 +115,25 @@ def points_in_ring(px: np.ndarray, py: np.ndarray, ring: np.ndarray) -> np.ndarr
     return (crossings % 2).astype(bool)
 
 
+def grid_in_ring(gx: np.ndarray, gy: np.ndarray, ring: np.ndarray) -> np.ndarray:
+    """``points_in_ring`` over the mesh of ascending ``gx`` x ``gy``, as a
+    (len(gy), len(gx)) mask, by a scanline parity fill: a crossing at
+    ``xint`` (the same expression) counts for the ``searchsorted(gx,
+    xint)`` pixels left of it, so one toggle per crossing and a reversed
+    XOR scan along x give the parity in O(pixels) bytes.
+    """
+    x0, y0 = ring[:-1, 0], ring[:-1, 1]
+    x1, y1 = ring[1:, 0], ring[1:, 1]
+    rows, e = np.nonzero((y0[None, :] > gy[:, None])
+                         != (y1[None, :] > gy[:, None]))
+    xint = x0[e] + (gy[rows] - y0[e]) * ((x1[e] - x0[e]) / (y1[e] - y0[e]))
+    n = np.searchsorted(gx, xint, side="left")
+    toggles = np.zeros((len(gy), len(gx)), dtype=np.uint8)
+    np.bitwise_xor.at(toggles, (rows[n > 0], n[n > 0] - 1), 1)
+    parity = np.bitwise_xor.accumulate(toggles[:, ::-1], axis=1)
+    return parity[:, ::-1].view(bool)
+
+
 def points_in_polygon(px, py, coords, ring_offsets, poly_lo, poly_hi) -> np.ndarray:
     """Points inside one polygon (rings poly_lo..poly_hi; ring0 shell)."""
     inside = points_in_ring(px, py, coords[ring_offsets[poly_lo]:ring_offsets[poly_lo + 1]])

@@ -11,10 +11,12 @@ semantics are preserved at a fixed resolution (default 0.5 m,
   computed exactly per pixel (the distance field is analytic, not sampled
   from a rasterized line),
 - morphological open/close by the curve radius == exact binary disk
-  morphology on the mask,
+  morphology on the mask, by row runs: the radius-k disk is 2k+1
+  horizontal runs, so a dilation is O(log k) shifted ORs per run width
+  plus 2k+1 row-shifted ORs, not one shifted OR per disk pixel,
 - polygon extraction == boundary tracing of the mask (foreground kept on
-  the left, 4-connectivity), rings simplified by collinear removal +
-  Douglas-Peucker at one pixel.
+  the left, 4-connectivity), vectorized over the boundary edges; rings
+  simplified by collinear removal + Douglas-Peucker at one pixel.
 
 Everything is deterministic: same inputs -> same mask -> same rings.
 Work is bounded per (cell, protoblock): a city block at 0.5 m is a
@@ -24,7 +26,11 @@ run inside ``map_groups`` at 100 TB scale.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
+
+from .core import ring_signed_area
 
 
 def distance_field(s0: np.ndarray, s1: np.ndarray, halfwidth: np.ndarray,
@@ -70,35 +76,29 @@ def distance_field(s0: np.ndarray, s1: np.ndarray, halfwidth: np.ndarray,
     return field
 
 
-def _disk_offsets(k: int) -> list[tuple[int, int]]:
-    out = []
-    for dx in range(-k, k + 1):
-        for dy in range(-k, k + 1):
-            if dx * dx + dy * dy <= k * k:
-                out.append((dx, dy))
-    return out
-
-
-def _shift_or(dst: np.ndarray, src: np.ndarray, dx: int, dy: int, op) -> None:
-    ny, nx = src.shape
-    x0s, x1s = max(0, -dx), min(nx, nx - dx)
-    y0s, y1s = max(0, -dy), min(ny, ny - dy)
-    x0d, x1d = max(0, dx), min(nx, nx + dx)
-    y0d, y1d = max(0, dy), min(ny, ny + dy)
-    if x0s >= x1s or y0s >= y1s:
-        return
-    op(dst[y0d:y1d, x0d:x1d], src[y0s:y1s, x0s:x1s], out=dst[y0d:y1d, x0d:x1d])
-
-
 def binary_dilate(mask: np.ndarray, k: int) -> np.ndarray:
-    """Dilate by a disk of radius k pixels (exact)."""
+    """Dilate by a disk of radius k pixels (exact): each row by its run
+    of half-width isqrt(k^2 - dy^2), by doubling shifted ORs on a
+    zero-padded copy, then the 2k+1 row-shifted runs ORed together."""
     if k <= 0:
         return mask.copy()
-    out = mask.copy()
-    for dx, dy in _disk_offsets(k):
-        if dx == 0 and dy == 0:
-            continue
-        _shift_or(out, mask, dx, dy, np.logical_or)
+    ny, nx = mask.shape
+    # run[:, i] = OR of padded[:, i:i + length]
+    run = np.zeros((ny, nx + 2 * k), dtype=bool)
+    run[:, k:k + nx] = mask
+    length = 1
+    out = np.zeros_like(mask)
+    # rows shifted by ny or more fall off the array
+    for dy in range(min(k, ny - 1), -1, -1):
+        w = math.isqrt(k * k - dy * dy)
+        while length < 2 * w + 1:
+            step = min(length, 2 * w + 1 - length)
+            run[:, :-step] |= run[:, step:]
+            length += step
+        row = run[:, k - w:k - w + nx]
+        out[dy:] |= row[:ny - dy]
+        if dy:
+            out[:-dy] |= row[dy:]
     return out
 
 
@@ -106,16 +106,9 @@ def binary_erode(mask: np.ndarray, k: int) -> np.ndarray:
     """Erode by a disk of radius k pixels (border counts as background)."""
     if k <= 0:
         return mask.copy()
-    out = mask.copy()
-    inv = ~mask
     # x eroded iff no background within the disk
-    bg_near = inv.copy()
-    for dx, dy in _disk_offsets(k):
-        if dx == 0 and dy == 0:
-            continue
-        _shift_or(bg_near, inv, dx, dy, np.logical_or)
+    out = mask & ~binary_dilate(~mask, k)
     # pixels near the array border lose coverage -> treat outside as bg
-    out &= ~bg_near
     out[:k, :] = False; out[-k:, :] = False
     out[:, :k] = False; out[:, -k:] = False
     return out
@@ -130,9 +123,6 @@ def open_mask(mask: np.ndarray, k: int) -> np.ndarray:
 
 # ------------------------------------------------------------- contours
 
-_VECS = [(1, 0), (0, 1), (-1, 0), (0, -1)]
-
-
 def trace_contours(mask: np.ndarray, origin: tuple[float, float], res: float):
     """Boundary loops of the mask as coordinate rings.
 
@@ -140,74 +130,60 @@ def trace_contours(mask: np.ndarray, origin: tuple[float, float], res: float):
     outer shell (CCW), negative = hole (CW). Foreground is kept on the
     left; diagonal pixel contact is traced as separate regions
     (4-connectivity), resolved by the leftmost-turn rule.
+
+    Rings start at, and come in the order of, their loop's smallest
+    (x, y) corner: successor array + pointer jumping over the edges.
     """
     ny, nx = mask.shape
     if not mask.any():
         return []
     ox, oy = origin
-    fg = mask
     pad = np.zeros((ny + 2, nx + 2), dtype=bool)
-    pad[1:-1, 1:-1] = fg
-    # boundary-edge masks, fully vectorized (pad index = (y+1, x+1))
-    below = fg & ~pad[:-2, 1:-1]
-    above = fg & ~pad[2:, 1:-1]
-    left = fg & ~pad[1:-1, :-2]
-    right = fg & ~pad[1:-1, 2:]
-    # directed edges: start corner -> list of dir codes; only boundary
-    # pixels enter the Python dict (O(perimeter), not O(area))
-    edges: dict[tuple[int, int], list[int]] = {}
-
-    def add_all(ys, xs, sx_off, sy_off, d):
-        for x, y in zip(xs, ys):
-            edges.setdefault((x + sx_off, y + sy_off), []).append(d)
-
-    ys, xs = np.nonzero(below)
-    add_all(ys, xs, 0, 0, 0)          # BL -> BR, +x
-    ys, xs = np.nonzero(right)
-    add_all(ys, xs, 1, 0, 1)          # BR -> TR, +y
-    ys, xs = np.nonzero(above)
-    add_all(ys, xs, 1, 1, 2)          # TR -> TL, -x
-    ys, xs = np.nonzero(left)
-    add_all(ys, xs, 0, 1, 3)          # TL -> BL, -y
-    rings = []
-    # deterministic iteration order
-    for start in sorted(edges.keys()):
-        while edges.get(start):
-            d = edges[start].pop()
-            ring = [start]
-            cx, cy = start
-            cd = d
-            while True:
-                vx, vy = _VECS[cd]
-                cx, cy = cx + vx, cy + vy
-                ring.append((cx, cy))
-                if (cx, cy) == start:
-                    break
-                outs = edges.get((cx, cy))
-                if not outs:
-                    # dead end should not happen on a valid mask
-                    break
-                if len(outs) == 1:
-                    cd = outs.pop()
-                else:
-                    # leftmost turn first: order candidates by (turn) where
-                    # left turn = (cd+1)%4, straight = cd, right = (cd-1)%4
-                    for cand in ((cd + 1) % 4, cd, (cd - 1) % 4):
-                        if cand in outs:
-                            outs.remove(cand)
-                            cd = cand
-                            break
-                    else:
-                        cd = outs.pop()
-            if len(ring) < 4:
-                continue
-            arr = np.asarray(ring, dtype=np.float64)
-            arr[:, 0] = ox + arr[:, 0] * res
-            arr[:, 1] = oy + arr[:, 1] * res
-            x_, y_ = arr[:, 0], arr[:, 1]
-            area = 0.5 * float(np.sum(x_[:-1] * y_[1:] - x_[1:] * y_[:-1]))
-            rings.append((arr, area))
-    return rings
+    pad[1:-1, 1:-1] = mask
+    # directed boundary edges by dir code d (pad index = (y+1, x+1))
+    d, ys, xs = np.nonzero(np.stack((
+        mask & ~pad[:-2, 1:-1],     # 0 below: BL -> BR, +x
+        mask & ~pad[1:-1, 2:],      # 1 right: BR -> TR, +y
+        mask & ~pad[2:, 1:-1],      # 2 above: TR -> TL, -x
+        mask & ~pad[1:-1, :-2])))   # 3 left: TL -> BL, -y
+    n = len(d)
+    # start corner keys, ordered by (x, y)
+    sx = xs + np.array([0, 1, 1, 0])[d]
+    sy = ys + np.array([0, 0, 1, 1])[d]
+    start = sx * (ny + 1) + sy
+    end = start + np.array([ny + 1, 1, -(ny + 1), -1])[d]
+    # successor: the out edge at the end corner that turns left (two
+    # out edges only where pixels touch diagonally), else the only one
+    key = start * 4 + d
+    order = np.argsort(key)
+    skey = key[order]
+    want = end * 4 + (d + 1) % 4
+    i = np.minimum(np.searchsorted(skey, want), n - 1)
+    succ = order[np.where(skey[i] == want, i,
+                          np.searchsorted(skey, end * 4))]
+    # each loop's smallest start corner, by pointer jumping
+    lo, p, span = start, succ, 1
+    while span < n:
+        lo = np.minimum(lo, lo[p]); p = p[p]; span *= 2
+    # a ring runs from the edge leaving that corner back to it
+    first = start == lo
+    last = first[succ]
+    left = (~last).astype(np.int64)   # edges left after this one
+    p = np.where(last, np.arange(n), succ)
+    span = 1
+    while span < n:
+        left = left + left[p]; p = p[p]; span *= 2
+    heads = np.flatnonzero(first)
+    heads = heads[np.argsort(start[heads])]
+    rank = np.empty(n, dtype=np.int64)
+    rank[p[heads]] = np.arange(len(heads))
+    walk = np.lexsort((-left, rank[p]))
+    xy = np.column_stack((sx[walk], sy[walk])).astype(np.float64)
+    xy[:, 0] = ox + xy[:, 0] * res
+    xy[:, 1] = oy + xy[:, 1] * res
+    rings = [np.vstack((part, part[:1])) for part in
+             np.split(xy, np.cumsum(left[heads] + 1)[:-1])]
+    return [(ring, ring_signed_area(ring)) for ring in rings]
 
 
 def simplify_ring(ring: np.ndarray, tol: float) -> np.ndarray:

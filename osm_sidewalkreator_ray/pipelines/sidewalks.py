@@ -390,7 +390,9 @@ MAX_RASTER_PIXELS = 16_000_000
 
 
 def extract_tiles(batch: pd.DataFrame, cfg: PipelineConfig) -> pd.DataFrame:
-    """Stage B: per-protoblock raster -> tile polygon + sidewalk arcs."""
+    """Stage B: per-protoblock raster -> tile polygon + sidewalk arcs:
+    face pixels (a scanline parity fill, ``core.grid_in_ring``) outside
+    the street buffer, opened by the curve radius, then traced."""
     res = cfg.raster_res_m
     out_rows: list[dict] = []
     for _, r in batch.iterrows():
@@ -424,9 +426,7 @@ def extract_tiles(batch: pd.DataFrame, cfg: PipelineConfig) -> pd.DataFrame:
                                       res_eff)
         gx = fmnx + (np.arange(nx) + 0.5) * res_eff
         gy = fmny + (np.arange(ny) + 0.5) * res_eff
-        mesh_x = np.broadcast_to(gx[None, :], (ny, nx)).ravel()
-        mesh_y = np.broadcast_to(gy[:, None], (ny, nx)).ravel()
-        inside = core.points_in_ring(mesh_x, mesh_y, face).reshape(ny, nx)
+        inside = core.grid_in_ring(gx, gy, face)
         mask = inside & (field > 0)
         mask = raster.open_mask(mask, k_px_eff)
         if not mask.any():

@@ -332,16 +332,19 @@ def read_vector_tiles(out_dir: str, min_lon: float, min_lat: float,
              if f.endswith(".parquet")]
     if not files:
         return rd.from_items([])
-    ds = rd.read_parquet(files)
+    return rd.read_parquet(files).map_batches(
+        cells_in_bbox, batch_format="pyarrow",
+        fn_args=(min_lon, min_lat, max_lon, max_lat))
 
-    def exact(batch: pd.DataFrame) -> pd.DataFrame:
-        lo_x, lo_y, hi_x, hi_y = cell_bounds(
-            batch["cell"].to_numpy(np.int64))
-        keep = ((lo_x < max_lon) & (hi_x > min_lon)
-                & (lo_y < max_lat) & (hi_y > min_lat))
-        return batch[keep]
 
-    return ds.map_batches(exact, batch_format="pandas")
+def cells_in_bbox(batch: pa.Table, min_lon: float, min_lat: float,
+                  max_lon: float, max_lat: float) -> pa.Table:
+    """Rows whose cell overlaps the bbox (an empty result stays typed)."""
+    lo_x, lo_y, hi_x, hi_y = cell_bounds(
+        np.asarray(batch["cell"], dtype=np.int64))
+    keep = ((lo_x < max_lon) & (hi_x > min_lon)
+            & (lo_y < max_lat) & (hi_y > min_lat))
+    return batch.filter(pa.array(keep))
 
 
 def slice_polygons_to_tiles(batch: pd.DataFrame, wkb_col: str,

@@ -193,6 +193,48 @@ class TestVectorTiles:
                 == set(map(tuple, want[["feature_id", "cell",
                                         "piece_idx"]].to_numpy())))
 
+    def test_viewport_missing_every_row_stays_typed(self, tmp_path):
+        import glob
+        import logging
+
+        import pyarrow.parquet as pq
+        import ray.data as rd
+        from ray.data.block import BlockAccessor
+
+        from osm_sidewalkreator_ray.cells import cover_bbox
+        from osm_sidewalkreator_ray.pipelines.tiles import (
+            cells_in_bbox, export_vector_tiles, read_vector_tiles)
+        df = self._lines()
+        out_dir = str(tmp_path / "vtiles")
+        export_vector_tiles(rd.from_pandas(df[["feature_id", "wkb"]]),
+                            out_dir, res=self.RES, dir_res=3)
+        # inside a written directory cell, clear of every tile cell
+        vp = (-19.9, -19.9, -19.8, -19.8)
+        group = int(cover_bbox(*vp, 3)[0])
+        files = sorted(glob.glob(f"{out_dir}/tile_group={group}/*.parquet"))
+        assert files
+        ds = read_vector_tiles(out_dir, *vp, dir_res=3)
+        assert ds.count() == 0
+        assert ds.schema().names == ["cell", "feature_id", "piece_idx",
+                                     "wkb", "tile_group"]
+        # Ray Data sizes every output block; an untyped empty pandas
+        # block makes that log "Error calculating size"
+        records = []
+        handler = logging.Handler()
+        handler.emit = records.append
+        logger = logging.getLogger("ray.data")
+        logger.addHandler(handler)
+        try:
+            block = pq.read_table(files[0])
+            out = cells_in_bbox(block, *vp)
+            BlockAccessor.for_block(out).size_bytes()
+        finally:
+            logger.removeHandler(handler)
+        assert not [r for r in records
+                    if "Error calculating size" in r.getMessage()]
+        assert out.num_rows == 0 < block.num_rows
+        assert out.schema == block.schema
+
 
 class TestPolygonTiles:
     RES = 6  # ~2.8 deg tiles
