@@ -8,15 +8,13 @@ HyperLogLog in ``aggregates.py``:
   vocabulary itself is shuffle-sized, and an MG summary of k counters
   guarantees every item with count > n/(k+1) survives with count
   under-estimated by at most the tracked ``err``.
-- **merging t-digest** (Dunning & Ertl, "Computing extremely accurate
-  quantiles using t-digests"): mergeable quantile sketch for FLOAT
-  columns, where the exact distinct-value histogram plan
-  (``doc_length_quantiles``) would degenerate to one row per distinct
-  value. Accuracy concentrates at the tails by the k1 scale function.
+- **Count-Min** (Cormode & Muthukrishnan 2005): fixed-size point
+  frequency sketch, the complement to Misra-Gries for items outside
+  the head.
 
 Scale shape for both: one small partial row per batch (k counters /
-~delta centroids), driver merge of O(#batches) partials — nothing
-proportional to row count or cardinality ever moves.
+a depth x width counter matrix), merge of O(#batches) partials —
+nothing proportional to row count or cardinality ever moves.
 """
 
 from __future__ import annotations
@@ -144,146 +142,6 @@ def mg_heavy_hitters_by(ds, key: str, column: str, k_counters: int = 64,
     return (out.sort_values([key, "count_low"],
                             ascending=[True, False])
             .reset_index(drop=True))
-
-
-# ---------------------------------------------------- t-digest
-
-def _k1(q: np.ndarray, delta: float) -> np.ndarray:
-    """Dunning's k1 scale function: centroid size limits shrink toward
-    the tails, concentrating accuracy at extreme quantiles."""
-    return delta / (2 * np.pi) * np.arcsin(2 * np.clip(q, 0, 1) - 1)
-
-
-def _tdigest_compress(means: np.ndarray, weights: np.ndarray,
-                      delta: float) -> tuple[np.ndarray, np.ndarray]:
-    """Greedy left-to-right merge of (sorted-by-mean) centroids under
-    the k1 size bound — deterministic, O(n)."""
-    order = np.argsort(means, kind="stable")
-    means, weights = means[order], weights[order]
-    total = weights.sum()
-    out_m, out_w = [], []
-    cur_m, cur_w = float(means[0]), float(weights[0])
-    w_before = 0.0
-    for m, w in zip(means[1:], weights[1:]):
-        q0 = w_before / total
-        q1 = (w_before + cur_w + w) / total
-        if _k1(np.array([q1]), delta)[0] - _k1(np.array([q0]), delta)[0] <= 1.0:
-            # merged centroid stays within one k-unit: absorb
-            cur_m += (m - cur_m) * w / (cur_w + w)
-            cur_w += w
-        else:
-            out_m.append(cur_m)
-            out_w.append(cur_w)
-            w_before += cur_w
-            cur_m, cur_w = float(m), float(w)
-    out_m.append(cur_m)
-    out_w.append(cur_w)
-    return np.asarray(out_m), np.asarray(out_w)
-
-
-class TDigest:
-    """Minimal merging t-digest over float values."""
-
-    def __init__(self, delta: float = 200.0,
-                 means: np.ndarray | None = None,
-                 weights: np.ndarray | None = None):
-        self.delta = delta
-        self.means = means if means is not None else np.empty(0)
-        self.weights = weights if weights is not None else np.empty(0)
-
-    @classmethod
-    def of(cls, values: np.ndarray, delta: float = 200.0) -> "TDigest":
-        v = np.sort(np.asarray(values, dtype=np.float64))
-        if not len(v):
-            return cls(delta)
-        m, w = _tdigest_compress(v, np.ones(len(v)), delta)
-        return cls(delta, m, w)
-
-    def merge(self, other: "TDigest") -> "TDigest":
-        if not len(other.means):
-            return self
-        if not len(self.means):
-            return other
-        m = np.concatenate([self.means, other.means])
-        w = np.concatenate([self.weights, other.weights])
-        m, w = _tdigest_compress(m, w, self.delta)
-        return TDigest(self.delta, m, w)
-
-    def quantile(self, q: float) -> float:
-        """Interpolated quantile: centroid i sits at the midpoint of
-        its weight span (the standard t-digest estimator)."""
-        if not len(self.means):
-            return float("nan")
-        if len(self.means) == 1:
-            return float(self.means[0])
-        cum = np.cumsum(self.weights) - self.weights / 2.0
-        target = q * self.weights.sum()
-        return float(np.interp(target, cum, self.means))
-
-    def to_bytes(self) -> bytes:
-        return np.concatenate([self.means, self.weights]).tobytes()
-
-    @classmethod
-    def from_bytes(cls, blob: bytes, delta: float = 200.0) -> "TDigest":
-        arr = np.frombuffer(blob, dtype=np.float64)
-        half = len(arr) // 2
-        return cls(delta, arr[:half].copy(), arr[half:].copy())
-
-
-def tdigest_quantiles_by(ds, key: str, column: str,
-                         qs: tuple[float, ...] = (0.5, 0.95),
-                         delta: float = 200.0,
-                         num_buckets: int = 32) -> pd.DataFrame:
-    """Per-``key`` approximate quantiles — the grouped form of
-    ``tdigest_quantiles`` on the ``hll_distinct_by`` shape: one digest
-    row per (key, batch) partial, hash-bucketed groupby where each
-    key's digests merge, quantiles interpolated in the combine.
-    Shuffle volume: (#keys x #batches) ~delta-centroid rows —
-    independent of row count."""
-    def partial(b: pd.DataFrame) -> pd.DataFrame:
-        out_k, out_d = [], []
-        for k, g in b.groupby(key, dropna=False, sort=False):
-            out_k.append(k)
-            out_d.append(TDigest.of(g[column].to_numpy(np.float64),
-                                    delta).to_bytes())
-        o = pd.DataFrame({key: out_k, "digest": out_d})
-        o["__b"] = (pd.util.hash_array(o[key].to_numpy(dtype=object))
-                    % num_buckets).astype(np.int64)
-        return o
-
-    def combine(g: pd.DataFrame) -> pd.DataFrame:
-        rows = []
-        for k, gg in g.groupby(key, dropna=False, sort=False):
-            acc = TDigest(delta)
-            for blob in gg["digest"]:
-                acc = acc.merge(TDigest.from_bytes(blob, delta))
-            rows.append({key: k, **{f"p{int(q * 100)}":
-                                    round(acc.quantile(q), 6)
-                                    for q in qs}})
-        return pd.DataFrame(rows)
-
-    out = (ds.map_batches(partial, batch_format="pandas")
-           .groupby("__b").map_groups(combine, batch_format="pandas")
-           .to_pandas())
-    return out.sort_values(key).reset_index(drop=True)
-
-
-def tdigest_quantiles(ds, column: str, qs: tuple[float, ...] = (
-        0.25, 0.5, 0.75, 0.95), delta: float = 200.0) -> pd.DataFrame:
-    """Distributed approximate quantiles of a float column: one
-    ~delta-centroid digest row per batch, driver merge, interpolated
-    quantiles. The float-safe complement to the exact
-    distinct-value-histogram plan."""
-    def partial(b: pd.DataFrame) -> pd.DataFrame:
-        d = TDigest.of(b[column].to_numpy(dtype=np.float64), delta)
-        return pd.DataFrame({"digest": [d.to_bytes()]})
-
-    rows = ds.map_batches(partial, batch_format="pandas").to_pandas()
-    acc = TDigest(delta)
-    for blob in rows["digest"]:
-        acc = acc.merge(TDigest.from_bytes(blob, delta))
-    return pd.DataFrame({f"p{int(q * 100)}": [round(acc.quantile(q), 6)]
-                         for q in qs})
 
 
 # ------------------------------------------------ Count-Min sketch

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
 
 from ..config import DEFAULT_CONFIG, PipelineConfig
 from ..geom import core, project, wkb
@@ -79,6 +80,17 @@ def split_arc_by_pois(arc: np.ndarray, pois: np.ndarray) -> list[np.ndarray]:
     return [p for p in pieces if len(p) >= 2]
 
 
+# Arrow schema of the feature rows (``SW.FEATURE_COLUMNS``). The split
+# UDFs return its empty table for a batch or group with no pieces:
+# Ray Data sizes every output block, and an empty pandas frame with
+# object columns makes that log "Error calculating size".
+_FEATURE_ARROW = pa.schema([
+    ("kind", pa.string()), ("h3_cell", pa.int64()),
+    ("feature_id", pa.int64()), ("parent_id", pa.int64()),
+    ("geometry_wkb", pa.binary()), ("length_m", pa.float64()),
+    ("area_m2", pa.float64())])
+
+
 def split_sidewalks(features, cfg: PipelineConfig = DEFAULT_CONFIG,
                     method: str = "length", max_len: float = 50.0,
                     pois=None, minimum_pois: int = 4):
@@ -94,12 +106,6 @@ def split_sidewalks(features, cfg: PipelineConfig = DEFAULT_CONFIG,
     """
     sw = features.filter(expr="kind == 'sidewalk'")
 
-    def _empty() -> pd.DataFrame:
-        return pd.DataFrame({c: pd.Series([], dtype=t) for c, t in zip(
-            SW.FEATURE_COLUMNS,
-            ["str", "int64", "int64", "int64", object, "float64",
-             "float64"])})
-
     def _emit_pieces(rows: list, cell: int, frame, fid: int,
                      pieces: list) -> None:
         for pi, p in enumerate(pieces):
@@ -114,7 +120,7 @@ def split_sidewalks(features, cfg: PipelineConfig = DEFAULT_CONFIG,
                     project.coords_to_lonlat(p, frame)),
                 "length_m": float(plen), "area_m2": 0.0})
 
-    def split_batch(batch: pd.DataFrame) -> pd.DataFrame:
+    def split_batch(batch: pd.DataFrame) -> pd.DataFrame | pa.Table:
         rows = []
         for _, r in batch.iterrows():
             cell = int(r["h3_cell"])
@@ -128,7 +134,9 @@ def split_sidewalks(features, cfg: PipelineConfig = DEFAULT_CONFIG,
             else:
                 raise ValueError(method)
             _emit_pieces(rows, cell, frame, int(r["feature_id"]), pieces)
-        return pd.DataFrame(rows)[SW.FEATURE_COLUMNS] if rows else _empty()
+        if not rows:
+            return _FEATURE_ARROW.empty_table()
+        return pd.DataFrame(rows)[SW.FEATURE_COLUMNS]
 
     if method != "poi":
         return sw.map_batches(split_batch, batch_format="pandas")
@@ -143,7 +151,6 @@ def split_sidewalks(features, cfg: PipelineConfig = DEFAULT_CONFIG,
     # owner cell's edge still sees its POIs), tagged kind='poi', and
     # resolved per cell inside map_groups — nothing feature-sized ever
     # reaches the driver.
-    import pyarrow as pa
     import ray.data as rd
     from .. import cells
     from .sidewalks import COVER_MARGIN_DEG
@@ -156,12 +163,6 @@ def split_sidewalks(features, cfg: PipelineConfig = DEFAULT_CONFIG,
         poi_ds = rd.from_arrow(pois)
     else:
         poi_ds = rd.from_pandas(pois)
-
-    _FEATURE_ARROW = pa.schema([
-        ("kind", pa.string()), ("h3_cell", pa.int64()),
-        ("feature_id", pa.int64()), ("parent_id", pa.int64()),
-        ("geometry_wkb", pa.binary()), ("length_m", pa.float64()),
-        ("area_m2", pa.float64())])
 
     def poi_rows(t: pa.Table) -> pa.Table:
         if t.num_rows == 0:
@@ -194,12 +195,12 @@ def split_sidewalks(features, cfg: PipelineConfig = DEFAULT_CONFIG,
                      batch_format="pyarrow")
         .union(poi_ds.map_batches(poi_rows, batch_format="pyarrow")))
 
-    def poi_group(g: pd.DataFrame) -> pd.DataFrame:
+    def poi_group(g: pd.DataFrame) -> pd.DataFrame | pa.Table:
         cell = int(g["h3_cell"].iloc[0])
         frame = project.frame_for_cell(cell)
         sws = g[g["kind"] == "sidewalk"]
         if sws.empty:
-            return _empty()
+            return _FEATURE_ARROW.empty_table()
         pg = g[g["kind"] == "poi"]
         loc = (project.coords_to_local(
             wkb.decode_points(pg["geometry_wkb"].tolist()), frame)
@@ -225,7 +226,9 @@ def split_sidewalks(features, cfg: PipelineConfig = DEFAULT_CONFIG,
             pieces = (split_arc_by_pois(arc, pts)
                       if len(pts) > minimum_pois else [arc])
             _emit_pieces(rows, cell, frame, int(r["feature_id"]), pieces)
-        return pd.DataFrame(rows)[SW.FEATURE_COLUMNS] if rows else _empty()
+        if not rows:
+            return _FEATURE_ARROW.empty_table()
+        return pd.DataFrame(rows)[SW.FEATURE_COLUMNS]
 
     return tagged.groupby("h3_cell").map_groups(poi_group,
                                                 batch_format="pandas")

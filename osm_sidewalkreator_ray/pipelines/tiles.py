@@ -313,10 +313,9 @@ def export_vector_tiles(ds, out_dir: str, wkb_col: str = "wkb",
 def read_vector_tiles(out_dir: str, min_lon: float, min_lat: float,
                       max_lon: float, max_lat: float, dir_res: int = 5):
     """Viewport read: open only partitions whose dir-cell intersects
-    the bbox (directory selection, same idiom as
-    sources/parquet_tools.read_range_partitioned — no data or footer
-    byte is touched for pruned partitions), then exact cell-level
-    filter inside them."""
+    the bbox (directory selection — no data or footer byte is touched
+    for pruned partitions), then exact cell-level filter inside
+    them."""
     import os
 
     import ray.data as rd

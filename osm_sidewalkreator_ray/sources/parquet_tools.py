@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import os
 
-import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.parquet as pq
@@ -93,9 +92,9 @@ def read_parquet_harmonized(paths: list[str],
 # folded per file), persisted as a tiny manifest parquet.
 # ``read_parquet_pruned`` consults the manifest and hands Ray's
 # reader ONLY the files whose [min, max] range can satisfy the
-# predicate — at 100 TB a selective predicate over a
-# sorted/zordered/partitioned layout skips almost every file before a
-# single byte of data moves. Pruning is conservative (files lacking
+# predicate — at 100 TB a selective predicate over a layout sorted or
+# partitioned on the column skips almost every file before a single
+# byte of data moves. Pruning is conservative (files lacking
 # stats for the column are kept) and therefore always correct; an
 # optional residual row filter finishes the job.
 
@@ -209,92 +208,6 @@ def read_parquet_pruned(in_dir: str, manifest: pd.DataFrame,
             mask = pc.greater_equal(t[column], lo)
         if hi is not None:
             le = pc.less_equal(t[column], hi)
-            mask = le if mask is None else pc.and_(mask, le)
-        return t.filter(mask) if mask is not None else t
-
-    return ds.map_batches(residual, batch_format="pyarrow")
-
-
-# -------------------------------------- range-partitioned sorted write
-#
-# The LAYOUT GENERATOR that makes zone-map pruning effective: write a
-# dataset as hive-style range partitions on one key, each partition
-# sorted within itself. Balance comes from equi-depth edges (one
-# streaming t-digest pass, constant driver state); rows route to
-# partitions with a zero-shuffle searchsorted map and land via Ray's
-# partitioned writer, so the only all-to-all is the per-partition
-# file grouping Ray does internally. A later selective read composes
-# `build_zone_map` + `read_parquet_pruned` over the partition files
-# and skips everything outside the key range.
-
-
-def write_range_partitioned(ds, col: str, out_dir: str,
-                            n_parts: int = 16) -> np.ndarray:
-    """Write ``ds`` under ``out_dir`` partitioned by ``__range=<i>``
-    hive dirs with equi-depth ranges on ``col``; returns the edge
-    array (length n_parts - 1). Rows inside a partition file are
-    sorted by ``col``."""
-    from ..functions.windows import quantile_bucket_edges
-
-    edges = quantile_bucket_edges(ds, col, n_edges=n_parts - 1)
-
-    def route(b: pd.DataFrame) -> pd.DataFrame:
-        b = b.copy()
-        b["__range"] = np.searchsorted(
-            edges, b[col].to_numpy(np.float64), side="right") \
-            .astype(np.int64)
-        return b.sort_values(col, kind="mergesort")
-
-    (ds.map_batches(route, batch_format="pandas")
-       .write_parquet(out_dir, partition_cols=["__range"]))
-    return edges
-
-
-def read_range_partitioned(out_dir: str, col: str, edges: np.ndarray,
-                           lo=None, hi=None,
-                           columns: list[str] | None = None):
-    """Selective read over a write_range_partitioned layout: only
-    partitions whose range intersects [lo, hi] are opened (directory
-    pruning via the edge array — no footer reads needed), plus the
-    exact residual filter."""
-    import pyarrow.compute as pc
-
-    n_parts = len(edges) + 1
-    first = 0 if lo is None else int(np.searchsorted(
-        edges, float(lo), side="right"))
-    last = n_parts - 1 if hi is None else int(np.searchsorted(
-        edges, float(hi), side="right"))
-    files = []
-    for i in range(first, last + 1):
-        d = os.path.join(out_dir, f"__range={i}")
-        if os.path.isdir(d):
-            files.extend(os.path.join(d, f) for f in sorted(
-                os.listdir(d)) if f.endswith(".parquet"))
-    if not files:
-        # empty-but-typed Dataset (same contract as
-        # read_parquet_pruned): find any partition file for the schema
-        # rather than returning None into a caller's .map_batches
-        all_files = sorted(
-            os.path.join(out_dir, d, f)
-            for d in os.listdir(out_dir) if d.startswith("__range=")
-            and os.path.isdir(os.path.join(out_dir, d))
-            for f in os.listdir(os.path.join(out_dir, d))
-            if f.endswith(".parquet"))
-        if not all_files:
-            raise FileNotFoundError(
-                f"no __range=* parquet under {out_dir}")
-        sch = pq.read_schema(all_files[0])
-        if columns:
-            sch = pa.schema([sch.field(c) for c in columns])
-        return rd.from_arrow(sch.empty_table())
-    ds = rd.read_parquet(files, columns=columns)
-
-    def residual(t: pa.Table) -> pa.Table:
-        mask = None
-        if lo is not None:
-            mask = pc.greater_equal(t[col], lo)
-        if hi is not None:
-            le = pc.less_equal(t[col], hi)
             mask = le if mask is None else pc.and_(mask, le)
         return t.filter(mask) if mask is not None else t
 

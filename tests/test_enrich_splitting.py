@@ -90,6 +90,79 @@ def test_split_by_pois():
     assert len(pieces) == 2
 
 
+class _UdfRecorder:
+    """Stands in for a Dataset: keeps the UDFs ``split_sidewalks``
+    hands to ``map_batches`` / ``map_groups`` so they can run
+    in-process."""
+
+    def __init__(self):
+        self.udfs = []
+
+    def filter(self, **_):
+        return self
+
+    def union(self, _):
+        return self
+
+    def groupby(self, _):
+        return self
+
+    def map_batches(self, fn, **_):
+        self.udfs.append(fn)
+        return self
+
+    map_groups = map_batches
+
+
+def test_split_udfs_emit_typed_empty_blocks():
+    """A batch or group with no sidewalk pieces comes back as the
+    empty feature table. Ray Data sizes every output block in the
+    worker; an empty pandas frame with object columns makes that log
+    "Error calculating size for column ...", so each empty output is
+    sized here with a handler on the ``ray.data`` logger (it does not
+    propagate, so ``caplog`` cannot see it)."""
+    import logging
+
+    from ray.data.block import BlockAccessor
+
+    from osm_sidewalkreator_ray import cells
+
+    cfg = PipelineConfig()
+    by_length = _UdfRecorder()
+    SP.split_sidewalks(by_length, cfg, method="length")
+    by_poi = _UdfRecorder()
+    SP.split_sidewalks(by_poi, cfg, method="poi", pois=by_poi)
+    split_batch, poi_group = by_length.udfs[-1], by_poi.udfs[-1]
+    cell = int(cells.latlng_to_cell(SYN.ORIGIN_LAT, SYN.ORIGIN_LON,
+                                    cfg.cell_res))
+    no_rows = pd.DataFrame({c: [] for c in SW.FEATURE_COLUMNS})
+    # a cell whose group holds a POI but no sidewalk
+    no_sidewalk = pd.DataFrame({
+        "kind": ["poi"], "h3_cell": [cell], "feature_id": [7],
+        "parent_id": [-1],
+        "geometry_wkb": [wkb.encode_point(SYN.ORIGIN_LON,
+                                          SYN.ORIGIN_LAT)],
+        "length_m": [0.0], "area_m2": [0.0]})
+    records = []
+    handler = logging.Handler()
+    handler.emit = records.append
+    logger = logging.getLogger("ray.data")
+    logger.addHandler(handler)
+    try:
+        outs = [split_batch(no_rows), poi_group(no_sidewalk)]
+        for out in outs:
+            BlockAccessor.for_block(out).size_bytes()
+    finally:
+        logger.removeHandler(handler)
+    assert not [r for r in records
+                if "Error calculating size" in r.getMessage()]
+    for out in outs:
+        acc = BlockAccessor.for_block(out)
+        assert acc.num_rows() == 0
+        assert acc.to_arrow().schema == SP._FEATURE_ARROW
+        assert acc.to_arrow().column_names == SW.FEATURE_COLUMNS
+
+
 @pytest.mark.usefixtures("ray_session")
 class TestEnrichPipelines:
     @pytest.fixture(scope="class")

@@ -339,17 +339,6 @@ class TestNewOpsEmptyInputs:
     """Ray Data can deliver empty datasets/blocks (e.g. downstream of
     a filter); every r4 op must return its typed empty result."""
 
-    def test_windows_empty(self):
-        import ray.data as rd
-        from osm_sidewalkreator_ray.functions.windows import \
-            running_sum, global_rank
-        e = rd.from_pandas(pd.DataFrame(
-            {"k": pd.Series([], dtype="float64"),
-             "v": pd.Series([], dtype="float64")}))
-        assert len(running_sum(e, "k", "v", "cs").to_pandas()) == 0
-        r, n = global_rank(e, ["k"])
-        assert len(r.to_pandas()) == 0 and n == 0
-
     def test_edit_distance_empty(self):
         import ray.data as rd
         from osm_sidewalkreator_ray.pipelines.textops import \
@@ -370,48 +359,6 @@ class TestNewOpsEmptyInputs:
         e = pd.DataFrame({"src": [], "dst": []}).astype("int64")
         assert len(pagerank(e)) == 0
         assert triangle_count(e) == 0
-
-
-@pytest.mark.usefixtures("ray_session")
-class TestWeightedSample:
-    def test_equals_single_process_reference(self):
-        import ray.data as rd
-        from osm_sidewalkreator_ray.functions.sampling import \
-            weighted_sample, es_keys
-        rng = np.random.RandomState(1)
-        df = pd.DataFrame({"id": np.arange(5000),
-                           "w": rng.uniform(0.1, 10, 5000)})
-        got = weighted_sample(rd.from_pandas(df).repartition(13),
-                              "id", "w", n=200)
-        k = es_keys(df["id"].to_numpy(), df["w"].to_numpy(), 42)
-        want = df.iloc[np.lexsort((df["id"].to_numpy(), k))[:200]] \
-            .sort_values("id").reset_index(drop=True)
-        pd.testing.assert_frame_equal(got, want)
-
-    def test_weight_proportional_inclusion(self):
-        # two weight classes 1:9 -> heavy ids ~9x more likely; pool
-        # over seeds for a tight bound
-        import ray.data as rd
-        from osm_sidewalkreator_ray.functions.sampling import \
-            weighted_sample
-        df = pd.DataFrame({"id": np.arange(2000),
-                           "w": np.where(np.arange(2000) < 1000,
-                                         1.0, 9.0)})
-        heavy = 0
-        for seed in range(5):
-            s = weighted_sample(rd.from_pandas(df), "id", "w",
-                                n=100, seed=seed)
-            heavy += (s["id"] >= 1000).sum()
-        assert heavy / 500 > 0.8  # expected ~0.9
-
-    def test_zero_and_negative_weights_excluded(self):
-        import ray.data as rd
-        from osm_sidewalkreator_ray.functions.sampling import \
-            weighted_sample
-        df = pd.DataFrame({"id": [1, 2, 3, 4],
-                           "w": [0.0, -5.0, np.nan, 2.0]})
-        s = weighted_sample(rd.from_pandas(df), "id", "w", n=4)
-        assert s["id"].tolist() == [4]
 
 
 @pytest.mark.usefixtures("ray_session")
@@ -531,50 +478,6 @@ def test_distance_join_dense_cluster_exact():
     # every pair is within d=5 of each other in a 0.5-side box
     assert len(got) == 300 * 300
     assert not got.duplicated(["aid", "bid"]).any()
-
-
-@pytest.mark.usefixtures("ray_session")
-class TestWeightedSampleBy:
-    def test_equals_single_process_reference(self):
-        import ray.data as rd
-        from osm_sidewalkreator_ray.functions.sampling import (
-            es_keys, weighted_sample_by)
-        rng = np.random.RandomState(3)
-        df = pd.DataFrame({"id": np.arange(3000),
-                           "g": rng.randint(0, 7, 3000),
-                           "w": rng.uniform(0.1, 10, 3000)})
-        got = weighted_sample_by(rd.from_pandas(df).repartition(11),
-                                 "g", "id", "w", n=20)
-        k = es_keys(df["id"].to_numpy(), df["w"].to_numpy(), 42)
-        ref = df.assign(__es=k).sort_values(["__es", "id"],
-                                            kind="mergesort")
-        want = (ref.groupby("g", sort=False).head(20)
-                .drop(columns="__es").sort_values(["g", "id"])
-                .reset_index(drop=True))
-        pd.testing.assert_frame_equal(got, want)
-
-    def test_group_counts_capped(self):
-        import ray.data as rd
-        from osm_sidewalkreator_ray.functions.sampling import \
-            weighted_sample_by
-        df = pd.DataFrame({"id": np.arange(100),
-                           "g": np.where(np.arange(100) < 95, 0, 1),
-                           "w": np.ones(100)})
-        got = weighted_sample_by(rd.from_pandas(df), "g", "id", "w",
-                                 n=10)
-        counts = got.groupby("g").size()
-        assert counts[0] == 10 and counts[1] == 5
-
-    def test_zero_weights_excluded_per_group(self):
-        import ray.data as rd
-        from osm_sidewalkreator_ray.functions.sampling import \
-            weighted_sample_by
-        df = pd.DataFrame({"id": [1, 2, 3, 4],
-                           "g": [0, 0, 1, 1],
-                           "w": [0.0, 1.0, np.nan, 3.0]})
-        got = weighted_sample_by(rd.from_pandas(df), "g", "id", "w",
-                                 n=5)
-        assert got["id"].tolist() == [2, 4]
 
 
 @pytest.mark.usefixtures("ray_session")

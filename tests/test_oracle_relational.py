@@ -667,74 +667,6 @@ class TestRound4TextOps:
         assert (df["seq_id"].to_numpy() == starts // 512).all()
 
 
-@pytest.mark.usefixtures("ray_session")
-class TestGlobalWindows:
-    """Global-order (no PARTITION BY) window functions vs DuckDB."""
-
-    def test_orders_cumulative_revenue(self, con):
-        # SUM() OVER (ORDER BY o_orderkey) through running_sum; prices
-        # in integer cents keep every prefix sum exact on both sides
-        import ray.data as rd
-        from osm_sidewalkreator_ray.functions.windows import running_sum
-        orders = rd.read_parquet(f"{SF}/orders.parquet",
-                                 columns=["o_orderkey", "o_totalprice"])
-        cents = orders.map_batches(
-            lambda b: pd.DataFrame({
-                "o_orderkey": b["o_orderkey"].astype("int64"),
-                "cents": (b["o_totalprice"] * 100).round()}),
-            batch_format="pandas")
-        got = running_sum(cents, "o_orderkey", "cents", "cum_cents",
-                          bucket_width=64.0).to_pandas()
-        check(got, """
-            SELECT o_orderkey, ROUND(o_totalprice * 100) AS cents,
-                   SUM(ROUND(o_totalprice * 100))
-                     OVER (ORDER BY o_orderkey) AS cum_cents
-            FROM orders""", con)
-
-    def test_customer_balance_ntile(self, con):
-        # global NTILE(4) from global_rank's distributed prefix rank;
-        # c_custkey breaks balance ties so the order is total
-        import ray.data as rd
-        from osm_sidewalkreator_ray.functions.windows import (
-            global_rank, ntile_of_rank)
-        cust = rd.read_parquet(f"{SF}/customer.parquet",
-                               columns=["c_custkey", "c_acctbal"])
-        ranked, n = global_rank(cust, ["c_acctbal", "c_custkey"],
-                                out_col="rank", bucket_width=500.0)
-        df = ranked.to_pandas()
-        got = pd.DataFrame({
-            "c_custkey": df["c_custkey"].astype("int64"),
-            "tile": ntile_of_rank(df["rank"].to_numpy(), n, 4)})
-        check(got, """
-            SELECT c_custkey,
-                   CAST(NTILE(4) OVER (ORDER BY c_acctbal, c_custkey)
-                        AS BIGINT) AS tile
-            FROM customer""", con)
-
-    def test_ntile_of_rank_sql_semantics(self):
-        # exact NTILE: first n%k tiles get ceil(n/k); also k >= n
-        from osm_sidewalkreator_ray.functions.windows import ntile_of_rank
-        c2 = duckdb.connect()
-        for n, k in [(10, 4), (12, 5), (7, 7), (3, 5), (1, 4), (8, 1)]:
-            want = c2.sql(
-                f"SELECT NTILE({k}) OVER (ORDER BY i) AS t "
-                f"FROM range({n}) AS r(i) ORDER BY i").df()["t"]
-            got = ntile_of_rank(np.arange(1, n + 1), n, k)
-            assert got.tolist() == want.tolist(), (n, k)
-
-    def test_running_sum_negative_keys_and_gaps(self, con):
-        # bucket ids from negative/gapped order keys still fold in
-        # key order (floor division keeps order for negatives)
-        import ray.data as rd
-        from osm_sidewalkreator_ray.functions.windows import running_sum
-        df = pd.DataFrame({"k": [-130.0, -5.0, 0.0, 3.0, 640.0, 641.0],
-                           "v": [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]})
-        out = running_sum(rd.from_pandas(df), "k", "v", "cs",
-                          bucket_width=64.0).to_pandas() \
-            .sort_values("k").reset_index(drop=True)
-        assert out["cs"].tolist() == [1.0, 3.0, 6.0, 10.0, 15.0, 21.0]
-
-
 def test_no_shadowed_module_constants():
     """Guard: a later module-level SQL constant must not silently
     shadow an earlier one (events_daily_rollup's oracle was once
@@ -956,31 +888,6 @@ class TestEditDistanceJoin:
 
 
 @pytest.mark.usefixtures("ray_session")
-class TestQuantileEdgesWindows:
-    def test_skewed_running_sum_balanced_and_exact(self):
-        # lognormal keys: fixed-width buckets put ~everything in one
-        # bucket; quantile edges rebalance, result stays exact
-        import ray.data as rd
-        from osm_sidewalkreator_ray.functions.windows import \
-            running_sum, quantile_bucket_edges
-        rng = np.random.RandomState(2)
-        k = np.exp(rng.normal(0, 2, size=5000))
-        df = pd.DataFrame({"k": k, "v": np.ones(5000)})
-        ds = rd.from_pandas(df)
-        edges = quantile_bucket_edges(ds, "k", n_edges=31)
-        assert len(edges) > 8
-        out = running_sum(ds, "k", "v", "cs", bucket_edges=edges,
-                          tie_cols=None).to_pandas() \
-            .sort_values("k").reset_index(drop=True)
-        want = np.arange(1, 5001, dtype=float)
-        assert np.allclose(out["cs"].to_numpy(), want)
-        # balance: occupancy of the busiest bucket well under n/4
-        occ = np.bincount(np.searchsorted(edges, np.sort(k),
-                                          side="right"))
-        assert occ.max() < 1250
-
-
-@pytest.mark.usefixtures("ray_session")
 class TestIntervalOverlapJoin:
     def _check(self, a, b):
         import ray.data as rd
@@ -1020,53 +927,6 @@ class TestIntervalOverlapJoin:
                           "bhi": lo2 + rng.uniform(0, 8, 120),
                           "bid": range(120)})
         self._check(a, b)
-
-
-@pytest.mark.usefixtures("ray_session")
-class TestRunningAgg:
-    def test_running_max_matches_duckdb(self, con):
-        # record-to-date daily revenue: MAX() OVER (ORDER BY day)
-        import ray.data as rd
-        from osm_sidewalkreator_ray.functions.windows import running_agg
-        from osm_sidewalkreator_ray.functions.aggregates import \
-            grouped_agg
-        ds = rd.read_parquet(f"{SF}/orders.parquet",
-                             columns=["o_orderdate", "o_totalprice"])
-        ds = ds.map_batches(
-            lambda b: pd.DataFrame({
-                "day": (b["o_orderdate"].astype("int64")
-                        // 86_400_000_000).astype("int64"),
-                "o_totalprice": b["o_totalprice"]}),
-            batch_format="pandas")
-        daily = grouped_agg(ds, ["day"],
-                            {"rev": ("o_totalprice", "sum")})
-        daily = daily.map_batches(
-            lambda b: b.assign(rev=b["rev"].round(2)),
-            batch_format="pandas")
-        got = running_agg(daily, "day", "rev", "peak", op="max",
-                          bucket_width=64.0).to_pandas() \
-            .sort_values("day").reset_index(drop=True)
-        want = con.sql("""
-            WITH d AS (
-              SELECT CAST(floor(epoch(o_orderdate)/86400) AS BIGINT)
-                       AS day,
-                     ROUND(SUM(o_totalprice), 2) AS rev
-              FROM orders GROUP BY 1)
-            SELECT day, rev, MAX(rev) OVER (ORDER BY day) AS peak
-            FROM d ORDER BY day""").df()
-        assert got["day"].tolist() == want["day"].tolist()
-        assert np.allclose(got["rev"], want["rev"], atol=1e-6)
-        assert np.allclose(got["peak"], want["peak"], atol=1e-6)
-
-    def test_running_min_small(self):
-        import ray.data as rd
-        from osm_sidewalkreator_ray.functions.windows import running_agg
-        df = pd.DataFrame({"k": [1.0, 2.0, 3.0, 200.0, 201.0],
-                           "v": [5.0, 7.0, 2.0, 9.0, 1.0]})
-        out = running_agg(rd.from_pandas(df), "k", "v", "m", op="min",
-                          bucket_width=64.0).to_pandas() \
-            .sort_values("k").reset_index(drop=True)
-        assert out["m"].tolist() == [5.0, 5.0, 2.0, 2.0, 1.0]
 
 
 @pytest.mark.usefixtures("ray_session")

@@ -119,42 +119,6 @@ class TestZoneMapPruning:
 
 
 @pytest.mark.usefixtures("ray_session")
-class TestRangePartitionedWrite:
-    def test_write_prune_roundtrip(self, tmp_path):
-        import os
-        import ray.data as rd
-        from osm_sidewalkreator_ray.sources.parquet_tools import (
-            read_range_partitioned, write_range_partitioned)
-        src = "/root/testdata/sf0.001/lineitem.parquet"
-        ds = rd.read_parquet(src)
-        out = str(tmp_path / "ranged")
-        edges = write_range_partitioned(ds, "l_extendedprice", out,
-                                        n_parts=8)
-        assert len(edges) == 7
-        dirs = [d for d in os.listdir(out) if d.startswith("__range=")]
-        assert len(dirs) >= 6  # equi-depth: most partitions populated
-        # full read equals source
-        full = read_range_partitioned(out, "l_extendedprice", edges)
-        assert full.count() == ds.count()
-        # narrow band: prunes directories AND matches a full filter
-        lo, hi = float(edges[2]), float(edges[3])
-        got = (read_range_partitioned(out, "l_extendedprice", edges,
-                                      lo, hi).to_pandas())
-        ref = ds.to_pandas()
-        ref = ref[(ref["l_extendedprice"] >= lo)
-                  & (ref["l_extendedprice"] <= hi)]
-        assert len(got) == len(ref)
-        assert np.isclose(got["l_extendedprice"].sum(),
-                          ref["l_extendedprice"].sum())
-        # out-of-range -> empty but TYPED Dataset (same contract as
-        # read_parquet_pruned; returning None crashed composing callers)
-        empty = read_range_partitioned(out, "l_extendedprice", edges,
-                                       10 ** 9, None)
-        assert empty is not None and empty.count() == 0
-        assert "l_extendedprice" in empty.schema().names
-
-
-@pytest.mark.usefixtures("ray_session")
 class TestVersionedTable:
     def test_append_time_travel_replace(self, tmp_path):
         import ray.data as rd

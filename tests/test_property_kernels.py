@@ -143,21 +143,6 @@ def test_vectorized_dp_equals_scalar_reference(xs, ys):
     assert got.tolist() == want
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.integers(1, 500), st.integers(1, 20))
-def test_ntile_partition_invariants(n, k):
-    from osm_sidewalkreator_ray.functions.windows import ntile_of_rank
-    tiles = ntile_of_rank(np.arange(1, n + 1), n, k)
-    # non-decreasing, 1..min(n,k) all present, sizes differ by <= 1
-    assert (np.diff(tiles) >= 0).all()
-    assert tiles.min() == 1 and tiles.max() == min(n, k)
-    sizes = np.bincount(tiles)[1:]
-    sizes = sizes[sizes > 0]
-    assert sizes.max() - sizes.min() <= 1
-    # larger tiles come first (SQL NTILE places remainders up front)
-    assert (np.diff(sizes) <= 0).all()
-
-
 # ---------------------------------------- hamming / quantile kernels
 
 

@@ -1,11 +1,12 @@
-"""Mergeable sketches: Misra-Gries heavy hitters + merging t-digest."""
+"""Mergeable sketches: Misra-Gries heavy hitters, Count-Min, corpus
+JS divergence and HLL set operations."""
 
 import numpy as np
 import pandas as pd
 import pytest
 
 from osm_sidewalkreator_ray.functions.sketches import (
-    TDigest, _mg_compress, mg_heavy_hitters, tdigest_quantiles)
+    _mg_compress, mg_heavy_hitters)
 
 
 def test_mg_compress_invariants():
@@ -52,61 +53,6 @@ def test_mg_matches_exact_topk_on_documents():
     got = mg_heavy_hitters(ds, "text", k_counters=512, topk=5,
                            split_tokens=True)
     assert list(got["value"]) == list(exact.iloc[:, 0])
-
-
-def test_tdigest_accuracy_and_merge():
-    rng = np.random.RandomState(1)
-    x = rng.lognormal(0, 1, 200_000)
-    d = TDigest.of(x)
-    for q in (0.25, 0.5, 0.75, 0.95, 0.99):
-        est = d.quantile(q)
-        # rank error: where does the estimate land in the true CDF
-        rank = (x <= est).mean()
-        assert abs(rank - q) < 0.01, (q, rank)
-    # mergeability: digest of halves ~= digest of the whole
-    m = TDigest.of(x[:100_000]).merge(TDigest.of(x[100_000:]))
-    for q in (0.5, 0.95):
-        rank = (x <= m.quantile(q)).mean()
-        assert abs(rank - q) < 0.01, (q, rank)
-    # serialization round-trip
-    r = TDigest.from_bytes(m.to_bytes())
-    assert r.quantile(0.5) == m.quantile(0.5)
-
-
-@pytest.mark.usefixtures("ray_session")
-def test_tdigest_dataset_path():
-    import ray.data as rd
-    rng = np.random.RandomState(2)
-    x = rng.standard_normal(50_000)
-    ds = rd.from_pandas(pd.DataFrame({"v": x})).repartition(16)
-    got = tdigest_quantiles(ds, "v")
-    for name, q in (("p25", .25), ("p50", .5), ("p75", .75), ("p95", .95)):
-        est = got[name].iloc[0]
-        rank = (x <= est).mean()
-        assert abs(rank - q) < 0.015, (name, rank)
-
-
-@pytest.mark.usefixtures("ray_session")
-def test_tdigest_grouped():
-    import ray.data as rd
-    from osm_sidewalkreator_ray.functions.sketches import (
-        tdigest_quantiles_by)
-    rng = np.random.RandomState(3)
-    # three groups with different scales
-    parts = []
-    for g, scale in (("a", 1.0), ("b", 10.0), ("c", 100.0)):
-        parts.append(pd.DataFrame({"g": g,
-                                   "v": rng.standard_normal(30_000) * scale}))
-    df = pd.concat(parts, ignore_index=True).sample(
-        frac=1.0, random_state=0).reset_index(drop=True)
-    ds = rd.from_pandas(df).repartition(12)
-    got = tdigest_quantiles_by(ds, "g", "v").set_index("g")
-    for g, scale in (("a", 1.0), ("b", 10.0), ("c", 100.0)):
-        sub = df.loc[df["g"] == g, "v"].to_numpy()
-        for name, q in (("p50", 0.5), ("p95", 0.95)):
-            est = got.loc[g, name]
-            rank = (sub <= est).mean()
-            assert abs(rank - q) < 0.015, (g, name, rank)
 
 
 @pytest.mark.usefixtures("ray_session")
