@@ -61,8 +61,8 @@ def queries() -> dict[str, Callable[[str], Any]]:
         # global HLL rides as the event_type='*' row of the grouped form
         "events_user_count_approx_by_type": R.events_user_count_approx_by_type,
         # text analysis + dedup (training-data operator family)
-        # (doc_token_counts folded: doc_quality's n_tokens column IS the
-        # token count, same SQL semantics)
+        # (doc_quality's n_tokens column is the whitespace token count,
+        # same SQL semantics)
         "doc_quality": T.doc_quality,
         "doc_fingerprint": T.doc_fingerprint,
         "lang_id": T.lang_id,
@@ -81,14 +81,14 @@ def queries() -> dict[str, Callable[[str], Any]]:
         # as the corpus grows); full SQL oracle
         "corpus_split_assign": T.corpus_split_assign,
         "near_dup_components": T.near_dup_components,
-        # simhash_fingerprints folded: near_dups computes and consumes
-        # the fingerprints; the per-doc export is pytest-covered
+        # near_dups computes and consumes the per-doc SimHash
+        # fingerprints; tests check them through a collecting reference
         "simhash_near_dups": T.simhash_near_dups,
         "token_topk": T.token_topk,
         "doc_length_quantiles": T.doc_length_quantiles,
-        # corpus_clean folded per the 50-query cap: its min-token
-        # gate + exact dedup are stages of curate_corpus_full below
-        # (still pytest-oracled standalone and a standing bench query)
+        # corpus_clean is not listed here: its min-token gate + exact
+        # dedup are stages of curate_corpus_full below (it stays a
+        # bench.py query, checked in tests against a DuckDB oracle)
         # full curation incl. fused near-dedup (gate -> contaminated
         # -> duplicate -> near_duplicate -> kept)
         "curate_corpus_full": T.curate_corpus_full,
@@ -183,5 +183,5 @@ def oracle_sql() -> dict[str, str]:
         "ann_topk": V.ANN_TOPK_SQL,
         "knn_join_sample": V.KNN_SQL,
         "embedding_near_dups": V.EMBEDDING_NEAR_DUPS_EXACT_SQL,
-        # simhash_fingerprints / geospatial: rows-only (non-SQL ops)
+        # geospatial: rows-only (non-SQL ops)
     }

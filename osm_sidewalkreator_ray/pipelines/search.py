@@ -301,8 +301,8 @@ LIMIT 10
 def update_inverted_index(new_docs, index_dir: str,
                           num_buckets: int = 32) -> list[int]:
     """INCREMENTAL index maintenance: fold a batch of NEW documents
-    (doc_id, text — ids must not already be indexed; dedup upstream,
-    e.g. ``textops.incremental_exact_dedup``) into an existing
+    (doc_id, text — ids must not already be indexed; dedup
+    upstream) into an existing
     ``build_inverted_index`` directory. Only the term-hash buckets
     that actually receive new postings are rewritten — every other
     partition's files are untouched, so repeated ingests stay

@@ -106,16 +106,17 @@ def run_partitioned(ds, key_cols: list[str], group_fn, out_dir: str,
         # vectorized membership: resume filters the FULL input (at
         # scale, every page row), so a per-row Python hash loop here
         # would dominate the resumed run. MultiIndex.isin is exact
-        # (tuple equality, no hash collisions) and runs in C.
+        # (tuple equality, no hash collisions) and runs in C. The
+        # arrow mask keeps a fully filtered block typed.
         done_index = pd.MultiIndex.from_tuples(sorted(done),
                                                names=key_cols)
 
-        def flt(batch: pd.DataFrame) -> pd.DataFrame:
+        def flt(batch: pa.Table) -> pa.Table:
             keys = pd.MultiIndex.from_arrays(
                 [batch[k].to_numpy() for k in key_cols])
-            return batch[~keys.isin(done_index)]
+            return batch.filter(pa.array(~keys.isin(done_index)))
 
-        ds = ds.map_batches(flt, batch_format="pandas")
+        ds = ds.map_batches(flt, batch_format="pyarrow")
 
     empty_manifest = pd.DataFrame({
         "key": pd.Series([], dtype="str"),

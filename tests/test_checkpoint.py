@@ -166,3 +166,75 @@ def test_checkpointed_pipeline_refuses_skip_shards(tmp_path):
     with _pytest.raises(ValueError, match="skip_shards"):
         PJ.checkpointed_pipeline(None, None, str(tmp_path / "o"),
                                  skip_shards={(1,)})
+
+
+class _MapRecorder:
+    """Stands in for a Dataset: keeps each UDF ``run_partitioned``
+    hands to ``map_batches`` with its batch format, so the resume
+    filter can run in-process; the write stage yields no manifest
+    rows."""
+
+    def __init__(self):
+        self.udfs = []
+
+    def map_batches(self, fn, batch_format="default", **_):
+        self.udfs.append((fn, batch_format))
+        return self
+
+    def groupby(self, _):
+        return self
+
+    def map_groups(self, fn, **_):
+        return self
+
+    def to_pandas(self):
+        return pd.DataFrame({"key": [], "rows": [], "fingerprint": [],
+                             "config_hash": []})
+
+
+def test_resume_filter_emits_typed_empty_blocks(tmp_path):
+    """The resume filter drops the rows of committed partitions. A
+    block whose rows all belong to committed partitions must come back
+    as a typed empty block: Ray Data sizes every output block in the
+    worker, and an empty pandas slice with object columns makes that
+    log "Error calculating size for column ...". The output is sized
+    here with a handler on the ``ray.data`` logger (it does not
+    propagate, so ``caplog`` cannot see it)."""
+    import logging
+
+    import pyarrow as pa
+    from ray.data.block import BlockAccessor
+
+    out = str(tmp_path / "run")
+    os.makedirs(out)
+    CK._append_manifest(out, [{"key": [7, 0], "rows": 2,
+                               "fingerprint": "", "config_hash": ""}])
+    rec = _MapRecorder()
+    CK.run_partitioned(rec, ["h3_cell", "salt"], None, out)
+    (flt, batch_format), = rec.udfs
+
+    def block(cells):
+        t = pa.table({"url": [f"u{i}" for i in range(len(cells))],
+                      "h3_cell": pa.array(cells, pa.int64()),
+                      "salt": pa.array([0] * len(cells), pa.int64())})
+        return t.to_pandas() if batch_format == "pandas" else t
+
+    records = []
+    handler = logging.Handler()
+    handler.emit = records.append
+    logger = logging.getLogger("ray.data")
+    logger.addHandler(handler)
+    try:
+        done = flt(block([7, 7]))
+        BlockAccessor.for_block(done).size_bytes()
+    finally:
+        logger.removeHandler(handler)
+    assert not [r for r in records
+                if "Error calculating size" in r.getMessage()]
+    acc = BlockAccessor.for_block(done)
+    assert acc.num_rows() == 0
+    assert acc.to_arrow().column_names == ["url", "h3_cell", "salt"]
+    # rows of partitions not yet committed pass through
+    kept = BlockAccessor.for_block(flt(block([7, 9, 7]))).to_pandas()
+    assert kept["url"].tolist() == ["u1"]
+    assert kept["h3_cell"].tolist() == [9]

@@ -3,9 +3,20 @@
 Brute-force oracles computed in-process on sf0.001/sf0.01 documents.
 """
 
+import functools
+
 import numpy as np
 import pandas as pd
+import pyarrow as pa
 import pytest
+
+from osm_sidewalkreator_ray.functions.aggregates import _round_half_away
+from osm_sidewalkreator_ray.functions.blocks import coalesce_slim
+from osm_sidewalkreator_ray.functions.joins import hash_partition_join
+from osm_sidewalkreator_ray.functions.pairgen import pairs_sharing_key
+from osm_sidewalkreator_ray.pipelines.textops import (_read_docs,
+                                                      _shingle_batch)
+from text_references import simhash_fingerprints
 
 SF = "/root/testdata/sf0.01"
 SF_SMALL = "/root/testdata/sf0.001"
@@ -33,6 +44,120 @@ def _brute_jaccard_pairs(sf_dir, threshold=0.5, k=3):
         if rows else pd.DataFrame({"doc_a": pd.Series([], dtype="int64"),
                                    "doc_b": pd.Series([], dtype="int64"),
                                    "jaccard": pd.Series([], dtype="float64")})
+
+
+def ngram_jaccard_pairs_fullindex(sf_dir: str, threshold: float = 0.5,
+                                  k: int = 3, coarse_buckets: int = 64):
+    """Reference plan for ``ngram_jaccard_pairs`` — the full inverted
+    shingle index. NOT the default: every doc pair sharing
+    >= 1 shingle becomes a candidate row, so the Zipf head of common
+    shingles makes candidate volume grow with posting-list size
+    squared at corpus scale. Kept because its completely different
+    physical shape (partial shared-counts summed through the join
+    buckets, no verify stage) cross-checks the prefix plan in the
+    identity test.
+
+    Physical plan (all shuffles slim):
+    shingle hashes per doc -> exploded (shingle, doc_id) rows, grouped
+    by ``shingle % coarse_buckets`` (Python-call count O(buckets)) ->
+    per-shingle candidate pairs with PARTIAL shared-shingle counts
+    pre-summed inside the bucket -> pair-keyed groupby sums the
+    partials -> two hash-partition joins attach |A| and |B| ->
+    jaccard = shared / (|A| + |B| - shared), filtered.
+    """
+    j2 = _shared_shingle_counts(sf_dir, k, coarse_buckets)
+
+    def finalize(b: pd.DataFrame) -> pd.DataFrame:
+        shared = b["shared"].to_numpy(dtype=np.float64)
+        union = (b["na"].to_numpy() + b["n_sh"].to_numpy()
+                 - b["shared"].to_numpy())
+        jac = np.divide(shared, union, out=np.zeros_like(shared),
+                        where=union > 0)
+        keep = jac >= threshold
+        return pd.DataFrame({
+            "doc_a": b["doc_a"].to_numpy()[keep].astype(np.int64),
+            "doc_b": b["doc_id"].to_numpy()[keep].astype(np.int64),
+            "jaccard": _round_half_away(jac[keep])})
+
+    df = j2.map_batches(finalize, batch_format="pandas").to_pandas()
+    if df.empty:
+        return pd.DataFrame({"doc_a": pd.Series([], dtype="int64"),
+                             "doc_b": pd.Series([], dtype="int64"),
+                             "jaccard": pd.Series([], dtype="float64")})
+    return df.sort_values(["doc_a", "doc_b"]).reset_index(drop=True)
+
+
+def _shared_shingle_counts(sf_dir: str, k: int, coarse_buckets: int):
+    """Candidate machinery of ``ngram_jaccard_pairs_fullindex``: a
+    Dataset with one row per doc pair sharing >= 1 shingle, columns
+    (doc_a, na, shared, doc_id = doc_b, n_sh = nb)."""
+    ds = _read_docs(sf_dir, ["doc_id", "text"])
+    sh = coalesce_slim(ds.map_batches(
+        functools.partial(_shingle_batch, k=k),
+        batch_format="pyarrow", zero_copy_batch=True,
+        batch_size=1024).materialize())
+
+    def explode(b: pd.DataFrame) -> pd.DataFrame:
+        ids, hashes = [], []
+        for d, blob in zip(b["doc_id"], b["shingles"]):
+            v = np.frombuffer(blob, dtype=np.uint64)
+            hashes.append(v)
+            ids.append(np.full(len(v), d, dtype=np.int64))
+        if not ids:
+            return pd.DataFrame({"cb": pd.Series([], dtype="int64"),
+                                 "sh": pd.Series([], dtype="int64"),
+                                 "doc_id": pd.Series([], dtype="int64")})
+        h = np.concatenate(hashes)
+        return pd.DataFrame({
+            "cb": (h % np.uint64(coarse_buckets)).astype(np.int64),
+            "sh": h.view(np.int64),
+            "doc_id": np.concatenate(ids)})
+
+    def bucket_pairs(g: pd.DataFrame) -> pd.DataFrame:
+        a, b = pairs_sharing_key(g["sh"].to_numpy(),
+                                 g["doc_id"].to_numpy())
+        if len(a) == 0:
+            return pd.DataFrame({"doc_a": pd.Series([], dtype="int64"),
+                                 "doc_b": pd.Series([], dtype="int64"),
+                                 "shared": pd.Series([], dtype="int64")})
+        df = pd.DataFrame({"doc_a": a, "doc_b": b})
+        # pre-sum inside the bucket: one slim row per pair leaves it
+        out = df.groupby(["doc_a", "doc_b"], as_index=False).size()
+        return out.rename(columns={"size": "shared"})
+
+    partial = (sh.map_batches(explode, batch_format="pandas")
+               .groupby("cb").map_groups(bucket_pairs,
+                                         batch_format="pandas"))
+
+    sizes = sh.map_batches(
+        lambda b: pa.table({
+            "doc_id": pa.array(b["doc_id"].to_numpy(), pa.int64()),
+            "n_sh": pa.array(b["n_sh"].to_numpy(), pa.int64())}),
+        batch_format="pandas")
+
+    def sum_shared(df: pd.DataFrame) -> pd.DataFrame:
+        return df.groupby(["doc_id", "doc_b"], as_index=False).agg(
+            shared=("shared", "sum"), n_sh=("n_sh", "first"))
+
+    left_a = partial.map_batches(
+        lambda b: pa.table({
+            "doc_id": pa.array(b["doc_a"].to_numpy(), pa.int64()),
+            "doc_b": pa.array(b["doc_b"].to_numpy(), pa.int64()),
+            "shared": pa.array(b["shared"].to_numpy(), pa.int64())}),
+        batch_format="pandas")
+    # copies of a pair share doc_a -> the cross-bucket partial-count
+    # sum rides the first join's bucket (same trick as minhash dedup)
+    j1 = hash_partition_join(left_a, sizes, on="doc_id", num_buckets=32,
+                             group_fn=sum_shared)
+    left_b = j1.map_batches(
+        lambda b: pa.table({
+            "doc_a": pa.array(b["doc_id"].to_numpy().astype(np.int64)),
+            "na": pa.array(b["n_sh"].to_numpy().astype(np.int64)),
+            "shared": pa.array(b["shared"].to_numpy().astype(np.int64)),
+            "doc_id": pa.array(b["doc_b"].to_numpy().astype(np.int64))}),
+        batch_format="pandas")
+    return hash_partition_join(left_b, sizes, on="doc_id",
+                               num_buckets=32)
 
 
 @pytest.mark.usefixtures("ray_session")
@@ -102,7 +227,7 @@ class TestConnectedComponents:
         """ppjoin-style prefix filtering is LOSSLESS: identical pair
         set + jaccards as the full inverted-index exact variant."""
         from osm_sidewalkreator_ray.pipelines import textops as T
-        full = T.ngram_jaccard_pairs_fullindex(SF).reset_index(drop=True)
+        full = ngram_jaccard_pairs_fullindex(SF).reset_index(drop=True)
         pref = T.ngram_jaccard_pairs(SF).reset_index(drop=True)
         pd.testing.assert_frame_equal(pref, full)
 
@@ -189,13 +314,14 @@ class TestSimhashNearDups:
         hamming<=3 pair set (pigeonhole recall guarantee, 4x16-bit
         bands)."""
         import numpy as np
+        from osm_sidewalkreator_ray.functions.hamming import popcount64
         from osm_sidewalkreator_ray.pipelines import textops as T
         got = T.simhash_near_dups(SF, max_hamming=3)
-        fp = T.simhash_fingerprints(SF)
+        fp = simhash_fingerprints(SF)
         sims = fp["simhash"].to_numpy().view(np.uint64)
         ids = fp["doc_id"].to_numpy()
         x = sims[:, None] ^ sims[None, :]
-        ham = T._popcount64(x)
+        ham = popcount64(x)
         iu = np.triu_indices(len(ids), 1)
         want = {(int(min(ids[i], ids[j])), int(max(ids[i], ids[j])),
                  int(ham[i, j]))
@@ -230,21 +356,20 @@ class TestSimhashEdgeCases:
         doc's token range (reduceat boundary clamp regression)."""
         import pyarrow as pa
         import pyarrow.parquet as pq
-        from osm_sidewalkreator_ray.pipelines import textops as T
         d = tmp_path / "sf"
         d.mkdir()
         pq.write_table(pa.table({
             "doc_id": pa.array([0, 1], pa.int64()),
             "text": pa.array(["hello world foo", ""], pa.string())}),
             str(d / "documents.parquet"))
-        got = T.simhash_fingerprints(str(d))
+        got = simhash_fingerprints(str(d))
         d2 = tmp_path / "sf2"
         d2.mkdir()
         pq.write_table(pa.table({
             "doc_id": pa.array([0], pa.int64()),
             "text": pa.array(["hello world foo"], pa.string())}),
             str(d2 / "documents.parquet"))
-        alone = T.simhash_fingerprints(str(d2))
+        alone = simhash_fingerprints(str(d2))
         assert got.loc[got["doc_id"] == 0, "simhash"].iloc[0] == \
             alone["simhash"].iloc[0]
         assert got.loc[got["doc_id"] == 1, "simhash"].iloc[0] == 0
@@ -283,67 +408,6 @@ def test_sample_documents():
     assert set(s3["doc_id"]) != set(s1["doc_id"])
 
 
-@pytest.mark.usefixtures("ray_session")
-def test_stratified_sample_matches_duckdb():
-    import duckdb
-    from osm_sidewalkreator_ray.pipelines import textops as T
-    got = T.stratified_sample(SF)  # 20 per lang
-    con = duckdb.connect()
-    con.execute("CREATE VIEW documents AS SELECT * FROM "
-                f"read_parquet('{SF}/documents.parquet')")
-    want = con.execute(T.STRATIFIED_SAMPLE_SQL).df()
-    pd.testing.assert_frame_equal(got, want)
-    assert (got.groupby("lang").size() == 20).all()
-    # deterministic through the distributed partial-top-n path
-    pd.testing.assert_frame_equal(got, T.stratified_sample(SF))
-
-
-@pytest.mark.usefixtures("ray_session")
-def test_grouped_length_quantiles_matches_duckdb():
-    import duckdb
-    from osm_sidewalkreator_ray.pipelines import textops as T
-    got = T.grouped_length_quantiles(SF)
-    con = duckdb.connect()
-    con.execute("CREATE VIEW documents AS SELECT * FROM "
-                f"read_parquet('{SF}/documents.parquet')")
-    want = con.execute(T.GROUPED_LENGTH_QUANTILES_SQL).df()
-    got["n_docs"] = got["n_docs"].astype(want["n_docs"].dtype)
-    pd.testing.assert_frame_equal(got, want)
-
-
-@pytest.mark.usefixtures("ray_session")
-def test_incremental_exact_dedup():
-    """New-batch dedup vs an existing corpus: dups dropped, fresh docs
-    kept, bloom false positives exactly confirmed, result equals the
-    naive recompute."""
-    import ray.data as rd
-    from osm_sidewalkreator_ray.pipelines.textops import (
-        incremental_exact_dedup)
-
-    existing = pd.DataFrame({
-        "doc_id": np.arange(1000, dtype=np.int64),
-        "text": [f"existing document number {i}" for i in range(1000)]})
-    new = pd.DataFrame({
-        "doc_id": np.arange(5000, 5300, dtype=np.int64),
-        "text": (
-            # 100 exact dups of existing docs
-            [f"existing document number {i}" for i in range(100)]
-            # 180 genuinely new
-            + [f"fresh document {i}" for i in range(180)]
-            # 20 new docs duplicated within the batch (10 distinct)
-            + [f"fresh dup {i % 10}" for i in range(20)])})
-
-    got = incremental_exact_dedup(
-        rd.from_pandas(existing).repartition(4),
-        rd.from_pandas(new).repartition(4))
-    # naive recompute: new texts not in existing, first doc_id per text
-    seen = set(existing["text"])
-    expect = (new[~new["text"].isin(seen)]
-              .sort_values("doc_id").groupby("text", sort=False).head(1))
-    assert set(got["doc_id"]) == set(expect["doc_id"])
-    assert len(got) == 190  # 180 fresh + 10 distinct in-batch
-
-
 class TestStreamingScorerForms:
     """The per-doc scorers' library forms return lazy Datasets a 100 TB
     pipeline can compose; the collecting query wrappers match them."""
@@ -359,7 +423,6 @@ class TestStreamingScorerForms:
             (T.doc_quality_ds(docs), T.doc_quality(SF)),
             (T.doc_fingerprint_ds(docs), T.doc_fingerprint(SF)),
             (T.lang_id_ds(docs), T.lang_id(SF)),
-            (T.doc_token_counts_ds(docs), T.doc_token_counts(SF)),
             (T.exact_dedup_ds(docs), T.exact_dedup(SF)),
             (T.corpus_clean_ds(docs), T.corpus_clean(SF)),
         ]
@@ -600,89 +663,6 @@ class TestWeightedPersonalizedPageRank:
         got = pagerank(edges, iters=10)
         base = self._local([(0, 1), (0, 2), (0, 3)], iters=10)[1]
         assert np.allclose(got["rank"], base, atol=1e-12)
-
-
-@pytest.mark.usefixtures("ray_session")
-class TestIncrementalMinhash:
-    def test_equals_full_run_filtered_to_new(self):
-        """Splitting the corpus into existing/new and running the
-        incremental op must yield EXACTLY the full run's verified
-        pairs restricted to >=1 new side (shared signature + banding
-        kernels; pruning only drops existing-existing candidates)."""
-        import pandas as pd
-        import ray.data as rd
-        from osm_sidewalkreator_ray.pipelines import textops as T
-        full = T.minhash_dedup_pairs(SF)
-        docs = rd.read_parquet(f"{SF}/documents.parquet",
-                               columns=["doc_id", "text"])
-        existing = docs.map_batches(lambda b: b[b["doc_id"] % 5 != 0],
-                                    batch_format="pandas")
-        new = docs.map_batches(lambda b: b[b["doc_id"] % 5 == 0],
-                               batch_format="pandas")
-        inc = T.incremental_minhash_pairs(existing, new)
-        is_new_a = (full["doc_a"] % 5 == 0)
-        is_new_b = (full["doc_b"] % 5 == 0)
-        want = (full[is_new_a | is_new_b]
-                .sort_values(["doc_a", "doc_b"]).reset_index(drop=True))
-        pd.testing.assert_frame_equal(inc, want)
-        # and some existing-existing pairs were actually pruned away
-        assert len(want) < len(full)
-
-    def test_precomputed_signature_passthrough(self):
-        import pandas as pd
-        import ray.data as rd
-        from osm_sidewalkreator_ray.pipelines import textops as T
-        docs = rd.read_parquet(f"{SF}/documents.parquet",
-                               columns=["doc_id", "text"])
-        existing = docs.map_batches(lambda b: b[b["doc_id"] % 5 != 0],
-                                    batch_format="pandas")
-        new = docs.map_batches(lambda b: b[b["doc_id"] % 5 == 0],
-                               batch_format="pandas")
-        import functools
-        sig_ex = existing.map_batches(
-            functools.partial(T._minhash_batch, num_perm=64, k=3, seed=42),
-            batch_format="pandas")
-        via_sigs = T.incremental_minhash_pairs(sig_ex, new)
-        via_text = T.incremental_minhash_pairs(existing, new)
-        pd.testing.assert_frame_equal(via_sigs, via_text)
-
-    def test_signature_scheme_mismatch_raises(self):
-        # stored signatures whose thash marker is not md5, or that
-        # carry no marker at all, must raise, not silently find zero
-        # pairs
-        import functools
-        import pytest as _pt
-        import ray
-        from osm_sidewalkreator_ray.pipelines import textops as T
-        docs = T._read_docs(SF, ["doc_id", "text"])
-        existing = docs.map_batches(lambda b: b[b["doc_id"] % 5 != 0],
-                                    batch_format="pandas")
-        new = docs.map_batches(lambda b: b[b["doc_id"] % 5 == 0],
-                               batch_format="pandas")
-        sigs = existing.map_batches(
-            functools.partial(T._minhash_batch, num_perm=64, k=3,
-                              seed=42),
-            batch_format="pandas")
-        relabelled = sigs.map_batches(lambda b: b.assign(thash="sip"),
-                                      batch_format="pandas")
-        with _pt.raises((ValueError, ray.exceptions.RayTaskError)):
-            T.incremental_minhash_pairs(relabelled, new)
-        unmarked = sigs.map_batches(lambda b: b.drop(columns="thash"),
-                                    batch_format="pandas")
-        with _pt.raises(ValueError, match="thash"):
-            T.incremental_minhash_pairs(unmarked, new)
-
-    def test_disjoint_batches_no_pairs(self):
-        import pandas as pd
-        import ray.data as rd
-        from osm_sidewalkreator_ray.pipelines import textops as T
-        existing = rd.from_pandas(pd.DataFrame(
-            {"doc_id": [1, 2], "text": ["alpha beta gamma delta epsilon",
-                                        "one two three four five six"]}))
-        new = rd.from_pandas(pd.DataFrame(
-            {"doc_id": [10], "text": ["totally different words here now"]}))
-        out = T.incremental_minhash_pairs(existing, new)
-        assert out.empty
 
 
 class TestKCore:

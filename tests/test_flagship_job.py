@@ -48,8 +48,8 @@ def test_curate_job_partitions_and_counts(tmp_path, capsys):
     assert dict(disk) == m["by_status"]
 
     # matches the collecting oracle form
-    from osm_sidewalkreator_ray.pipelines import textops as T
-    want = T.curate_corpus(sf)
+    from text_references import curate_corpus
+    want = curate_corpus(sf)
     got = (tbl.to_pandas().sort_values("doc_id")
            .reset_index(drop=True))
     assert got["status"].astype(str).tolist() == \

@@ -339,20 +339,6 @@ class TestNewOpsEmptyInputs:
     """Ray Data can deliver empty datasets/blocks (e.g. downstream of
     a filter); every r4 op must return its typed empty result."""
 
-    def test_edit_distance_empty(self):
-        import ray.data as rd
-        from osm_sidewalkreator_ray.pipelines.textops import \
-            edit_distance_join_ds
-        e = rd.from_pandas(pd.DataFrame(
-            {"doc_id": pd.Series([], dtype="int64"),
-             "s": pd.Series([], dtype="object")}))
-        out = edit_distance_join_ds(e)
-        # Dataset-level schema is the contract (Ray's to_pandas drops
-        # columns from any empty dataset — same quirk _collect_small
-        # documents)
-        assert out.schema().names == ["doc_a", "doc_b", "dist"]
-        assert out.count() == 0
-
     def test_graph_ops_empty(self):
         from osm_sidewalkreator_ray.functions.graph import \
             pagerank, triangle_count

@@ -114,35 +114,6 @@ def test_resize_bilinear_range_and_identity(h, w, oh, ow):
     np.testing.assert_array_equal(resize_bilinear(img, h, w), img)
 
 
-def _dp_reference(a: bytes, b: bytes) -> int:
-    # textbook Wagner-Fischer, scalar, byte-level
-    m, n = len(a), len(b)
-    prev = list(range(n + 1))
-    for i in range(1, m + 1):
-        cur = [i] + [0] * n
-        for j in range(1, n + 1):
-            cur[j] = min(prev[j] + 1, cur[j - 1] + 1,
-                         prev[j - 1] + (a[i - 1] != b[j - 1]))
-        prev = cur
-    return prev[n]
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.lists(st.text(alphabet="abcdé 🙂", min_size=0, max_size=12),
-                min_size=1, max_size=8),
-       st.lists(st.text(alphabet="abcdé 🙂", min_size=0, max_size=12),
-                min_size=1, max_size=8))
-def test_vectorized_dp_equals_scalar_reference(xs, ys):
-    from osm_sidewalkreator_ray.pipelines.textops import _edit_distances
-    k = min(len(xs), len(ys))
-    sa = np.array(xs[:k], dtype=object)
-    sb = np.array(ys[:k], dtype=object)
-    got = _edit_distances(sa, sb)
-    want = [_dp_reference(x.encode("utf-8"), y.encode("utf-8"))
-            for x, y in zip(sa, sb)]
-    assert got.tolist() == want
-
-
 # ---------------------------------------- hamming / quantile kernels
 
 

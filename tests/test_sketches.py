@@ -108,65 +108,6 @@ class TestCountMin:
 
 
 @pytest.mark.usefixtures("ray_session")
-class TestCorpusJSDivergence:
-    @staticmethod
-    def _ref_js(df, a, b):
-        import numpy as np
-
-        def dist(side):
-            vc = (df.loc[df["lang"] == side, "text"].str.split()
-                  .explode().dropna().value_counts())
-            return vc / vc.sum()
-
-        p, q = dist(a), dist(b)
-        vocab = p.index.union(q.index)
-        pv = p.reindex(vocab, fill_value=0.0).to_numpy()
-        qv = q.reindex(vocab, fill_value=0.0).to_numpy()
-        m = 0.5 * (pv + qv)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            js = (0.5 * np.where(pv > 0, pv * np.log2(pv / m), 0)
-                  + 0.5 * np.where(qv > 0, qv * np.log2(qv / m), 0))
-        return float(js.sum())
-
-    def test_matches_local_reference(self):
-        import pyarrow.parquet as pq
-        from osm_sidewalkreator_ray.pipelines.textops import \
-            corpus_js_divergence
-        sf = "/root/testdata/sf0.001"
-        df = pq.read_table(f"{sf}/documents.parquet",
-                           columns=["text", "lang"]).to_pandas()
-        got = corpus_js_divergence(sf)
-        assert np.isclose(got["js_bits"][0],
-                          self._ref_js(df, "en", "es"), atol=1e-6)
-        assert got["tokens_a"][0] == \
-            df.loc[df["lang"] == "en", "text"].str.split().explode() \
-            .dropna().size
-
-    def test_identical_is_zero_disjoint_is_one(self):
-        import ray.data as rd
-        from osm_sidewalkreator_ray.pipelines.textops import \
-            corpus_js_divergence_ds
-        same = pd.DataFrame({
-            "text": ["x y z", "x y"] * 2,
-            "lang": ["en", "en", "es", "es"]})
-        got = corpus_js_divergence_ds(rd.from_pandas(same))
-        assert got["js_bits"][0] == 0.0
-        disj = pd.DataFrame({
-            "text": ["a b c", "d e f"],
-            "lang": ["en", "es"]})
-        got = corpus_js_divergence_ds(rd.from_pandas(disj))
-        assert np.isclose(got["js_bits"][0], 1.0)
-
-    def test_empty_side_raises(self):
-        import ray.data as rd
-        from osm_sidewalkreator_ray.pipelines.textops import \
-            corpus_js_divergence_ds
-        df = pd.DataFrame({"text": ["a b"], "lang": ["en"]})
-        with pytest.raises(ValueError):
-            corpus_js_divergence_ds(rd.from_pandas(df))
-
-
-@pytest.mark.usefixtures("ray_session")
 class TestHLLSetOps:
     def test_union_intersection_estimates(self):
         import ray.data as rd
