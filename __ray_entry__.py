@@ -97,10 +97,9 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "embedding_norms": V.embedding_norms,
         "ann_topk": V.ann_topk,
         "knn_join_sample": V.knn_join_sample,
-        # exact brute-force baseline (block-pair fan-out) — the LSH
-        # scale path (V.embedding_near_dups) is pytest-covered with a
-        # planted-pair recall bound; threshold 0.4 so the check
-        # exercises real pairs (the synthetic corpus has no cos>=0.95)
+        # exact cosine pairs (block-pair fan-out); threshold 0.4 so the
+        # check exercises real pairs (the synthetic corpus has no
+        # cos>=0.95)
         "embedding_near_dups": V.embedding_near_dups_exact,
         # in-context pretraining order (cluster + greedy NN chain);
         # greedy/iterative -> rows-only

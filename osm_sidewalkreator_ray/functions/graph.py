@@ -17,7 +17,6 @@ import functools
 
 import numpy as np
 import pandas as pd
-import pyarrow as pa
 import ray
 import ray.data as rd
 
@@ -422,648 +421,6 @@ def pagerank(edges, damping: float = 0.85, iters: int = 20,
     return df.sort_values("vertex").reset_index(drop=True)
 
 
-def triangle_count(edges, num_buckets: int = 32) -> int:
-    """Exact global triangle count of the UNDIRECTED simple graph
-    spanned by (src, dst) rows (self-loops and parallel/reverse
-    duplicates removed first).
-
-    Plan (degree-ordered wedge join — the MapReduce-classic from Cohen
-    "Graph Twiddling in a MapReduce World", CiSE'09 / Suri-Vassilvitskii
-    WWW'11): orient each edge from its LOWER-(degree, id) endpoint to
-    the higher one, so every vertex's oriented out-degree is
-    O(sqrt(m)) and total wedge volume is O(m^1.5) even on hub-skewed
-    graphs (a raw id orientation would explode a high-degree hub into
-    O(deg²) wedges); group oriented edges by source and emit each
-    out-neighbor pair as a wedge; a wedge (a, b) closes a triangle iff
-    oriented edge (a, b) exists — checked with one bucketed co-group
-    keyed on hash(a)^hash(b) and an EXACT in-bucket two-column merge
-    (no hash-collision overcount). Every shuffle moves slim int pairs."""
-    edges = _to_edge_ds(edges)
-
-    def canon(b: pd.DataFrame) -> pd.DataFrame:
-        s = b["src"].to_numpy(np.int64)
-        d = b["dst"].to_numpy(np.int64)
-        keep = s != d
-        s, d = s[keep], d[keep]
-        lo, hi = np.minimum(s, d), np.maximum(s, d)
-        out = pd.DataFrame({"u": lo, "v": hi}).drop_duplicates()
-        out["bucket"] = (pd.util.hash_array(out["u"].to_numpy())
-                         ^ pd.util.hash_array(out["v"].to_numpy())) \
-            % num_buckets
-        return out
-
-    # distinct undirected edges (exact: per-pair groupby, slim rows)
-    simple = (edges.map_batches(canon, batch_format="pandas")
-              .groupby("bucket").map_groups(
-                  lambda g: g.drop_duplicates(["u", "v"]),
-                  batch_format="pandas").materialize())
-    if simple.count() == 0:
-        return 0
-
-    # degrees (for the orientation), attached to both endpoints via
-    # one bucketed co-group each — vertex-sized slim rows, no driver
-    # collection
-    def em_deg(b: pd.DataFrame) -> pd.DataFrame:
-        v = np.concatenate([b["u"].to_numpy(np.int64),
-                            b["v"].to_numpy(np.int64)])
-        g = pd.DataFrame({"vertex": v}).groupby(
-            "vertex", as_index=False).size()
-        return g.rename(columns={"size": "deg"})
-
-    from .aggregates import grouped_agg
-    degs = grouped_agg(simple.map_batches(em_deg, batch_format="pandas"),
-                       ["vertex"], {"deg": ("deg", "sum")}).materialize()
-
-    def _tagged(ds, key_col, cols, is_deg):
-        def f(b: pd.DataFrame) -> pd.DataFrame:
-            out = b[cols].copy()
-            out["__b"] = (pd.util.hash_array(
-                b[key_col].to_numpy(np.int64)) % num_buckets) \
-                .astype(np.int64)
-            out["__deg_row"] = is_deg
-            return out
-        return ds.map_batches(f, batch_format="pandas")
-
-    def attach(g: pd.DataFrame, key: str, out_name: str) -> pd.DataFrame:
-        d = g.loc[g["__deg_row"], ["vertex", "deg"]].rename(
-            columns={"vertex": key, "deg": out_name})
-        e = g.loc[~g["__deg_row"]].drop(
-            columns=["__b", "__deg_row", "vertex", "deg"],
-            errors="ignore")
-        return e.merge(d, on=key)
-
-    def pad(order):
-        # null-pad AND pin one canonical column order so the two
-        # tagged sides union into a homogeneous Dataset
-        def f(b: pd.DataFrame) -> pd.DataFrame:
-            b = b.copy()
-            for c in order:
-                if c not in b.columns:
-                    b[c] = np.int64(0)
-            return b[order]
-        return f
-
-    ORDER1 = ["u", "v", "vertex", "deg", "__b", "__deg_row"]
-    eu = _tagged(simple.map_batches(
-        lambda b: b[["u", "v"]], batch_format="pandas"), "u",
-        ["u", "v"], False).map_batches(pad(ORDER1),
-                                       batch_format="pandas")
-    du = _tagged(degs, "vertex", ["vertex", "deg"], True).map_batches(
-        pad(ORDER1), batch_format="pandas")
-    with_du = eu.union(du).groupby("__b").map_groups(
-        lambda g: attach(g, "u", "deg_u"), batch_format="pandas")
-
-    ORDER2 = ["u", "v", "deg_u", "vertex", "deg", "__b", "__deg_row"]
-    ev = _tagged(with_du, "v", ["u", "v", "deg_u"], False).map_batches(
-        pad(ORDER2), batch_format="pandas")
-    dv = _tagged(degs, "vertex", ["vertex", "deg"], True).map_batches(
-        pad(ORDER2), batch_format="pandas")
-    with_deg = ev.union(dv).groupby("__b").map_groups(
-        lambda g: attach(g, "v", "deg_v"), batch_format="pandas")
-
-    # orient low-(deg, id) -> high-(deg, id)
-    def orient(b: pd.DataFrame) -> pd.DataFrame:
-        u = b["u"].to_numpy(np.int64)
-        v = b["v"].to_numpy(np.int64)
-        du_ = b["deg_u"].to_numpy(np.int64)
-        dv_ = b["deg_v"].to_numpy(np.int64)
-        fwd = (du_ < dv_) | ((du_ == dv_) & (u < v))
-        return pd.DataFrame({
-            "s": np.where(fwd, u, v), "t": np.where(fwd, v, u),
-            "sb": (pd.util.hash_array(np.where(fwd, u, v))
-                   % num_buckets).astype(np.int64)})
-
-    oriented = with_deg.map_batches(orient,
-                                    batch_format="pandas").materialize()
-
-    def wedges(g: pd.DataFrame) -> pd.DataFrame:
-        outs = []
-        for _, grp in g.groupby("s", sort=False):
-            t = np.sort(grp["t"].to_numpy(np.int64))
-            if len(t) < 2:
-                continue
-            ii, jj = np.triu_indices(len(t), k=1)
-            outs.append(pd.DataFrame({"a": t[ii], "b": t[jj]}))
-        if not outs:
-            return pd.DataFrame({"a": pd.Series([], dtype="int64"),
-                                 "b": pd.Series([], dtype="int64")})
-        return pd.concat(outs, ignore_index=True)
-
-    wedge_ds = oriented.groupby("sb").map_groups(wedges,
-                                                 batch_format="pandas")
-
-    # wedge (a,b) closes iff oriented edge (a,b) OR (b,a) exists; the
-    # orientation is a total order but wedge endpoints are sorted by
-    # ID, so check both directions via an order-insensitive key
-    def tag_pairs(is_edge):
-        def f(b: pd.DataFrame) -> pd.DataFrame:
-            a = b["s" if is_edge else "a"].to_numpy(np.int64)
-            c = b["t" if is_edge else "b"].to_numpy(np.int64)
-            lo, hi = np.minimum(a, c), np.maximum(a, c)
-            return pd.DataFrame({
-                "a": lo, "b": hi,
-                "__b": ((pd.util.hash_array(lo)
-                         ^ pd.util.hash_array(hi)) % num_buckets)
-                .astype(np.int64),
-                "is_edge": np.full(len(b), is_edge)})
-        return f
-
-    both = (wedge_ds.map_batches(tag_pairs(False),
-                                 batch_format="pandas")
-            .union(oriented.map_batches(
-                lambda b: b[["s", "t"]], batch_format="pandas")
-                .map_batches(tag_pairs(True), batch_format="pandas")))
-
-    def close(g: pd.DataFrame) -> pd.DataFrame:
-        w = g.loc[~g["is_edge"], ["a", "b"]]
-        e = g.loc[g["is_edge"], ["a", "b"]].drop_duplicates()
-        n = len(w.merge(e, on=["a", "b"]))
-        return pd.DataFrame({"n": [n]})
-
-    counts = both.groupby("__b").map_groups(close,
-                                            batch_format="pandas")
-    return int(counts.sum("n") or 0)
-
-
-def connected_components_star(edges, num_buckets: int = 32,
-                              max_iters: int = 60) -> pd.DataFrame:
-    """Connected components via alternating LARGE-STAR / SMALL-STAR
-    rounds (Kiveris et al., "Connected Components in MapReduce and
-    Beyond", SoCC'14) — converges in O(log n) rounds regardless of
-    component DIAMETER, the regime where ``connected_components``'s
-    min-label propagation (O(diameter) rounds) deliberately raises
-    (its docstring points here). Same contract: one (vertex,
-    component=min id) row per vertex.
-
-    Per round each phase is ONE bucketed co-group of the undirected
-    edge list keyed by endpoint: large-star links every neighbor
-    GREATER than u to m = min(Γ(u) ∪ {u}); small-star links every
-    neighbor <= u (and u) to m. Both emit slim int pairs; the edge
-    multiset shrinks toward a forest of stars, detected by comparing
-    cheap per-round aggregate moments (count, Σu, Σv, Σu^v) — an
-    exact fixpoint test, no driver-side edge collection."""
-    edges = _to_edge_ds(edges)
-
-    def canon(b: pd.DataFrame) -> pd.DataFrame:
-        s = b["src"].to_numpy(np.int64)
-        d = b["dst"].to_numpy(np.int64)
-        keep = s != d
-        s, d = s[keep], d[keep]
-        return pd.DataFrame({"u": np.minimum(s, d),
-                             "v": np.maximum(s, d)}).drop_duplicates()
-
-    cur = edges.map_batches(canon, batch_format="pandas").materialize()
-    if cur.count() == 0:
-        iso = edges.map_batches(
-            lambda b: pd.DataFrame(
-                {"vertex": np.unique(np.concatenate(
-                    [b["src"].to_numpy(np.int64),
-                     b["dst"].to_numpy(np.int64)]))}),
-            batch_format="pandas")
-        df = iso.to_pandas().drop_duplicates()
-        if df.empty or "vertex" not in df.columns:
-            return pd.DataFrame({"vertex": pd.Series([], dtype="int64"),
-                                 "component": pd.Series([], dtype="int64")})
-        df["component"] = df["vertex"]
-        return df.sort_values("vertex").reset_index(drop=True)
-
-    # isolated-from-the-start vertices only arise from self-loop-only
-    # rows; capture the full vertex set once for the final report
-    all_verts = (edges.map_batches(
-        lambda b: pd.DataFrame(
-            {"vertex": np.unique(np.concatenate(
-                [b["src"].to_numpy(np.int64),
-                 b["dst"].to_numpy(np.int64)]))}),
-        batch_format="pandas")
-        .groupby("vertex").count()
-        .map_batches(lambda b: pd.DataFrame(
-            {"vertex": b["vertex"].to_numpy(np.int64)}),
-            batch_format="pandas").materialize())
-
-    def both_dirs(b: pd.DataFrame) -> pd.DataFrame:
-        u = np.concatenate([b["u"].to_numpy(np.int64),
-                            b["v"].to_numpy(np.int64)])
-        v = np.concatenate([b["v"].to_numpy(np.int64),
-                            b["u"].to_numpy(np.int64)])
-        return pd.DataFrame({
-            "bucket": (pd.util.hash_array(u) % num_buckets)
-            .astype(np.int64), "u": u, "v": v})
-
-    def star(large: bool):
-        def f(g: pd.DataFrame) -> pd.DataFrame:
-            m = g.groupby("u")["v"].min()
-            u = g["u"].to_numpy(np.int64)
-            v = g["v"].to_numpy(np.int64)
-            mu = np.minimum(m.reindex(u).to_numpy(np.int64), u)
-            sel = (v > u) if large else (v <= u)
-            out_u = np.concatenate([v[sel], u[~sel] if large else u])
-            out_m = np.concatenate([mu[sel], mu[~sel] if large else mu])
-            # small-star also links u itself to m (large-star keeps
-            # u's own link implicit via the (v>u, m) edges)
-            keep = out_u != out_m
-            return pd.DataFrame({"u": out_u[keep],
-                                 "v": out_m[keep]}).drop_duplicates()
-        return f
-
-    prev = None
-    converged = False
-    for _ in range(max_iters):
-        for large in (True, False):
-            cur = (cur.map_batches(both_dirs, batch_format="pandas")
-                   .groupby("bucket").map_groups(
-                       star(large), batch_format="pandas")
-                   .map_batches(
-                       lambda b: pd.DataFrame(
-                           {"u": np.maximum(b["u"].to_numpy(np.int64),
-                                            b["v"].to_numpy(np.int64)),
-                            "v": np.minimum(b["u"].to_numpy(np.int64),
-                                            b["v"].to_numpy(np.int64))})
-                       .drop_duplicates(),
-                       batch_format="pandas").materialize())
-        sig = _multiset_sig(cur, ("u", "v"))
-        if sig == prev:
-            converged = True
-            break
-        prev = sig
-    if not converged:
-        raise RuntimeError(
-            f"connected_components_star did not converge in "
-            f"{max_iters} rounds")
-
-    # cur is a forest of stars: (child, root) with child > root
-    stars = cur.map_batches(
-        lambda b: pd.DataFrame({"vertex": b["u"].to_numpy(np.int64),
-                                "component": b["v"].to_numpy(np.int64),
-                                "is_star": np.ones(len(b), dtype=bool)}),
-        batch_format="pandas")
-    vrows = all_verts.map_batches(
-        lambda b: pd.DataFrame({"vertex": b["vertex"].to_numpy(np.int64),
-                                "component": b["vertex"].to_numpy(np.int64),
-                                "is_star": np.zeros(len(b), dtype=bool)}),
-        batch_format="pandas")
-
-    def resolve(g: pd.DataFrame) -> pd.DataFrame:
-        out = g.groupby("vertex", as_index=False)["component"].min()
-        return out
-
-    def tagv(b: pd.DataFrame) -> pd.DataFrame:
-        b = b.copy()
-        b["bucket"] = (pd.util.hash_array(
-            b["vertex"].to_numpy(np.int64)) % num_buckets) \
-            .astype(np.int64)
-        return b
-
-    df = (stars.union(vrows).map_batches(tagv, batch_format="pandas")
-          .groupby("bucket").map_groups(resolve, batch_format="pandas")
-          .to_pandas())
-    return df.sort_values("vertex").reset_index(drop=True)
-
-
-def k_core(edges, k: int, num_buckets: int = 32,
-           max_iters: int = 200) -> pd.DataFrame:
-    """Vertices of the k-core: the maximal subgraph in which every
-    vertex has degree >= k (Seidman, "Network structure and minimum
-    degree", Social Networks 1983) — the standard peeling algorithm
-    (repeatedly delete vertices of degree < k), distributed.
-
-    Physical plan: self-loops dropped, undirected edges materialized
-    in BOTH directions and bucketed by ``hash(src) % num_buckets``,
-    so a vertex's full adjacency (and hence its degree) is local to
-    one bucket. Each peeling round is then ONE bucketed shuffle:
-    a bucket applies incoming tombstones, recounts degrees with a
-    vectorized groupby-size, deletes every low-degree vertex's rows,
-    and emits the REVERSED deleted rows as tombstones addressed to the
-    other endpoint's bucket (the reverse copy is exactly the row that
-    must die there). Converges when a round emits no tombstones;
-    rounds = peeling depth of the graph (small for the shallow
-    near-dup / link graphs this engine feeds it). Multi-edges are
-    deduped up front (bucket-locally: both copies of a directed row
-    share a bucket), matching the simple-graph definition.
-
-    Returns one row per surviving vertex: (vertex int64), sorted.
-    """
-    if k <= 0:
-        raise ValueError("k_core requires k >= 1")
-    edges = _to_edge_ds(edges)
-
-    def undirect(b: pd.DataFrame) -> pd.DataFrame:
-        s = b["src"].to_numpy(np.int64)
-        d = b["dst"].to_numpy(np.int64)
-        m = s != d
-        s, d = s[m], d[m]
-        src = np.concatenate([s, d])
-        dst = np.concatenate([d, s])
-        return pd.DataFrame({
-            "bucket": (pd.util.hash_array(src) % num_buckets)
-            .astype(np.int64),
-            "src": src, "dst": dst,
-            "is_tomb": np.zeros(len(src), dtype=bool)})
-
-    def dedupe(g: pd.DataFrame) -> pd.DataFrame:
-        return g.drop_duplicates(["src", "dst"])
-
-    cur = (edges.map_batches(undirect, batch_format="pandas")
-           .groupby("bucket").map_groups(dedupe, batch_format="pandas")
-           .materialize())
-
-    empty = pd.DataFrame({"vertex": pd.Series([], dtype="int64")})
-    converged = False
-    for _ in range(max_iters):
-        if cur.count() == 0:
-            return empty
-
-        def peel(g: pd.DataFrame) -> pd.DataFrame:
-            e = g.loc[~g["is_tomb"]]
-            t = g.loc[g["is_tomb"]]
-            if len(t):
-                key_e = pd.MultiIndex.from_arrays(
-                    [e["src"].to_numpy(), e["dst"].to_numpy()])
-                key_t = pd.MultiIndex.from_arrays(
-                    [t["src"].to_numpy(), t["dst"].to_numpy()])
-                e = e.loc[~key_e.isin(key_t)]
-            if not len(e):
-                return e.iloc[:0]
-            low = e.groupby("src")["dst"].transform("size") \
-                .to_numpy() < k
-            killed = e.loc[low]
-            e = e.loc[~low]
-            if not len(killed):
-                return e
-            rs = killed["dst"].to_numpy(np.int64)
-            tomb = pd.DataFrame({
-                "bucket": (pd.util.hash_array(rs) % num_buckets)
-                .astype(np.int64),
-                "src": rs, "dst": killed["src"].to_numpy(np.int64),
-                "is_tomb": np.ones(len(killed), dtype=bool)})
-            return pd.concat([e, tomb], ignore_index=True)
-
-        cur = (cur.groupby("bucket")
-               .map_groups(peel, batch_format="pandas").materialize())
-        if cur.count() == 0:
-            return empty
-        n_tomb = cur.map_batches(
-            lambda b: pd.DataFrame({"n": [int(b["is_tomb"].sum())]}),
-            batch_format="pandas").to_pandas()["n"].sum()
-        if n_tomb == 0:
-            converged = True
-            break
-    if not converged:
-        raise RuntimeError(
-            f"k_core did not peel to a fixpoint in {max_iters} rounds "
-            "(peeling depth exceeds max_iters); raise max_iters")
-
-    df = cur.map_batches(
-        lambda b: pd.DataFrame(
-            {"vertex": np.unique(b["src"].to_numpy(np.int64))}),
-        batch_format="pandas").to_pandas()
-    return (pd.DataFrame({"vertex": np.unique(df["vertex"].to_numpy())})
-            if len(df) else empty)
-
-
-_BFS_INF = np.int64(1) << 62
-
-
-def bfs_hops(edges, sources, num_buckets: int = 32,
-             max_iters: int = 60) -> pd.DataFrame:
-    """Multi-source BFS hop distance over an undirected edge Dataset:
-    for every vertex, the minimum number of edges to any vertex in
-    ``sources`` (-1 if unreachable). Same bucketed label-propagation
-    machinery as ``connected_components`` — each round is one slim
-    (vertex, dist) shuffle with the update rule
-    ``dist[v] = min(dist[v], min over neighbors u of dist[u] + 1)``
-    (distributed Bellman-Ford with unit weights; rounds = graph
-    eccentricity of the source set). ``sources`` is a small driver-side
-    collection broadcast into the init closure — the standard
-    small-side broadcast, no shuffle.
-    """
-    edges = _to_edge_ds(edges)
-    src_set = frozenset(int(s) for s in sources)
-    if not src_set:
-        raise ValueError("bfs_hops requires at least one source")
-
-    def undirect(b: pd.DataFrame) -> pd.DataFrame:
-        s = b["src"].to_numpy(np.int64)
-        d = b["dst"].to_numpy(np.int64)
-        src = np.concatenate([s, d])
-        dst = np.concatenate([d, s])
-        return pd.DataFrame({
-            "bucket": (pd.util.hash_array(src) % num_buckets)
-            .astype(np.int64),
-            "src": src, "dst": dst,
-            "label": np.full(len(src), _BFS_INF, dtype=np.int64),
-            "is_edge": np.ones(len(src), dtype=bool)})
-
-    edge_rows = edges.map_batches(undirect,
-                                  batch_format="pandas").materialize()
-    if edge_rows.count() == 0:
-        return pd.DataFrame({"vertex": pd.Series([], dtype="int64"),
-                             "hops": pd.Series([], dtype="int64")})
-
-    src_arr = np.fromiter(src_set, dtype=np.int64)
-
-    def init_labels(b: pd.DataFrame) -> pd.DataFrame:
-        v = np.unique(np.concatenate([b["src"].to_numpy(),
-                                      b["dst"].to_numpy()]))
-        lab = np.where(np.isin(v, src_arr), np.int64(0), _BFS_INF)
-        return pd.DataFrame({"vertex": v, "label": lab})
-
-    def _as_labels(b: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame({
-            "vertex": b["vertex"].to_numpy().astype(np.int64),
-            "label": b["min(label)"].to_numpy().astype(np.int64)})
-
-    labels = (edge_rows.map_batches(init_labels, batch_format="pandas")
-              .groupby("vertex").min("label")
-              .map_batches(_as_labels, batch_format="pandas")
-              .materialize())
-
-    def tag_labels(b: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame({
-            "bucket": (pd.util.hash_array(b["vertex"].to_numpy())
-                       % num_buckets).astype(np.int64),
-            "src": b["vertex"].to_numpy(),
-            "dst": np.full(len(b), -1, dtype=np.int64),
-            "label": b["label"].to_numpy(),
-            "is_edge": np.zeros(len(b), dtype=bool)})
-
-    def relax(g: pd.DataFrame) -> pd.DataFrame:
-        lab = g.loc[~g["is_edge"], ["src", "label"]] \
-            .rename(columns={"src": "vertex"})
-        reach = lab.loc[lab["label"] < _BFS_INF]
-        e = g.loc[g["is_edge"], ["src", "dst"]]
-        prop = e.merge(reach, left_on="src", right_on="vertex")
-        if len(prop):
-            cand = prop.assign(label=prop["label"] + 1) \
-                .groupby("dst", as_index=False)["label"].min() \
-                .rename(columns={"dst": "vertex"})
-            return pd.concat([lab, cand], ignore_index=True)
-        return lab
-
-    prev = None
-    converged = False
-    for _ in range(max_iters):
-        tagged = labels.map_batches(tag_labels, batch_format="pandas")
-        merged = (edge_rows.union(tagged).groupby("bucket")
-                  .map_groups(relax, batch_format="pandas"))
-        labels = _bound_blocks(
-            merged.groupby("vertex").min("label")
-            .map_batches(_as_labels, batch_format="pandas")
-            .materialize(), num_buckets)
-
-        def stat(b: pd.DataFrame) -> pd.DataFrame:
-            lab = b["label"].to_numpy()
-            fin = lab[lab < _BFS_INF]
-            return pd.DataFrame({"n": [len(fin)], "s": [int(fin.sum())]})
-
-        st = labels.map_batches(stat, batch_format="pandas").to_pandas()
-        cur = (int(st["n"].sum()), int(st["s"].sum()))
-        if cur == prev:
-            converged = True
-            break
-        prev = cur
-    if not converged:
-        raise RuntimeError(
-            f"bfs_hops did not converge in {max_iters} rounds "
-            "(source-set eccentricity exceeds max_iters); "
-            "raise max_iters")
-    df = labels.to_pandas()
-    hops = df["label"].to_numpy()
-    df = pd.DataFrame({"vertex": df["vertex"].to_numpy(np.int64),
-                       "hops": np.where(hops >= _BFS_INF, -1, hops)
-                       .astype(np.int64)})
-    return df.sort_values("vertex").reset_index(drop=True)
-
-
-def _walk_choice_hash(walk_id: np.ndarray, step: int,
-                      seed: int) -> np.ndarray:
-    """Deterministic per-(walk, step) uint64 draw — a Knuth mix of the
-    walk id with the step and seed, so the chosen neighbor is a pure
-    function of (walk_id, step, seed): independent of partitioning,
-    arrival order and retries (a re-executed task re-derives the same
-    walk)."""
-    with np.errstate(over="ignore"):
-        x = (walk_id.astype(np.uint64)
-             + np.uint64(step) * np.uint64(0x9E3779B97F4A7C15)
-             + np.uint64(seed) * np.uint64(0xC2B2AE3D27D4EB4F))
-        # full murmur3 fmix64 (the half-finalizer correlated draws
-        # across sequential walk ids)
-        x = (x ^ (x >> np.uint64(33))) * np.uint64(0xFF51AFD7ED558CCD)
-        x = (x ^ (x >> np.uint64(33))) * np.uint64(0xC4CEB9FE1A85EC53)
-        return x ^ (x >> np.uint64(33))
-
-
-def random_walks(edges, walk_len: int = 5, walks_per_vertex: int = 1,
-                 seed: int = 42, num_buckets: int = 32
-                 ) -> pd.DataFrame:
-    """Deterministic uniform random walks over a DIRECTED edge
-    Dataset (the DeepWalk/node2vec corpus-generation step, Perozzi et
-    al. KDD'14): ``walks_per_vertex`` walks start at every distinct
-    source vertex and take up to ``walk_len`` steps; at each step the
-    next vertex is the ``h % out_degree``-th neighbor in canonical
-    (dst-sorted) adjacency order with ``h`` from ``_walk_choice_hash``
-    — reproducible noise, no RNG stream. A walk reaching a vertex
-    with no out-edges terminates.
-
-    Physical plan: adjacency is bucketed ONCE by hash(src) with
-    per-source (offset, degree) computed bucket-locally; each step is
-    one slim (walk_id, cur) shuffle into those buckets where a
-    vectorized merge + fancy-index advances every walker. Rows out:
-    (walk_id, step, vertex) — step 0 is the start vertex.
-    """
-    edges = _to_edge_ds(edges)
-
-    def adj(b: pd.DataFrame) -> pd.DataFrame:
-        s = b["src"].to_numpy(np.int64)
-        d = b["dst"].to_numpy(np.int64)
-        return pd.DataFrame({
-            "bucket": (pd.util.hash_array(s) % num_buckets)
-            .astype(np.int64),
-            "src": s, "dst": d,
-            "walk_id": np.full(len(s), -1, dtype=np.int64),
-            "is_edge": np.ones(len(s), dtype=bool)})
-
-    edge_rows = edges.map_batches(adj,
-                                  batch_format="pandas").materialize()
-    if edge_rows.count() == 0:
-        return pd.DataFrame({"walk_id": pd.Series([], dtype="int64"),
-                             "step": pd.Series([], dtype="int64"),
-                             "vertex": pd.Series([], dtype="int64")})
-
-    def starts(b: pd.DataFrame) -> pd.DataFrame:
-        v = np.unique(b["src"].to_numpy(np.int64))
-        v = np.repeat(v, walks_per_vertex)
-        w = (v * np.int64(walks_per_vertex)
-             + np.tile(np.arange(walks_per_vertex, dtype=np.int64),
-                       len(v) // walks_per_vertex))
-        return pd.DataFrame({"walk_id": w, "vertex": v})
-
-    # distinct sources: per-batch unique + one keyed min dedupe
-    cur = (edges.map_batches(starts, batch_format="pandas")
-           .groupby("walk_id").min("vertex")
-           .map_batches(lambda b: pd.DataFrame({
-               "walk_id": b["walk_id"].to_numpy(np.int64),
-               "vertex": b["min(vertex)"].to_numpy(np.int64)}),
-               batch_format="pandas").materialize())
-
-    trail = [cur]
-    for step in range(1, walk_len + 1):
-        def tag(b: pd.DataFrame) -> pd.DataFrame:
-            return pd.DataFrame({
-                "bucket": (pd.util.hash_array(
-                    b["vertex"].to_numpy(np.int64)) % num_buckets)
-                .astype(np.int64),
-                "src": b["vertex"].to_numpy(np.int64),
-                "dst": np.full(len(b), -1, dtype=np.int64),
-                "walk_id": b["walk_id"].to_numpy(np.int64),
-                "is_edge": np.zeros(len(b), dtype=bool)})
-
-        def advance(g: pd.DataFrame, _step=step) -> pd.DataFrame:
-            e = g.loc[g["is_edge"], ["src", "dst"]] \
-                .sort_values(["src", "dst"], kind="mergesort")
-            w = g.loc[~g["is_edge"], ["walk_id", "src"]]
-            if not len(w) or not len(e):
-                return pd.DataFrame({
-                    "walk_id": pd.Series([], dtype="int64"),
-                    "vertex": pd.Series([], dtype="int64")})
-            srcs = e["src"].to_numpy()
-            starts_ = np.flatnonzero(
-                np.r_[True, srcs[1:] != srcs[:-1]])
-            uniq = srcs[starts_]
-            degs = np.diff(np.r_[starts_, len(srcs)])
-            pos = np.searchsorted(uniq, w["src"].to_numpy())
-            ok = (pos < len(uniq)) & \
-                (uniq[np.minimum(pos, len(uniq) - 1)]
-                 == w["src"].to_numpy())
-            w = w.loc[ok]
-            pos = pos[ok]
-            h = _walk_choice_hash(w["walk_id"].to_numpy(np.int64),
-                                  _step, seed)
-            pick = starts_[pos] + (h % degs[pos].astype(np.uint64)) \
-                .astype(np.int64)
-            return pd.DataFrame({
-                "walk_id": w["walk_id"].to_numpy(np.int64),
-                "vertex": e["dst"].to_numpy()[pick]})
-
-        cur = _bound_blocks(edge_rows.union(
-            cur.map_batches(tag, batch_format="pandas"))
-            .groupby("bucket")
-            .map_groups(lambda g: advance(g.drop(columns="bucket")),
-                        batch_format="pandas").materialize(),
-            num_buckets)
-        if cur.count() == 0:
-            break
-        trail.append(cur)
-
-    frames = []
-    for i, t in enumerate(trail):
-        df = t.to_pandas()
-        df["step"] = np.int64(i)
-        frames.append(df[["walk_id", "step", "vertex"]])
-    out = pd.concat(frames, ignore_index=True)
-    return (out.sort_values(["walk_id", "step"])
-            .reset_index(drop=True))
-
-
 # ------------------------------------- label propagation communities
 #
 # Synchronous LPA (Raghavan et al. 2007, Phys. Rev. E 76): every
@@ -1196,121 +553,6 @@ def label_propagation(edges, iters: int = 5,
         return pd.DataFrame({"vertex": pd.Series([], dtype="int64"),
                              "community": pd.Series([], dtype="int64")})
     return df.sort_values("vertex").reset_index(drop=True)
-
-
-def sssp_weighted(edges, sources, weight_col: str = "w",
-                  num_buckets: int = 32, max_iters: int = 60,
-                  directed: bool = False) -> pd.DataFrame:
-    """Weighted single-source(-set) shortest paths — road-network
-    routing over an edge Dataset (src, dst, w >= 0). Distributed
-    Bellman-Ford with the same bucketed relaxation machinery as
-    ``bfs_hops``: each round is one slim (vertex, dist) shuffle with
-    ``dist[v] = min(dist[v], min_u dist[u] + w(u, v))``; rounds needed
-    = the hop length of the longest shortest path, and convergence is
-    the exact fixpoint (distances only decrease, so the
-    (n_finite, sum) pair is stable iff no relaxation fired).
-    Unreachable vertices return inf.
-    """
-    edges = _to_edge_ds(edges)
-    src_set = frozenset(int(s) for s in sources)
-    if not src_set:
-        raise ValueError("sssp_weighted requires at least one source")
-    inf = np.float64(np.inf)
-
-    def prep(b: pd.DataFrame) -> pd.DataFrame:
-        s = b["src"].to_numpy(np.int64)
-        d = b["dst"].to_numpy(np.int64)
-        w = b[weight_col].to_numpy(np.float64)
-        if np.any(w < 0):
-            raise ValueError("negative edge weights are not supported")
-        if not directed:
-            s, d = np.concatenate([s, d]), np.concatenate([d, s])
-            w = np.concatenate([w, w])
-        return pd.DataFrame({
-            "bucket": (pd.util.hash_array(s) % num_buckets)
-            .astype(np.int64),
-            "src": s, "dst": d, "label": w,
-            "is_edge": np.ones(len(s), dtype=bool)})
-
-    edge_rows = edges.map_batches(prep,
-                                  batch_format="pandas").materialize()
-    if edge_rows.count() == 0:
-        return pd.DataFrame({"vertex": pd.Series([], dtype="int64"),
-                             "dist": pd.Series([], dtype="float64")})
-    src_arr = np.fromiter(src_set, dtype=np.int64)
-
-    def init_labels(b: pd.DataFrame) -> pd.DataFrame:
-        v = np.unique(np.concatenate([b["src"].to_numpy(),
-                                      b["dst"].to_numpy()]))
-        return pd.DataFrame({"vertex": v,
-                             "label": np.where(np.isin(v, src_arr),
-                                               0.0, inf)})
-
-    def _as_labels(b: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame({
-            "vertex": b["vertex"].to_numpy().astype(np.int64),
-            "label": b["min(label)"].to_numpy(np.float64)})
-
-    labels = (edge_rows.map_batches(init_labels, batch_format="pandas")
-              .groupby("vertex").min("label")
-              .map_batches(_as_labels, batch_format="pandas")
-              .materialize())
-
-    def tag_labels(b: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame({
-            "bucket": (pd.util.hash_array(b["vertex"].to_numpy())
-                       % num_buckets).astype(np.int64),
-            "src": b["vertex"].to_numpy(),
-            "dst": np.full(len(b), -1, dtype=np.int64),
-            "label": b["label"].to_numpy(np.float64),
-            "is_edge": np.zeros(len(b), dtype=bool)})
-
-    def relax(g: pd.DataFrame) -> pd.DataFrame:
-        lab = g.loc[~g["is_edge"], ["src", "label"]] \
-            .rename(columns={"src": "vertex"})
-        reach = lab.loc[np.isfinite(lab["label"].to_numpy())]
-        e = g.loc[g["is_edge"], ["src", "dst", "label"]] \
-            .rename(columns={"label": "w"})
-        prop = e.merge(reach, left_on="src", right_on="vertex")
-        if len(prop):
-            cand = (prop.assign(label=prop["label"] + prop["w"])
-                    .groupby("dst", as_index=False)["label"].min()
-                    .rename(columns={"dst": "vertex"}))
-            return pd.concat([lab[["vertex", "label"]], cand],
-                             ignore_index=True)
-        return lab[["vertex", "label"]]
-
-    prev = None
-    converged = False
-    for _ in range(max_iters):
-        tagged = labels.map_batches(tag_labels, batch_format="pandas")
-        merged = (edge_rows.union(tagged).groupby("bucket")
-                  .map_groups(relax, batch_format="pandas"))
-        labels = _bound_blocks(
-            merged.groupby("vertex").min("label")
-            .map_batches(_as_labels, batch_format="pandas")
-            .materialize(), num_buckets)
-
-        def stat(b: pd.DataFrame) -> pd.DataFrame:
-            lab = b["label"].to_numpy(np.float64)
-            fin = lab[np.isfinite(lab)]
-            return pd.DataFrame({"n": [len(fin)], "s": [fin.sum()]})
-
-        st = labels.map_batches(stat, batch_format="pandas").to_pandas()
-        cur = (int(st["n"].sum()), float(st["s"].sum()))
-        if cur == prev:
-            converged = True
-            break
-        prev = cur
-    if not converged:
-        raise RuntimeError(
-            f"sssp_weighted did not converge in {max_iters} rounds "
-            "(longest shortest path exceeds max_iters hops); "
-            "raise max_iters")
-    df = labels.to_pandas()
-    return (pd.DataFrame({"vertex": df["vertex"].to_numpy(np.int64),
-                          "dist": df["label"].to_numpy(np.float64)})
-            .sort_values("vertex").reset_index(drop=True))
 
 
 def coreness(edges, num_buckets: int = 32,
@@ -1462,197 +704,6 @@ def coreness(edges, num_buckets: int = 32,
     return (pd.DataFrame({"vertex": df["vertex"].to_numpy(np.int64),
                           "coreness": df["c"].to_numpy(np.int64)})
             .sort_values("vertex").reset_index(drop=True))
-
-
-def link_prediction(edges, *, exclude_existing: bool = True,
-                    max_degree: int | None = None,
-                    num_buckets: int = 32) -> "rd.Dataset":
-    """Neighborhood link-prediction scores over the undirected simple
-    graph spanned by (src, dst): one row per vertex pair with >= 1
-    common neighbor — ``(u, v, common_neighbors, jaccard,
-    adamic_adar)``, u < v (Liben-Nowell & Kleinberg, CIKM'03;
-    Adamic & Adar, Social Networks 2003).
-
-    Plan: symmetrized adjacency grouped by the CENTER vertex w emits
-    every unordered neighbor pair with partial weights (1 for the
-    count, 1/ln(deg_w) for Adamic-Adar — deg_w is the group size, so
-    no degree shuffle is needed for the center); a slim (u, v)
-    `grouped_agg` folds the partials; full degrees attach to u then v
-    through bucketed co-groups (the `triangle_count` pattern) to
-    finalize Jaccard = cn / (deg_u + deg_v - cn); existing edges are
-    removed with a pair-bucketed anti co-group.
-
-    Skew: a center of degree D emits D*(D-1)/2 pairs — the classic
-    hub blowup. ``max_degree`` drops centers above the cap (their
-    contribution to every score, documented approximation at scale);
-    the default None is exact.
-    """
-    edges = _to_edge_ds(edges)
-
-    def canon(b: pd.DataFrame) -> pd.DataFrame:
-        s = b["src"].to_numpy(np.int64)
-        d = b["dst"].to_numpy(np.int64)
-        keep = s != d
-        s, d = s[keep], d[keep]
-        lo, hi = np.minimum(s, d), np.maximum(s, d)
-        out = pd.DataFrame({"u": lo, "v": hi}).drop_duplicates()
-        out["__b"] = (pd.util.hash_array(out["u"].to_numpy())
-                      ^ pd.util.hash_array(out["v"].to_numpy())) \
-            % num_buckets
-        return out
-
-    simple = (edges.map_batches(canon, batch_format="pandas")
-              .groupby("__b").map_groups(
-                  lambda g: g.drop_duplicates(["u", "v"]),
-                  batch_format="pandas").materialize())
-
-    # symmetrized adjacency keyed (and bucketed) by the center vertex
-    def sym(b: pd.DataFrame) -> pd.DataFrame:
-        u = b["u"].to_numpy(np.int64)
-        v = b["v"].to_numpy(np.int64)
-        w = np.concatenate([u, v])
-        n = np.concatenate([v, u])
-        return pd.DataFrame({
-            "w": w, "n": n,
-            "__b": (pd.util.hash_array(w) % num_buckets)
-            .astype(np.int64)})
-
-    adj = simple.map_batches(sym, batch_format="pandas")
-
-    def wedge_scores(g: pd.DataFrame) -> pd.DataFrame:
-        outs = []
-        for _, grp in g.groupby("w", sort=False):
-            nbrs = np.unique(grp["n"].to_numpy(np.int64))
-            deg_w = len(nbrs)
-            if deg_w < 2 or (max_degree is not None
-                             and deg_w > max_degree):
-                continue
-            ii, jj = np.triu_indices(deg_w, k=1)
-            aa = 1.0 / np.log(deg_w)
-            outs.append(pd.DataFrame({
-                "u": nbrs[ii], "v": nbrs[jj],
-                "cn": np.ones(len(ii), np.int64),
-                "aa": np.full(len(ii), aa)}))
-        if not outs:
-            return pd.DataFrame({"u": pd.Series([], dtype="int64"),
-                                 "v": pd.Series([], dtype="int64"),
-                                 "cn": pd.Series([], dtype="int64"),
-                                 "aa": pd.Series([], dtype="float64")})
-        return pd.concat(outs, ignore_index=True)
-
-    from .aggregates import grouped_agg
-    scored = grouped_agg(
-        adj.groupby("__b").map_groups(wedge_scores,
-                                      batch_format="pandas"),
-        ["u", "v"], {"cn": ("cn", "sum"), "aa": ("aa", "sum")},
-        num_buckets=num_buckets)
-
-    if exclude_existing:
-        def tag(is_edge):
-            def f(b: pd.DataFrame) -> pd.DataFrame:
-                if not len(b):
-                    return pd.DataFrame({
-                        "u": pd.Series([], dtype="int64"),
-                        "v": pd.Series([], dtype="int64"),
-                        "cn": pd.Series([], dtype="int64"),
-                        "aa": pd.Series([], dtype="float64"),
-                        "__e": pd.Series([], dtype=bool),
-                        "__b": pd.Series([], dtype="int64")})
-                out = pd.DataFrame({
-                    "u": b["u"].to_numpy(np.int64),
-                    "v": b["v"].to_numpy(np.int64),
-                    "cn": (b["cn"].to_numpy(np.int64) if not is_edge
-                           else np.zeros(len(b), np.int64)),
-                    "aa": (b["aa"].to_numpy(np.float64) if not is_edge
-                           else np.zeros(len(b))),
-                    "__e": np.full(len(b), is_edge)})
-                out["__b"] = ((pd.util.hash_array(out["u"].to_numpy())
-                               ^ pd.util.hash_array(out["v"].to_numpy()))
-                              % num_buckets).astype(np.int64)
-                return out
-            return f
-
-        def anti(g: pd.DataFrame) -> pd.DataFrame:
-            e = g.loc[g["__e"], ["u", "v"]].drop_duplicates()
-            s = g.loc[~g["__e"]].drop(columns=["__e", "__b"])
-            m = s.merge(e.assign(__hit=True), on=["u", "v"],
-                        how="left")
-            return m.loc[m["__hit"].isna()].drop(columns="__hit")
-
-        scored = (scored.map_batches(tag(False), batch_format="pandas")
-                  .union(simple.map_batches(tag(True),
-                                            batch_format="pandas"))
-                  .groupby("__b").map_groups(anti,
-                                             batch_format="pandas"))
-
-    # full degrees (vertex-sized), attached to u then v by co-group
-    def em_deg(b: pd.DataFrame) -> pd.DataFrame:
-        g = (pd.DataFrame({"vertex": np.concatenate(
-            [b["u"].to_numpy(np.int64), b["v"].to_numpy(np.int64)])})
-            .groupby("vertex", as_index=False).size())
-        return g.rename(columns={"size": "deg"})
-
-    degs = grouped_agg(simple.map_batches(em_deg, batch_format="pandas"),
-                       ["vertex"], {"deg": ("deg", "sum")},
-                       num_buckets=num_buckets).materialize()
-
-    def attach_deg(ds, key: str, out_name: str, carry: list[str]):
-        order = carry + ["vertex", "deg", "__b", "__d"]
-
-        def pad(is_deg):
-            def f(b: pd.DataFrame) -> pd.DataFrame:
-                b = b.copy()
-                for c in order:
-                    if c not in b.columns:
-                        b[c] = 0.0 if c == "aa" else np.int64(0)
-                b["__d"] = is_deg
-                b["__b"] = (pd.util.hash_array(
-                    b[key if not is_deg else "vertex"]
-                    .to_numpy(np.int64)) % num_buckets).astype(np.int64)
-                return b[order]
-            return f
-
-        def attach(g: pd.DataFrame) -> pd.DataFrame:
-            d = g.loc[g["__d"], ["vertex", "deg"]].rename(
-                columns={"vertex": key, "deg": out_name})
-            e = g.loc[~g["__d"], carry]
-            return e.merge(d, on=key)
-
-        return (ds.map_batches(pad(False), batch_format="pandas")
-                .union(degs.map_batches(pad(True),
-                                        batch_format="pandas"))
-                .groupby("__b").map_groups(attach,
-                                           batch_format="pandas"))
-
-    with_du = attach_deg(scored, "u", "deg_u", ["u", "v", "cn", "aa"])
-    with_dv = attach_deg(with_du, "v", "deg_v",
-                         ["u", "v", "cn", "aa", "deg_u"])
-
-    out_schema = pa.schema([("u", pa.int64()), ("v", pa.int64()),
-                            ("common_neighbors", pa.int64()),
-                            ("jaccard", pa.float64()),
-                            ("adamic_adar", pa.float64())])
-
-    def fin(b: pd.DataFrame) -> pa.Table:
-        # NOTE: a legitimately all-empty result (every center capped,
-        # or every candidate an existing edge) yields a ZERO-block
-        # dataset — Ray Data drops empty blocks during execution, so
-        # `.schema()` is None and `.to_pandas()` has no columns.
-        # Callers must treat a 0-row result as schema-less.
-        if not len(b):
-            return out_schema.empty_table()
-        cn = b["cn"].to_numpy(np.float64)
-        du_ = b["deg_u"].to_numpy(np.float64)
-        dv_ = b["deg_v"].to_numpy(np.float64)
-        return pa.Table.from_pydict({
-            "u": b["u"].to_numpy(np.int64),
-            "v": b["v"].to_numpy(np.int64),
-            "common_neighbors": b["cn"].to_numpy(np.int64),
-            "jaccard": cn / (du_ + dv_ - cn),
-            "adamic_adar": b["aa"].to_numpy(np.float64)},
-            schema=out_schema)
-
-    return with_dv.map_batches(fin, batch_format="pandas")
 
 
 def hits(edges, iters: int = 20, num_buckets: int = 32) -> pd.DataFrame:
@@ -2066,7 +1117,6 @@ def greedy_coloring(edges, num_buckets: int = 32,
     adj, vertices = _mis_round_state(simple, num_buckets)
     uncolored = vertices
     colored = None  # Dataset (vertex, color), grown by union
-    from .aggregates import grouped_agg
 
     # neighbor-state rows share one layout:
     #   kind 0 = edge (a, b) / 1 = uncolored prio on b / 2 = color on b
@@ -3149,101 +2199,3 @@ def approx_diameter(edges, *, directed: bool = False, seed: int = 0,
             "eccentricity_estimates": 2}
 
 
-def modularity(edges, labels, num_buckets: int = 32,
-               label_col: str = "label") -> float:
-    """Newman modularity Q of a vertex partition over the UNDIRECTED
-    simple graph spanned by (src, dst) rows (self-loops and duplicate
-    /reverse edges removed first, matching ``triangle_count``'s
-    canonicalization).
-
-    Q = sum_c [ e_c/m - (d_c/(2m))^2 ]  (Newman & Girvan, PRE'04)
-    with e_c = within-community edge count, d_c = community degree
-    sum, m = total edge count — the standard score for a
-    ``label_propagation`` / ``connected_components`` partition.
-
-    Plan: labels attach to both endpoints via the generic partitioned
-    hash join (slim (vertex, label) rows only); per-batch partial
-    (label, e_in, deg) counts fold through ONE small groupby; the
-    final Q is a distributed sum of per-community terms. Driver state
-    is O(1) — no label set or edge set is ever collected, so the score
-    scales to partitions with millions of communities.
-
-    Vertices missing from ``labels`` contribute their incident edges
-    to m but to no community (a left-join would misscore them;
-    instead they are dropped from BOTH e_c and d_c, the convention
-    that keeps Q(sub-partition) comparable across candidate
-    clusterings of the same graph). Isolated labeled vertices add 0.
-    """
-    from .joins import hash_partition_join
-
-    edges = _to_edge_ds(edges)
-    if isinstance(labels, pd.DataFrame):
-        labels = rd.from_pandas(labels[["vertex", label_col]])
-
-    def canon(b: pd.DataFrame) -> pd.DataFrame:
-        s = b["src"].to_numpy(np.int64)
-        d = b["dst"].to_numpy(np.int64)
-        keep = s != d
-        s, d = s[keep], d[keep]
-        lo, hi = np.minimum(s, d), np.maximum(s, d)
-        out = pd.DataFrame({"u": lo, "v": hi}).drop_duplicates()
-        out["__b"] = (pd.util.hash_array(out["u"].to_numpy())
-                      ^ pd.util.hash_array(out["v"].to_numpy())) \
-            % num_buckets
-        return out
-
-    simple = (edges.map_batches(canon, batch_format="pandas")
-              .groupby("__b").map_groups(
-                  lambda g: g.drop_duplicates(["u", "v"])
-                  .drop(columns="__b"),
-                  batch_format="pandas").materialize())
-    m = simple.count()
-    if m == 0:
-        return 0.0
-
-    def lab_rows(b: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame({
-            "vertex": b["vertex"].to_numpy(np.int64),
-            "lab": b[label_col].to_numpy(np.int64)})
-
-    lab_ds = labels.map_batches(lab_rows, batch_format="pandas")
-
-    def key_u(b: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame({"vertex": b["u"].to_numpy(np.int64),
-                             "v": b["v"].to_numpy(np.int64)})
-
-    e1 = hash_partition_join(
-        simple.map_batches(key_u, batch_format="pandas"), lab_ds,
-        on="vertex", num_buckets=num_buckets)
-
-    def key_v(b: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame({"lab_u": b["lab"].to_numpy(np.int64),
-                             "vertex": b["v"].to_numpy(np.int64)})
-
-    e2 = hash_partition_join(
-        e1.map_batches(key_v, batch_format="pandas"), lab_ds,
-        on="vertex", num_buckets=num_buckets)
-
-    def partials(b: pd.DataFrame) -> pd.DataFrame:
-        lu = b["lab_u"].to_numpy(np.int64)
-        lv = b["lab"].to_numpy(np.int64)
-        same = pd.Series(lu[lu == lv]).value_counts()
-        du = pd.Series(lu).value_counts()
-        dv = pd.Series(lv).value_counts()
-        deg = du.add(dv, fill_value=0)
-        out = pd.DataFrame({"lab": deg.index.to_numpy(np.int64),
-                            "deg": deg.to_numpy(np.int64)})
-        out["e_in"] = same.reindex(out["lab"]).fillna(0) \
-            .to_numpy(np.int64)
-        return out
-
-    per_lab = (e2.map_batches(partials, batch_format="pandas")
-               .groupby("lab").sum(["e_in", "deg"]))
-
-    def q_terms(b: pd.DataFrame) -> pd.DataFrame:
-        e_in = b["sum(e_in)"].to_numpy(np.float64)
-        deg = b["sum(deg)"].to_numpy(np.float64)
-        return pd.DataFrame({"q": e_in / m - (deg / (2.0 * m)) ** 2})
-
-    total = per_lab.map_batches(q_terms, batch_format="pandas").sum("q")
-    return float(total if total is not None else 0.0)

@@ -559,237 +559,7 @@ def join(left, right, on: str | list[str], how: str = "inner",
                                n_salts=n_salts)
 
 
-# ------------------------------------------------- interval joins
-#
-# The non-equi joins Ray Data lacks. Plan: grid the value domain into
-# cells of width w; an interval replicates to every cell it overlaps
-# (ceil(len/w)+1 copies). The only shuffle is the bucketed cell
-# co-group; the exact predicate runs in-bucket. Replication factor is
-# interval_length/w: pick w ~ the median interval length (the default
-# does, with one cheap pass over one side only). One degenerate giant
-# interval replicating to thousands of cells is the skew mode to
-# watch; cap it with max_cells_per_interval (raises rather than
-# silently exploding).
-
-
-def _cell_of(values: np.ndarray, w: float) -> np.ndarray:
-    return np.floor(np.asarray(values, dtype=np.float64) / w).astype(np.int64)
-
-
-def interval_overlap_join(left, right, l_lo: str, l_hi: str,
-                          r_lo: str, r_hi: str,
-                          cell_width: float | None = None,
-                          num_buckets: int = 32,
-                          max_cells_per_interval: int = 4096):
-    """Inner join of interval rows on OVERLAP (``l_lo <= r_hi AND
-    r_lo <= l_hi``, closed ends; NULL bounds never match). Column
-    names must be disjoint.
-
-    Gridded plan with the classic ownership trick so a pair
-    overlapping many shared cells is still emitted exactly ONCE and
-    needs no post-dedup: both sides replicate to every cell they
-    touch, and a candidate pair is reported only in the cell
-    containing max(l_lo, r_lo) — the first cell of the overlap, which
-    both intervals provably cover. Default cell width = median RIGHT
-    interval length (one slim pass)."""
-    if cell_width is None:
-        stats = right.map_batches(
-            lambda b: pd.DataFrame(
-                {"len": (b[r_hi] - b[r_lo]).astype(np.float64)}),
-            batch_format="pandas").to_pandas()
-        med = float(stats["len"].median()) if len(stats) else 1.0
-        cell_width = max(med, 1e-9)
-    w = float(cell_width)
-
-    def tag(lo_col, hi_col, side):
-        def f(b: pd.DataFrame) -> pd.DataFrame:
-            b = b[b[lo_col].notna() & b[hi_col].notna()
-                  & (b[lo_col] <= b[hi_col])].copy()
-            c0 = _cell_of(b[lo_col].to_numpy(), w)
-            c1 = _cell_of(b[hi_col].to_numpy(), w)
-            n = c1 - c0 + 1
-            if len(n) and int(n.max()) > max_cells_per_interval:
-                raise ValueError(
-                    f"interval spans {int(n.max())} cells of width "
-                    f"{w}; raise cell_width or max_cells_per_interval")
-            rep = b.iloc[np.repeat(np.arange(len(b)), n)].copy()
-            starts = np.repeat(np.cumsum(n) - n, n)
-            cell = np.repeat(c0, n) + (np.arange(int(n.sum())) - starts)
-            rep["__cell"] = cell
-            rep["__b"] = _stable_bucket(pd.Series(cell), num_buckets)
-            rep["__side"] = np.int8(side)
-            return rep
-        return f
-
-    lcols = [f.name for f in _arrow_schema(left)]
-    rcols = [f.name for f in _arrow_schema(right)]
-
-    def pad(missing):
-        def f(b: pd.DataFrame) -> pd.DataFrame:
-            b = b.copy()
-            for c in missing:
-                b[c] = None
-            return b[lcols + rcols + ["__cell", "__b", "__side"]]
-        return f
-
-    tagged = (left.map_batches(tag(l_lo, l_hi, 0),
-                               batch_format="pandas")
-              .map_batches(pad(rcols), batch_format="pandas")
-              .union(right.map_batches(tag(r_lo, r_hi, 1),
-                                       batch_format="pandas")
-                     .map_batches(pad(lcols), batch_format="pandas")))
-
-    def merge(g: pd.DataFrame) -> pd.DataFrame:
-        a = g.loc[g["__side"] == 0, lcols + ["__cell"]]
-        b = g.loc[g["__side"] == 1, rcols + ["__cell"]]
-        out = a.merge(b, on="__cell")
-        if out.empty:
-            return out.drop(columns="__cell")
-        overlap = ((out[l_lo] <= out[r_hi])
-                   & (out[r_lo] <= out[l_hi]))
-        # ownership: only the cell containing the overlap's start
-        # reports the pair
-        own = _cell_of(np.maximum(out[l_lo].to_numpy(np.float64),
-                                  out[r_lo].to_numpy(np.float64)), w)
-        keep = overlap & (own == out["__cell"].to_numpy(np.int64))
-        return out.loc[keep].drop(columns="__cell")
-
-    return tagged.groupby("__b").map_groups(merge,
-                                            batch_format="pandas")
-
-
-def distance_join(left, right, d: float, l_x: str = "x", l_y: str = "y",
-                  r_x: str = "x2", r_y: str = "y2",
-                  num_buckets: int = 32):
-    """All (left, right) point pairs within EUCLIDEAN distance ``d``
-    (closed; NULL coords never match) — the planar distance-band join
-    (ST_DWithin shape). Column names must be disjoint.
-
-    Grid plan with cell width exactly ``d``: any qualifying pair's
-    cells differ by at most 1 in each axis, so LEFT points sit only in
-    their home cell while RIGHT points replicate to the 3x3 ring —
-    each qualifying pair meets exactly ONCE (in the left point's
-    cell), no post-dedup. The exact d² filter runs in-bucket on the
-    squared distance (no sqrt). Same family as
-    ``interval_overlap_join``; the flagship's kNN stage uses the same
-    ring-1 trick over H3-ish cells (`page_join.py`)."""
-    w = float(d)
-    if w <= 0:
-        raise ValueError("d must be positive")
-
-    lcols = [f.name for f in _arrow_schema(left)]
-    rcols = [f.name for f in _arrow_schema(right)]
-
-    def tag_left(b: pd.DataFrame) -> pd.DataFrame:
-        b = b[b[l_x].notna() & b[l_y].notna()].copy()
-        b["__cx"] = _cell_of(b[l_x].to_numpy(), w)
-        b["__cy"] = _cell_of(b[l_y].to_numpy(), w)
-        b["__side"] = np.int8(0)
-        return b
-
-    def tag_right(b: pd.DataFrame) -> pd.DataFrame:
-        b = b[b[r_x].notna() & b[r_y].notna()]
-        cx = _cell_of(b[r_x].to_numpy(), w)
-        cy = _cell_of(b[r_y].to_numpy(), w)
-        rep = b.iloc[np.repeat(np.arange(len(b)), 9)].copy()
-        off = np.tile(np.arange(-1, 2), 3)
-        rep["__cx"] = np.repeat(cx, 9) + np.tile(
-            np.repeat(np.arange(-1, 2), 3), len(b))
-        rep["__cy"] = np.repeat(cy, 9) + np.tile(off, len(b))
-        rep["__side"] = np.int8(1)
-        return rep
-
-    def pad(missing):
-        def f(b: pd.DataFrame) -> pd.DataFrame:
-            b = b.copy()
-            for c in missing:
-                b[c] = None
-            b["__b"] = ((pd.util.hash_array(
-                b["__cx"].to_numpy(np.int64))
-                ^ pd.util.hash_array(b["__cy"].to_numpy(np.int64)))
-                % num_buckets).astype(np.int64)
-            return b[lcols + rcols
-                     + ["__cx", "__cy", "__b", "__side"]]
-        return f
-
-    tagged = (left.map_batches(tag_left, batch_format="pandas")
-              .map_batches(pad(rcols), batch_format="pandas")
-              .union(right.map_batches(tag_right,
-                                       batch_format="pandas")
-                     .map_batches(pad(lcols), batch_format="pandas")))
-
-    def merge(g: pd.DataFrame) -> pd.DataFrame:
-        a = g.loc[g["__side"] == 0, lcols + ["__cx", "__cy"]]
-        b = g.loc[g["__side"] == 1, rcols + ["__cx", "__cy"]]
-        out = a.merge(b, on=["__cx", "__cy"])
-        if out.empty:
-            return out.drop(columns=["__cx", "__cy"])
-        dx = out[l_x].to_numpy(np.float64) - out[r_x].to_numpy(np.float64)
-        dy = out[l_y].to_numpy(np.float64) - out[r_y].to_numpy(np.float64)
-        keep = dx * dx + dy * dy <= w * w
-        return out.loc[keep].drop(columns=["__cx", "__cy"])
-
-    return tagged.groupby("__b").map_groups(merge,
-                                            batch_format="pandas")
-
-
 _EARTH_R_M = 6371008.8  # IUGG mean Earth radius
-
-
-def _sphere_xyz(lat_deg: np.ndarray, lon_deg: np.ndarray
-                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Unit-sphere Cartesian coords scaled to meters (radius R)."""
-    lat = np.radians(np.asarray(lat_deg, dtype=np.float64))
-    lon = np.radians(np.asarray(lon_deg, dtype=np.float64))
-    cl = np.cos(lat)
-    return (_EARTH_R_M * cl * np.cos(lon),
-            _EARTH_R_M * cl * np.sin(lon),
-            _EARTH_R_M * np.sin(lat))
-
-
-def _home3d(b: pd.DataFrame, lat_col: str, lon_col: str,
-            w: float) -> pd.DataFrame:
-    """Drop NULL-coord rows and attach chord-space coords + HOME cell
-    ids (__x/__y/__z, __cx/__cy/__cz) — the shared first step of every
-    3-D-chord-grid join."""
-    b = b[b[lat_col].notna() & b[lon_col].notna()].copy()
-    x, y, z = _sphere_xyz(b[lat_col].to_numpy(), b[lon_col].to_numpy())
-    b["__x"], b["__y"], b["__z"] = x, y, z
-    b["__cx"] = _cell_of(x, w)
-    b["__cy"] = _cell_of(y, w)
-    b["__cz"] = _cell_of(z, w)
-    return b
-
-
-def _ring27(b: pd.DataFrame) -> pd.DataFrame:
-    """Replicate home-tagged rows to their 3x3x3 cell ring (27 copies;
-    all non-cell columns — including any time column a caller
-    attached — carry through the replication unchanged). One shared
-    definition so the ring geometry of the three geodesic joins can
-    never drift apart."""
-    cx = b["__cx"].to_numpy(np.int64)
-    cy = b["__cy"].to_numpy(np.int64)
-    cz = b["__cz"].to_numpy(np.int64)
-    n = len(b)
-    rep = b.iloc[np.repeat(np.arange(n), 27)].copy()
-    off = np.arange(-1, 2)
-    rep["__cx"] = np.repeat(cx, 27) + np.tile(np.repeat(off, 9), n)
-    rep["__cy"] = np.repeat(cy, 27) + np.tile(
-        np.tile(np.repeat(off, 3), 3), n)
-    rep["__cz"] = np.repeat(cz, 27) + np.tile(np.tile(off, 9), n)
-    return rep
-
-
-def _bucket3d(b: pd.DataFrame, num_buckets: int,
-              time_col: str | None = None) -> np.ndarray:
-    """Bucket id from the (cx, cy, cz[, ct]) cell tuple — the shared
-    shuffle key hash of the chord-grid joins."""
-    h = (pd.util.hash_array(b["__cx"].to_numpy(np.int64))
-         ^ pd.util.hash_array(b["__cy"].to_numpy(np.int64) * 3)
-         ^ pd.util.hash_array(b["__cz"].to_numpy(np.int64) * 7))
-    if time_col is not None:
-        h = h ^ pd.util.hash_array(b[time_col].to_numpy(np.int64) * 13)
-    return (h % num_buckets).astype(np.int64)
 
 
 def haversine_m(lat_a, lon_a, lat_b, lon_b) -> np.ndarray:
@@ -802,311 +572,6 @@ def haversine_m(lat_a, lon_a, lat_b, lon_b) -> np.ndarray:
     a = (np.sin(dlat / 2) ** 2
          + np.cos(la) * np.cos(lb) * np.sin(dlon / 2) ** 2)
     return 2 * _EARTH_R_M * np.arcsin(np.minimum(1.0, np.sqrt(a)))
-
-
-def haversine_distance_join(left, right, d_m: float,
-                            l_lat: str = "lat", l_lon: str = "lon",
-                            r_lat: str = "lat2", r_lon: str = "lon2",
-                            num_buckets: int = 32,
-                            dist_col: str | None = "dist_m"):
-    """All (left, right) point pairs within GREAT-CIRCLE distance
-    ``d_m`` meters (closed; NULL coords never match) — the geodesic
-    ST_DWithin. Column names must be disjoint; lat/lon in degrees.
-
-    A lat/lon grid cannot give the planar join's ring guarantee (a
-    degree of longitude shrinks with latitude, and cells misalign
-    across latitude bands), so the plan grids the 3-D CHORD space
-    instead: points map to Cartesian coords on the sphere, and a
-    great-circle distance d corresponds exactly to chord
-    ``c = 2R sin(d/2R)`` — monotone in d — so "haversine <= d" IS
-    "Euclidean-in-3D <= c". With cell width c, a qualifying pair's
-    cells differ by at most 1 per axis: LEFT points sit in their home
-    (cx, cy, cz) cell, RIGHT points replicate to the 3x3x3 ring (27
-    copies — the 3-D price of pole/antimeridian exactness), and each
-    qualifying pair meets exactly once, no post-dedup. The exact
-    filter runs in-bucket on squared CHORD distance (no trig per
-    candidate); ``dist_col`` (optional) emits true haversine meters
-    for the survivors only."""
-    if not 0 < d_m < np.pi * _EARTH_R_M / 2:
-        raise ValueError("d_m must be in (0, pi*R/2) meters")
-    w = 2.0 * _EARTH_R_M * np.sin(d_m / (2.0 * _EARTH_R_M))  # chord
-    c2 = w * w
-
-    lcols = [f.name for f in _arrow_schema(left)]
-    rcols = [f.name for f in _arrow_schema(right)]
-
-    def tag_left(b: pd.DataFrame) -> pd.DataFrame:
-        b = _home3d(b, l_lat, l_lon, w)
-        b["__side"] = np.int8(0)
-        return b
-
-    def tag_right(b: pd.DataFrame) -> pd.DataFrame:
-        rep = _ring27(_home3d(b, r_lat, r_lon, w))
-        rep["__side"] = np.int8(1)
-        return rep
-
-    aux = ["__x", "__y", "__z", "__cx", "__cy", "__cz"]
-
-    def pad(missing):
-        def f(b: pd.DataFrame) -> pd.DataFrame:
-            b = b.copy()
-            for c in missing:
-                b[c] = None
-            b["__b"] = _bucket3d(b, num_buckets)
-            return b[lcols + rcols + aux + ["__b", "__side"]]
-        return f
-
-    tagged = (left.map_batches(tag_left, batch_format="pandas")
-              .map_batches(pad(rcols), batch_format="pandas")
-              .union(right.map_batches(tag_right, batch_format="pandas")
-                     .map_batches(pad(lcols), batch_format="pandas")))
-
-    la, lo = l_lat, l_lon
-
-    def merge(g: pd.DataFrame) -> pd.DataFrame:
-        a = g.loc[g["__side"] == 0, lcols + aux]
-        b = g.loc[g["__side"] == 1, rcols + aux]
-        out = a.merge(b, on=["__cx", "__cy", "__cz"],
-                      suffixes=("", "__r"))
-        drop = aux + ["__x__r", "__y__r", "__z__r"]
-        if out.empty:
-            out = out.drop(columns=[c for c in drop
-                                    if c in out.columns])
-            if dist_col is not None:
-                out[dist_col] = pd.Series([], dtype=np.float64)
-            return out
-        dx = out["__x"].to_numpy(np.float64) \
-            - out["__x__r"].to_numpy(np.float64)
-        dy = out["__y"].to_numpy(np.float64) \
-            - out["__y__r"].to_numpy(np.float64)
-        dz = out["__z"].to_numpy(np.float64) \
-            - out["__z__r"].to_numpy(np.float64)
-        keep = dx * dx + dy * dy + dz * dz <= c2
-        out = out.loc[keep].drop(columns=drop)
-        if dist_col is not None:
-            out[dist_col] = haversine_m(
-                out[la].to_numpy(np.float64),
-                out[lo].to_numpy(np.float64),
-                out[r_lat].to_numpy(np.float64),
-                out[r_lon].to_numpy(np.float64))
-        return out
-
-    return tagged.groupby("__b").map_groups(merge,
-                                            batch_format="pandas")
-
-
-def haversine_knn_join(left, right, k: int, max_dist_m: float,
-                       l_lat: str = "lat", l_lon: str = "lon",
-                       r_lat: str = "lat2", r_lon: str = "lon2",
-                       num_buckets: int = 32,
-                       dist_col: str = "dist_m",
-                       rank_col: str = "knn_rank"):
-    """For each left point: its ``k`` nearest right points BY
-    GREAT-CIRCLE DISTANCE among those within ``max_dist_m`` (bounded
-    kNN — the radius is what makes the single-shuffle grid plan exact:
-    a true neighbor beyond it is out of contract by definition).
-    Inner semantics: left points with zero right points in range emit
-    nothing. Output adds ``dist_col`` (meters) and ``rank_col``
-    (1 = nearest; ties broken by right-side coordinates, then column
-    order — deterministic).
-
-    Same 3-D chord grid as ``haversine_distance_join`` (left in its
-    home cell, right replicated to the 3x3x3 ring), so EVERY right
-    point within ``max_dist_m`` of a left point shares its bucket and
-    the per-left top-k inside the bucket is globally exact — the
-    generic-API form of the flagship's ring-1 kNN spill
-    (`page_join.py`). Top-k is one vectorized sort + groupby-head per
-    bucket, no per-point loop."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if not 0 < max_dist_m < np.pi * _EARTH_R_M / 2:
-        raise ValueError("max_dist_m must be in (0, pi*R/2) meters")
-    w = 2.0 * _EARTH_R_M * np.sin(max_dist_m / (2.0 * _EARTH_R_M))
-    c2 = w * w
-
-    lcols = [f.name for f in _arrow_schema(left)]
-    rcols = [f.name for f in _arrow_schema(right)]
-
-    def tag_left(b: pd.DataFrame) -> pd.DataFrame:
-        b = _home3d(b, l_lat, l_lon, w)
-        b["__side"] = np.int8(0)
-        return b
-
-    def tag_right(b: pd.DataFrame) -> pd.DataFrame:
-        rep = _ring27(_home3d(b, r_lat, r_lon, w))
-        rep["__side"] = np.int8(1)
-        return rep
-
-    aux = ["__x", "__y", "__z", "__cx", "__cy", "__cz"]
-
-    def pad(missing):
-        def f(b: pd.DataFrame) -> pd.DataFrame:
-            b = b.copy()
-            for c in missing:
-                b[c] = None
-            b["__b"] = _bucket3d(b, num_buckets)
-            return b[lcols + rcols + aux + ["__b", "__side"]]
-        return f
-
-    tagged = (left.map_batches(tag_left, batch_format="pandas")
-              .map_batches(pad(rcols), batch_format="pandas")
-              .union(right.map_batches(tag_right, batch_format="pandas")
-                     .map_batches(pad(lcols), batch_format="pandas")))
-
-    def merge(g: pd.DataFrame) -> pd.DataFrame:
-        a = g.loc[g["__side"] == 0, lcols + aux].reset_index(drop=True)
-        a["__lrow"] = np.arange(len(a), dtype=np.int64)
-        b = g.loc[g["__side"] == 1, rcols + aux]
-        out = a.merge(b, on=["__cx", "__cy", "__cz"],
-                      suffixes=("", "__r"))
-        drop = aux + ["__x__r", "__y__r", "__z__r", "__lrow"]
-        if not out.empty:
-            dx = out["__x"].to_numpy(np.float64) \
-                - out["__x__r"].to_numpy(np.float64)
-            dy = out["__y"].to_numpy(np.float64) \
-                - out["__y__r"].to_numpy(np.float64)
-            dz = out["__z"].to_numpy(np.float64) \
-                - out["__z__r"].to_numpy(np.float64)
-            out["__d2"] = dx * dx + dy * dy + dz * dz
-            out = out.loc[out["__d2"] <= c2]
-        if out.empty:
-            out = out.drop(columns=[c for c in drop + ["__d2"]
-                                    if c in out.columns])
-            out[dist_col] = pd.Series([], dtype=np.float64)
-            out[rank_col] = pd.Series([], dtype=np.int64)
-            return out
-        # deterministic per-left top-k: sort by (left row, chord²,
-        # right coords) then keep the first k of each left row
-        out = out.sort_values(["__lrow", "__d2", r_lat, r_lon],
-                              kind="stable")
-        out[rank_col] = out.groupby("__lrow", sort=False).cumcount() + 1
-        out = out.loc[out[rank_col] <= k]
-        out[dist_col] = haversine_m(
-            out[l_lat].to_numpy(np.float64),
-            out[l_lon].to_numpy(np.float64),
-            out[r_lat].to_numpy(np.float64),
-            out[r_lon].to_numpy(np.float64))
-        return out.drop(columns=drop + ["__d2"])
-
-    return tagged.groupby("__b").map_groups(merge,
-                                            batch_format="pandas")
-
-
-def spacetime_join(left, right, d_m: float, dt_s: float,
-                   l_lat: str = "lat", l_lon: str = "lon",
-                   l_ts: str = "ts",
-                   r_lat: str = "lat2", r_lon: str = "lon2",
-                   r_ts: str = "ts2",
-                   num_buckets: int = 32,
-                   dist_col: str | None = "dist_m",
-                   dt_col: str | None = "dt_s"):
-    """Spatio-temporal co-location join: all (left, right) pairs
-    within GREAT-CIRCLE distance ``d_m`` meters AND ``dt_s`` seconds
-    of each other (both closed; NULLs never match) — the
-    contact-tracing / co-occurrence primitive. Column names disjoint;
-    timestamps must be datetime64-comparable.
-
-    4-axis grid = the haversine join's 3-D chord cells x a time cell
-    of width ``dt_s``. Replication is ASYMMETRIC so each qualifying
-    pair meets exactly once with only 3+27 copies (not 81): LEFT rows
-    replicate along the TIME ring only (home space cell, ct-1/ct/ct+1)
-    while RIGHT rows replicate along the 3x3x3 SPACE ring only (home
-    time cell). A qualifying pair differs by <=1 cell per axis, so it
-    meets at exactly ONE grid point — (left's home space cell, right's
-    home time cell) — and needs no post-dedup. The exact filter runs
-    in-bucket on squared chord + time delta."""
-    if not 0 < d_m < np.pi * _EARTH_R_M / 2:
-        raise ValueError("d_m must be in (0, pi*R/2) meters")
-    if dt_s <= 0:
-        raise ValueError("dt_s must be positive")
-    w = 2.0 * _EARTH_R_M * np.sin(d_m / (2.0 * _EARTH_R_M))
-    c2 = w * w
-    epoch = np.datetime64(0, "us")
-
-    lcols = [f.name for f in _arrow_schema(left)]
-    rcols = [f.name for f in _arrow_schema(right)]
-
-    def _tsec(v: pd.Series) -> np.ndarray:
-        return ((v.to_numpy().astype("datetime64[us]") - epoch)
-                / np.timedelta64(1, "s"))
-
-    def tag_left(b: pd.DataFrame) -> pd.DataFrame:
-        b = _home3d(b[b[l_ts].notna()], l_lat, l_lon, w)
-        b["__t"] = _tsec(b[l_ts])
-        ct = _cell_of(b["__t"].to_numpy(), dt_s)
-        n = len(b)
-        # left rows replicate along the TIME ring only (x3); space
-        # cells stay the home cell
-        rep = b.iloc[np.repeat(np.arange(n), 3)].copy()
-        rep["__ct"] = np.repeat(ct, 3) + np.tile(
-            np.arange(-1, 2), n)
-        rep["__side"] = np.int8(0)
-        return rep
-
-    def tag_right(b: pd.DataFrame) -> pd.DataFrame:
-        b = _home3d(b[b[r_ts].notna()], r_lat, r_lon, w)
-        b["__t"] = _tsec(b[r_ts])
-        b["__ct"] = _cell_of(b["__t"].to_numpy(), dt_s)
-        # right rows replicate along the SPACE ring only (x27); __t and
-        # the home __ct carry through the replication as row columns
-        rep = _ring27(b)
-        rep["__side"] = np.int8(1)
-        return rep
-
-    aux = ["__x", "__y", "__z", "__t", "__cx", "__cy", "__cz", "__ct"]
-    cell_cols = ["__cx", "__cy", "__cz", "__ct"]
-
-    def pad(missing):
-        def f(b: pd.DataFrame) -> pd.DataFrame:
-            b = b.copy()
-            for c in missing:
-                b[c] = None
-            b["__b"] = _bucket3d(b, num_buckets, time_col="__ct")
-            return b[lcols + rcols + aux + ["__b", "__side"]]
-        return f
-
-    tagged = (left.map_batches(tag_left, batch_format="pandas")
-              .map_batches(pad(rcols), batch_format="pandas")
-              .union(right.map_batches(tag_right, batch_format="pandas")
-                     .map_batches(pad(lcols), batch_format="pandas")))
-
-    def merge(g: pd.DataFrame) -> pd.DataFrame:
-        a = g.loc[g["__side"] == 0, lcols + aux]
-        b = g.loc[g["__side"] == 1, rcols + aux]
-        out = a.merge(b, on=cell_cols, suffixes=("", "__r"))
-        drop = aux + ["__x__r", "__y__r", "__z__r", "__t__r"]
-        if out.empty:
-            out = out.drop(columns=[c for c in drop
-                                    if c in out.columns])
-            if dist_col is not None:
-                out[dist_col] = pd.Series([], dtype=np.float64)
-            if dt_col is not None:
-                out[dt_col] = pd.Series([], dtype=np.float64)
-            return out
-        dx = out["__x"].to_numpy(np.float64) \
-            - out["__x__r"].to_numpy(np.float64)
-        dy = out["__y"].to_numpy(np.float64) \
-            - out["__y__r"].to_numpy(np.float64)
-        dz = out["__z"].to_numpy(np.float64) \
-            - out["__z__r"].to_numpy(np.float64)
-        dt = np.abs(out["__t"].to_numpy(np.float64)
-                    - out["__t__r"].to_numpy(np.float64))
-        keep = (dx * dx + dy * dy + dz * dz <= c2) & (dt <= dt_s)
-        out = out.loc[keep]
-        dtk = dt[keep]
-        out = out.drop(columns=drop)
-        if dist_col is not None:
-            out[dist_col] = haversine_m(
-                out[l_lat].to_numpy(np.float64),
-                out[l_lon].to_numpy(np.float64),
-                out[r_lat].to_numpy(np.float64),
-                out[r_lon].to_numpy(np.float64))
-        if dt_col is not None:
-            out[dt_col] = dtk
-        return out
-
-    return tagged.groupby("__b").map_groups(merge,
-                                            batch_format="pandas")
 
 
 def merge_into(base, updates, on: str, delete_col: str | None = None,

@@ -1939,8 +1939,7 @@ def _hashed_features_batch(batch, d: int = 512, bigrams: bool = True,
     weak-label a quality classifier distills. A linear model can
     realize this boundary (the label is a thresholded sum of the
     stopword feature buckets), so trainability is by construction,
-    not luck. Output rows are the (vec_id, embedding, y) shape
-    ``vectors.logreg_fit_ds`` trains on."""
+    not luck. Output rows are (vec_id, embedding, y)."""
     th, ntok, sr = _flat_token_hashes_stop(batch["text"])
     nd = len(ntok)
     rows = np.zeros((nd, d), dtype=np.float64)
@@ -1966,11 +1965,16 @@ def _hashed_features_batch(batch, d: int = 512, bigrams: bool = True,
         "embedding": list(rows), "y": y})
 
 
+# about the most training rows the classifier collects to the driver
+# (a doc_id modulus sample, so the count varies with how the ids
+# spread); above the 5 000 documents of sf0.1, so a corpus of that
+# size trains on every row
+_QC_TRAIN_ROWS = 8192
+
+
 def trained_quality_classifier(sf_dir: str, d: int = 512,
                                iters: int = 400,
-                               lr: float = 5.0, l2: float = 0.0,
-                               sample_mod: int = 1,
-                               distributed_fit: bool = False):
+                               lr: float = 5.0, l2: float = 0.0):
     """Model-based document scoring, fastText-shape (Joulin '16 —
     the CCNet/LLM-corpus quality-filter recipe): hashed bag-of-words
     features -> logistic regression -> streaming per-document
@@ -1983,45 +1987,38 @@ def trained_quality_classifier(sf_dir: str, d: int = 512,
     Scale (the CCNet shape): featurization is one map_batches pass
     (vocab-bounded md5); the feature table is materialized ONCE
     (d doubles per doc, not the text). The TRAINING set is a
-    deterministic hash-sample (``doc_id % sample_mod == 0`` — size
-    it so the sample is driver-collectable; classifiers need
+    deterministic sample (``doc_id % sample_mod == 0``, the modulus
+    worked out from the feature table's row count so that about
+    ``_QC_TRAIN_ROWS`` rows reach the driver; classifiers need
     thousands of examples, not the corpus) fit locally in
     microseconds per epoch, and the CORPUS is scored by one
-    streaming matvec pass against the broadcast weights. Set
-    ``distributed_fit`` to train on the full feature table via
-    ``vectors.logreg_fit_ds`` (O(d) driver state, one slim gradient
-    fold per epoch) when the training set itself must exceed driver
-    memory. Rows-only driver check (iterative training is not
-    SQL-expressible); agreement == 1.0 with the gate it distills is
-    asserted in tests."""
+    streaming matvec pass against the broadcast weights. Rows-only
+    driver check (iterative training is not SQL-expressible);
+    agreement == 1.0 with the gate it distills is asserted in
+    tests."""
     import functools
-    from .vectors import (logreg_fit_ds, logreg_fit_local,
-                          logreg_predict_ds)
+    from .vectors import logreg_fit_local, logreg_predict_ds
     docs = _read_docs(sf_dir, ["doc_id", "text"])
     feats = docs.map_batches(
         functools.partial(_hashed_features_batch, d=d),
         batch_format="pyarrow", zero_copy_batch=True,
         batch_size=2048).materialize()
-    if distributed_fit:
-        fit = logreg_fit_ds(feats, "y", iters=iters, lr=lr, l2=l2)
-        w, b = fit["w"], fit["b"]
-    else:
-        train = feats.map_batches(
-            lambda b: (b[(b["vec_id"].to_numpy(np.int64)
-                          & 0x7FFFFFFF) % sample_mod == 0]
-                       if sample_mod > 1 else b),
-            batch_format="pandas").to_pandas()
-        if train.empty or train["y"].nunique() < 2:
-            raise ValueError(
-                f"training sample is degenerate ({len(train)} rows, "
-                f"{train['y'].nunique() if len(train) else 0} "
-                f"classes) — lower sample_mod={sample_mod} so the "
-                f"hash sample keeps both label classes")
-        m = np.stack(train["embedding"].to_numpy()).astype(np.float64)
-        fit = logreg_fit_local(m, train["y"].to_numpy(np.float64),
-                               iters=iters, lr=lr, l2=l2)
-        w, b = fit["w"], fit["b"]
-    out = logreg_predict_ds(feats, w, b).to_pandas()
+    sample_mod = max(1, -(-feats.count() // _QC_TRAIN_ROWS))
+    train = feats.map_batches(
+        lambda b: (b[(b["vec_id"].to_numpy(np.int64)
+                      & 0x7FFFFFFF) % sample_mod == 0]
+                   if sample_mod > 1 else b),
+        batch_format="pandas").to_pandas()
+    if train.empty or train["y"].nunique() < 2:
+        raise ValueError(
+            f"training sample is degenerate ({len(train)} rows, "
+            f"{train['y'].nunique() if len(train) else 0} classes, "
+            f"doc_id modulus {sample_mod}) — the classifier needs "
+            f"both label classes in its training rows")
+    m = np.stack(train["embedding"].to_numpy()).astype(np.float64)
+    fit = logreg_fit_local(m, train["y"].to_numpy(np.float64),
+                           iters=iters, lr=lr, l2=l2)
+    out = logreg_predict_ds(feats, fit["w"], fit["b"]).to_pandas()
     out = out.rename(columns={"vec_id": "doc_id"})
     # round below float-order jitter so the golden fixture is stable
     # across block layouts

@@ -1,12 +1,14 @@
-"""Multi-resolution tile-pyramid rollup — the map-tile aggregation half
-of the tiling engine (cells.py is the index half).
+"""Map-tile operators — the aggregation half of the tiling engine
+(cells.py is the index half): the multi-resolution tile-pyramid rollup,
+vector tiles (geometry sliced per cell) and raster tiles (density grids
+and their contours).
 
 Reference parity: the reference renders its sidewalk/crossing layers as
 per-neighborhood summaries (osm_sidewalkreator generic_functions
 `get_from_aoi` + per-AOI statistics); a web-scale deployment serves the
 same numbers as a zoom pyramid — every map tile at every zoom carries
-the aggregate of the points inside it. This module computes the WHOLE
-pyramid in ONE shuffle:
+the aggregate of the points inside it. ``tile_pyramid`` computes the
+WHOLE pyramid in ONE shuffle:
 
 1. ``map_batches`` partial: quantize each row to the FINEST cell and
    pre-aggregate in-batch (count/sum/min/max are all algebraic), so
@@ -137,37 +139,9 @@ def tile_pyramid_query(sf_dir: str) -> pd.DataFrame:
               "sum_v", "min_v", "max_v", "mean_v"]])
 
 
-TILE_PYRAMID_SQL = f"""
-WITH pts AS (
-    SELECT ((user_id * 48271) % 18000) / 100.0 - 90.0 AS lat,
-           ((user_id * 69621) % 36000) / 100.0 - 180.0 AS lon,
-           value AS v
-    FROM events
-), fine AS (
-    SELECT CAST(floor((lon + 180.0) / (180.0 / {1 << _PYR_RES})) AS BIGINT) AS ix,
-           CAST(floor((lat + 90.0) / (180.0 / {1 << _PYR_RES})) AS BIGINT) AS iy,
-           v
-    FROM pts
-), lv AS (
-    SELECT unnest(generate_series({_PYR_MIN_RES}, {_PYR_RES})) AS r
-), cells AS (
-    SELECT r, ix >> ({_PYR_RES} - r) AS ix, iy >> ({_PYR_RES} - r) AS iy, v
-    FROM fine, lv
-)
-SELECT CAST(r AS BIGINT) AS res,
-       (CAST(r AS BIGINT) << 58) | (ix << 29) | iy AS cell,
-       ix, iy,
-       count(*) AS n, sum(v) AS sum_v, min(v) AS min_v, max(v) AS max_v,
-       sum(v) / count(*) AS mean_v
-FROM cells
-GROUP BY 1, 2, 3, 4
-ORDER BY res, cell
-"""
-
-
 # --- vector tiles: geometry sliced per cell -----------------------------
 
-MAX_COVER_CELLS = 4096  # per feature; as interval_overlap_join's cap
+MAX_COVER_CELLS = 4096  # tiles one feature's bbox may cover
 
 
 def _check_cover(mnx, mny, mxx, mxy, res: int) -> None:
@@ -490,7 +464,7 @@ def density_contours(tiles_ds, threshold: float):
     4-connectivity). Holes are assigned to the shell that contains
     them. Embarrassingly parallel: each tile's raster is local.
     """
-    from ..geom.core import points_in_ring
+    from ..geom.core import points_in_ring, ring_signed_area
     from ..geom.raster import trace_contours
     from ..geom.wkb import encode_polygon
 
@@ -513,8 +487,9 @@ def density_contours(tiles_ds, threshold: float):
                         polys[j].append(h)
                         break
             for j, rings_j in enumerate(polys):
-                area = (abs(_ring_area(rings_j[0]))
-                        - sum(abs(_ring_area(r)) for r in rings_j[1:]))
+                area = (abs(ring_signed_area(rings_j[0]))
+                        - sum(abs(ring_signed_area(r))
+                              for r in rings_j[1:]))
                 out["cell"].append(int(row.cell))
                 out["poly_idx"].append(j)
                 out["area"].append(area)
@@ -528,615 +503,3 @@ def density_contours(tiles_ds, threshold: float):
 
     return tiles_ds.map_batches(stage, batch_format="pandas",
                                 batch_size=16)
-
-
-def _ring_area(ring: np.ndarray) -> float:
-    from ..geom.core import ring_signed_area
-    return ring_signed_area(ring)
-
-
-# --- zonal statistics: per-polygon aggregation of a point stream --------
-
-def build_zone_index(zones_df: pd.DataFrame, wkb_col: str,
-                     zone_id_col: str, res: int) -> dict:
-    """Cell -> candidate-zone index for a (small) polygon layer.
-
-    Built once on the driver and broadcast via ``ray.put``; candidate
-    lookup is bbox-cover at ``res``, the exact PIP runs streaming in
-    the tasks. For zone layers too large to broadcast, use the sharded
-    index path (`page_join._prepare_index`) instead.
-    """
-    from ..geom.wkb import decode_polygons
-
-    coords, ring_offsets, poly_offsets, part_of = decode_polygons(
-        zones_df[wkb_col].tolist())
-    s = np.asarray(ring_offsets[poly_offsets[:-1]], dtype=np.intp)
-    mnx = np.minimum.reduceat(coords[:, 0], s)
-    mny = np.minimum.reduceat(coords[:, 1], s)
-    mxx = np.maximum.reduceat(coords[:, 0], s)
-    mxy = np.maximum.reduceat(coords[:, 1], s)
-    _check_cover(mnx, mny, mxx, mxy, res)
-    poly_idx, cell = cover_bboxes(mnx, mny, mxx, mxy, res)
-    order = np.argsort(cell, kind="stable")
-    cells_sorted = cell[order]
-    polys_sorted = poly_idx[order]
-    uq, starts = np.unique(cells_sorted, return_index=True)
-    by_cell = {int(c): polys_sorted[starts[i]:
-                                    (starts[i + 1] if i + 1 < len(starts)
-                                     else len(polys_sorted))]
-               for i, c in enumerate(uq)}
-    return {"by_cell": by_cell, "coords": coords,
-            "ring_offsets": np.asarray(ring_offsets),
-            "poly_offsets": np.asarray(poly_offsets),
-            "zone_ids": zones_df[zone_id_col].to_numpy()[part_of]}
-
-
-def zonal_stats(points_ds, zones_df: pd.DataFrame, lat_col: str,
-                lon_col: str, res: int = 10,
-                zone_id_col: str = "zone_id", wkb_col: str = "wkb",
-                value_col: str | None = None, batch_size: int = 65536,
-                num_buckets: int = 32):
-    """Per-zone aggregates of a streaming point table (raster-free
-    zonal statistics). The zone layer is broadcast ONCE (`ray.put`);
-    points never shuffle — each batch quantizes to cells, PIP-tests
-    only the zones whose bbox covers that cell, and emits slim
-    (zone, n, sum/min/max) partials into the standard bucketed
-    combine. A point inside k overlapping zones counts in each.
-    """
-    import ray
-
-    from ..geom.core import points_in_polygon
-
-    index_ref = ray.put(build_zone_index(zones_df, wkb_col,
-                                         zone_id_col, res))
-    use_value = value_col is not None
-    cols = ["zone_id", "n"] + (["sum_v", "min_v", "max_v"]
-                               if use_value else [])
-
-    def _empty() -> pd.DataFrame:
-        p = pd.DataFrame({c: pd.Series(dtype=np.float64)
-                          for c in cols})
-        p["zone_id"] = p["zone_id"].astype(object)
-        p["n"] = p["n"].astype(np.int64)
-        p[_BUCKET] = pd.Series(dtype=np.int64)
-        return p
-
-    def partial(batch: pd.DataFrame) -> pd.DataFrame:
-        if len(batch) == 0:
-            return _empty()
-        idx = ray.get(index_ref)  # plasma-cached per worker
-        lat = batch[lat_col].to_numpy(np.float64)
-        lon = batch[lon_col].to_numpy(np.float64)
-        w = (batch[value_col].to_numpy(np.float64) if use_value
-             else None)
-        cell = latlng_to_cell(lat, lon, res)
-        order = np.argsort(cell, kind="stable")
-        cs = cell[order]
-        uq, starts = np.unique(cs, return_index=True)
-        starts = np.append(starts, len(cs))
-        zid_out, n_out, s_out, mn_out, mx_out = [], [], [], [], []
-        po = idx["poly_offsets"]
-        for i, c in enumerate(uq):
-            cands = idx["by_cell"].get(int(c))
-            if cands is None:
-                continue
-            rows = order[starts[i]:starts[i + 1]]
-            px, py = lon[rows], lat[rows]
-            for z in cands:
-                hit = points_in_polygon(px, py, idx["coords"],
-                                        idx["ring_offsets"],
-                                        int(po[z]), int(po[z + 1]))
-                k = int(hit.sum())
-                if not k:
-                    continue
-                zid_out.append(idx["zone_ids"][z])
-                n_out.append(k)
-                if use_value:
-                    wv = w[rows[hit]]
-                    s_out.append(wv.sum())
-                    mn_out.append(wv.min())
-                    mx_out.append(wv.max())
-        if not zid_out:
-            return _empty()
-        p = pd.DataFrame({"zone_id": zid_out,
-                          "n": np.asarray(n_out, dtype=np.int64)})
-        if use_value:
-            p["sum_v"] = s_out
-            p["min_v"] = mn_out
-            p["max_v"] = mx_out
-        h = pd.util.hash_array(p["zone_id"].to_numpy())
-        p[_BUCKET] = (h % num_buckets).astype(np.int64)
-        return p
-
-    def combine(bucket: pd.DataFrame) -> pd.DataFrame:
-        g = bucket.groupby("zone_id", sort=False)
-        agg = {"n": g["n"].sum()}
-        if use_value:
-            agg.update(sum_v=g["sum_v"].sum(), min_v=g["min_v"].min(),
-                       max_v=g["max_v"].max())
-        out = pd.DataFrame(agg).reset_index()
-        if use_value:
-            out["mean_v"] = out["sum_v"] / out["n"]
-        return out
-
-    partials = points_ds.map_batches(partial, batch_format="pandas",
-                                     batch_size=batch_size)
-    return partials.groupby(_BUCKET).map_groups(combine,
-                                                batch_format="pandas")
-
-
-# --- origin-destination tile flows ---------------------------------------
-
-_OD_RES = 7
-
-
-def events_od_matrix(sf_dir: str, res: int = _OD_RES):
-    """Tile-to-tile flow matrix: per-user consecutive event transitions
-    counted between the cells of the two event locations (the OD
-    aggregation a mobility tile service serves).
-
-    Event locations derive deterministically from event_id (same
-    int64-only recipe as the pyramid oracle). Plan: one user-hash
-    bucket shuffle, ONE sorted vectorized pandas pass per bucket
-    (consecutive-pair shift, no per-user Python), slim
-    (cell_from, cell_to, n) partials folded by grouped_agg.
-    """
-    import ray.data as rd
-
-    from ..functions.aggregates import grouped_agg
-    from .relational import _bucket_by_user
-
-    ds = _bucket_by_user(rd.read_parquet(
-        f"{sf_dir}/events.parquet",
-        columns=["user_id", "ts", "event_id"]))
-
-    def pairs(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["user_id", "ts", "event_id"],
-                          kind="mergesort").reset_index(drop=True)
-        uid = g["user_id"].to_numpy(np.int64)
-        eid = g["event_id"].to_numpy(np.int64)
-        lat = ((eid * 48271) % 18000) / 100.0 - 90.0
-        lon = ((eid * 69621) % 36000) / 100.0 - 180.0
-        cell = latlng_to_cell(lat, lon, res)
-        same = uid[:-1] == uid[1:]
-        df = pd.DataFrame({"cell_from": cell[:-1][same],
-                           "cell_to": cell[1:][same]})
-        return (df.groupby(["cell_from", "cell_to"], sort=False)
-                .size().reset_index(name="n"))
-
-    part = (ds.groupby("__ubucket")
-            .map_groups(lambda g: pairs(g.drop(columns="__ubucket")),
-                        batch_format="pandas"))
-    out = grouped_agg(part, ["cell_from", "cell_to"],
-                      {"n": ("n", "sum")}).to_pandas()
-    out["n"] = out["n"].astype(np.int64)
-    return (out.sort_values(["cell_from", "cell_to"])
-            .reset_index(drop=True))
-
-
-EVENTS_OD_MATRIX_SQL = f"""
-WITH pts AS (
-  SELECT user_id, ts, event_id,
-         CAST(floor(((((event_id * 69621) % 36000) / 100.0 - 180.0)
-              + 180.0) / (180.0 / {1 << _OD_RES})) AS BIGINT) AS ix,
-         CAST(floor(((((event_id * 48271) % 18000) / 100.0 - 90.0)
-              + 90.0) / (180.0 / {1 << _OD_RES})) AS BIGINT) AS iy
-  FROM events
-), w AS (
-  SELECT (CAST({_OD_RES} AS BIGINT) << 58) | (ix << 29) | iy
-             AS cell_from,
-         LEAD((CAST({_OD_RES} AS BIGINT) << 58) | (ix << 29) | iy)
-             OVER u AS cell_to
-  FROM pts
-  WINDOW u AS (PARTITION BY user_id ORDER BY ts, event_id)
-)
-SELECT cell_from, cell_to, COUNT(*) AS n
-FROM w WHERE cell_to IS NOT NULL
-GROUP BY cell_from, cell_to
-ORDER BY cell_from, cell_to
-"""
-
-
-# --- spatial autocorrelation over tile aggregates ------------------------
-
-def _tile_neighbor_sums(cells_ds, num_buckets: int = 32):
-    """(cell, x) -> (cell, x, nbr_sum, nbr_cnt) with queen (8-way)
-    adjacency over OBSERVED cells. One exchange: every cell's value
-    replicates to its 8 neighbor ids (pure ix/iy integer shifts, no
-    wraparound), a bucketed combine sums per target, and the original
-    rows ride the SAME exchange (side tag) so the join back costs no
-    second shuffle. Cells whose neighbor doesn't exist contribute
-    nothing there — binary weights on the observed lattice.
-    """
-    def explode(batch: pd.DataFrame) -> pd.DataFrame:
-        if len(batch) == 0:
-            return pd.DataFrame({"cell": pd.Series(dtype=np.int64),
-                                 "x": pd.Series(dtype=np.float64),
-                                 "side": pd.Series(dtype=np.int8),
-                                 _BUCKET: pd.Series(dtype=np.int64)})
-        cell = batch["cell"].to_numpy(np.int64)
-        x = batch["x"].to_numpy(np.float64)
-        res = cell_res(cell)
-        ix, iy = cell_ixy(cell)
-        nx = (np.int64(2) << res)
-        ny = (np.int64(1) << res)
-        frames = [pd.DataFrame({"cell": cell, "x": x,
-                                "side": np.int8(0)})]
-        for dx in (-1, 0, 1):
-            for dy in (-1, 0, 1):
-                if dx == 0 and dy == 0:
-                    continue
-                jx, jy = ix + dx, iy + dy
-                ok = (jx >= 0) & (jx < nx) & (jy >= 0) & (jy < ny)
-                tgt = (res[ok] << 58) | (jx[ok] << 29) | jy[ok]
-                frames.append(pd.DataFrame({"cell": tgt, "x": x[ok],
-                                            "side": np.int8(1)}))
-        out = pd.concat(frames, ignore_index=True)
-        h = pd.util.hash_array(out["cell"].to_numpy())
-        out[_BUCKET] = (h % num_buckets).astype(np.int64)
-        return out
-
-    def combine(bucket: pd.DataFrame) -> pd.DataFrame:
-        own = bucket[bucket["side"] == 0]
-        nbr = (bucket[bucket["side"] == 1]
-               .groupby("cell")["x"].agg(nbr_sum="sum", nbr_cnt="size"))
-        out = pd.DataFrame({
-            "cell": own["cell"].to_numpy(),
-            "x": own["x"].to_numpy()}).join(nbr, on="cell")
-        out["nbr_sum"] = out["nbr_sum"].fillna(0.0)
-        out["nbr_cnt"] = (out["nbr_cnt"].fillna(0)
-                          .astype(np.int64))
-        return out
-
-    return (cells_ds.map_batches(explode, batch_format="pandas")
-            .groupby(_BUCKET)
-            .map_groups(combine, batch_format="pandas"))
-
-
-def morans_i(cells_ds) -> pd.DataFrame:
-    """Global Moran's I of value ``x`` over a (cell, x) tile table with
-    queen adjacency (binary weights, observed cells only). Returns one
-    row (i, w, n_cells). All reductions are algebraic — two streaming
-    aggregates plus the single neighbor exchange."""
-    enriched = _tile_neighbor_sums(cells_ds)
-
-    def partial(b: pd.DataFrame) -> pd.DataFrame:
-        x = b["x"].to_numpy(np.float64)
-        return pd.DataFrame({
-            "n": [len(b)], "sx": [x.sum()], "sxx": [(x * x).sum()],
-            "w": [b["nbr_cnt"].to_numpy(np.int64).sum()],
-            "sxnb": [(x * b["nbr_sum"].to_numpy(np.float64)).sum()],
-            "sxnc": [(x * b["nbr_cnt"].to_numpy(np.float64)).sum()],
-            "snb": [b["nbr_sum"].to_numpy(np.float64).sum()],
-            "snc": [b["nbr_cnt"].to_numpy(np.float64).sum()]})
-
-    agg = (enriched.map_batches(partial, batch_format="pandas")
-           .to_pandas().sum())
-    n, w = float(agg["n"]), float(agg["w"])
-    if n < 2 or w == 0:
-        return pd.DataFrame({"i": [np.nan], "w": [w], "n_cells": [n]})
-    mean = agg["sx"] / n
-    # sum_i (x_i - m)(nbr_sum_i - cnt_i m)
-    num = (agg["sxnb"] - mean * agg["sxnc"] - mean * agg["snb"]
-           + mean * mean * agg["snc"])
-    den = agg["sxx"] - n * mean * mean
-    return pd.DataFrame({"i": [(n / w) * num / den], "w": [w],
-                         "n_cells": [int(n)]})
-
-
-def getis_gi_star(cells_ds) -> "object":
-    """Per-cell Getis-Ord Gi* hotspot z-score (star = self included)
-    over a (cell, x) tile table, queen adjacency on observed cells.
-    Returns a Dataset (cell, x, gi_star)."""
-    enriched = _tile_neighbor_sums(cells_ds)
-
-    def moments(b: pd.DataFrame) -> pd.DataFrame:
-        x = b["x"].to_numpy(np.float64)
-        return pd.DataFrame({"n": [len(b)], "sx": [x.sum()],
-                             "sxx": [(x * x).sum()]})
-
-    m = enriched.map_batches(moments, batch_format="pandas").to_pandas()
-    m = m.sum()
-    n = float(m["n"])
-    mean = m["sx"] / n
-    s = np.sqrt(m["sxx"] / n - mean * mean)
-
-    def score(b: pd.DataFrame) -> pd.DataFrame:
-        x = b["x"].to_numpy(np.float64)
-        wsum = b["nbr_sum"].to_numpy(np.float64) + x   # star: + self
-        wi = b["nbr_cnt"].to_numpy(np.float64) + 1.0
-        denom = s * np.sqrt((n * wi - wi * wi) / (n - 1.0))
-        return pd.DataFrame({"cell": b["cell"].to_numpy(np.int64),
-                             "x": x,
-                             "gi_star": (wsum - mean * wi) / denom})
-
-    return enriched.map_batches(score, batch_format="pandas")
-
-
-_MORAN_RES = 4
-
-
-def events_cells_ds(sf_dir: str, res: int = _MORAN_RES):
-    """(cell, x=count) tile table of deterministic EVENT-level points
-    (event_id-derived, like events_od_matrix — one location per event,
-    dense enough at res 4 for a connected adjacency lattice)."""
-    import ray.data as rd
-
-    def pts(batch: pd.DataFrame) -> pd.DataFrame:
-        eid = batch["event_id"].to_numpy(np.int64)
-        return pd.DataFrame({
-            "lat": ((eid * 48271) % 18000) / 100.0 - 90.0,
-            "lon": ((eid * 69621) % 36000) / 100.0 - 180.0})
-
-    ds = rd.read_parquet(f"{sf_dir}/events.parquet",
-                         columns=["event_id"])
-    pyr = tile_pyramid(ds.map_batches(pts, batch_format="pandas"),
-                       "lat", "lon", res=res, min_res=res)
-    return pyr.map_batches(
-        lambda b: pd.DataFrame({"cell": b["cell"].to_numpy(np.int64),
-                                "x": b["n"].to_numpy(np.float64)}),
-        batch_format="pandas")
-
-
-def raster_pyramid(tiles_ds, min_res: int, num_buckets: int = 32):
-    """Zoom-out levels for rasterize_tiles output: each parent tile's
-    grid is the 2x2 sum-pool of its (<= 4) children placed into the
-    matching quadrant — total mass per tile is conserved, so any
-    threshold/contour run on a coarser level sees the same density
-    field at lower resolution. One bucketed shuffle per level; level
-    inputs shrink 4x, so the whole pyramid costs ~1.33x the finest
-    level's exchange.
-    """
-    # materialize each level: the output union's branches would
-    # otherwise re-execute the shared upstream (finest level O(L)
-    # times); levels shrink 4x so the pinned footprint is ~1.33x the
-    # finest level
-    tiles_ds = tiles_ds.materialize()
-    levels = [tiles_ds]
-    cur = tiles_ds
-
-    def to_parent(batch: pd.DataFrame) -> pd.DataFrame:
-        if len(batch) == 0:
-            b = batch.copy()
-            b["quad"] = pd.Series(dtype=np.int64)
-            b[_BUCKET] = pd.Series(dtype=np.int64)
-            return b
-        cell = batch["cell"].to_numpy(np.int64)
-        r = int(cell_res(cell)[0])
-        parent = cell_parent(cell, r - 1)
-        ix, iy = cell_ixy(cell)
-        out = batch.copy()
-        out["cell"] = parent
-        out["quad"] = ((iy & 1) << 1 | (ix & 1)).astype(np.int64)
-        h = pd.util.hash_array(parent)
-        out[_BUCKET] = (h % num_buckets).astype(np.int64)
-        return out
-
-    def pool(bucket: pd.DataFrame) -> pd.DataFrame:
-        rows = []
-        for cell, sub in bucket.groupby("cell", sort=True):
-            px = int(sub["px"].iloc[0])
-            half = px // 2
-            grid = np.zeros((px, px), dtype=np.float64)
-            for row in sub.itertuples(index=False):
-                child = np.frombuffer(row.grid,
-                                      dtype="<f8").reshape(px, px)
-                # 2x2 sum-pool down to half-size
-                pooled = child.reshape(half, 2, half, 2).sum(axis=(1, 3))
-                qx, qy = int(row.quad) & 1, int(row.quad) >> 1
-                grid[qy * half:(qy + 1) * half,
-                     qx * half:(qx + 1) * half] = pooled
-            rows.append({"cell": int(cell),
-                         "res": int(cell_res(np.int64(cell))),
-                         "px": px, "n": float(sub["n"].sum()),
-                         "grid": grid.astype("<f8").tobytes()})
-        return pd.DataFrame(rows) if rows else pd.DataFrame(
-            {"cell": pd.Series(dtype=np.int64),
-             "res": pd.Series(dtype=np.int64),
-             "px": pd.Series(dtype=np.int64),
-             "n": pd.Series(dtype=np.float64),
-             "grid": pd.Series(dtype=object)})
-
-    first = tiles_ds.take(1)
-    top_res = int(first[0]["res"]) if first else min_res
-    if first and int(first[0]["px"]) % 2:
-        raise ValueError("raster_pyramid needs an even px")
-    for _ in range(top_res - min_res):
-        cur = (cur.map_batches(to_parent, batch_format="pandas")
-               .groupby(_BUCKET)
-               .map_groups(pool, batch_format="pandas")
-               .materialize())
-        levels.append(cur)
-    out = levels[0]
-    for lv in levels[1:]:
-        out = out.union(lv)
-    return out
-
-
-# --- space-time cube ------------------------------------------------------
-
-_STC_RES = 5
-
-
-def spacetime_cube(ds, lat_col: str, lon_col: str, ts_col: str,
-                   res: int, freq: str = "W",
-                   value_col: str | None = None,
-                   batch_size: int = 65536, num_buckets: int = 32):
-    """(cell, period) rollup — the space-time cube under hotspot
-    trend analysis. Same single-exchange combiner as ``tile_pyramid``:
-    per-batch partials keyed by (cell, period_start), bucketed hash
-    combine. ``freq`` is a pandas offset alias ('D', 'W', 'M', ...);
-    periods are calendar-aligned via Period.start_time, so the SQL
-    oracle is date_trunc.
-    """
-    def partial(batch: pd.DataFrame) -> pd.DataFrame:
-        cols = ["cell", "period", "n"] + (
-            ["sum_v"] if value_col else [])
-        if len(batch) == 0:
-            p = pd.DataFrame({"cell": pd.Series(dtype=np.int64),
-                              "period":
-                              pd.Series(dtype="datetime64[us]"),
-                              "n": pd.Series(dtype=np.int64)})
-            if value_col:
-                p["sum_v"] = pd.Series(dtype=np.float64)
-            p[_BUCKET] = pd.Series(dtype=np.int64)
-            return p
-        cell = latlng_to_cell(batch[lat_col].to_numpy(np.float64),
-                              batch[lon_col].to_numpy(np.float64), res)
-        period = (pd.to_datetime(batch[ts_col])
-                  .dt.to_period(freq).dt.start_time)
-        df = pd.DataFrame({"cell": cell, "period": period.to_numpy()})
-        if value_col:
-            df["v"] = batch[value_col].to_numpy(np.float64)
-            p = (df.groupby(["cell", "period"], sort=False)["v"]
-                 .agg(n="size", sum_v="sum").reset_index())
-        else:
-            p = (df.groupby(["cell", "period"], sort=False).size()
-                 .reset_index(name="n"))
-        h = (pd.util.hash_array(p["cell"].to_numpy())
-             ^ pd.util.hash_array(p["period"].to_numpy()))
-        p[_BUCKET] = (h % num_buckets).astype(np.int64)
-        return p[cols + [_BUCKET]]
-
-    def combine(bucket: pd.DataFrame) -> pd.DataFrame:
-        g = bucket.groupby(["cell", "period"], sort=False)
-        agg = {"n": g["n"].sum()}
-        if value_col:
-            agg["sum_v"] = g["sum_v"].sum()
-        return pd.DataFrame(agg).reset_index()
-
-    return (ds.map_batches(partial, batch_format="pandas",
-                           batch_size=batch_size)
-            .groupby(_BUCKET).map_groups(combine,
-                                         batch_format="pandas"))
-
-
-def events_spacetime_cube(sf_dir: str) -> pd.DataFrame:
-    """Weekly (cell, period) event counts + value sums at res 5,
-    event-id-derived locations — green DuckDB oracle below."""
-    import ray.data as rd
-
-    def pts(batch: pd.DataFrame) -> pd.DataFrame:
-        eid = batch["event_id"].to_numpy(np.int64)
-        return pd.DataFrame({
-            "lat": ((eid * 48271) % 18000) / 100.0 - 90.0,
-            "lon": ((eid * 69621) % 36000) / 100.0 - 180.0,
-            "ts": batch["ts"].to_numpy(),
-            "v": batch["value"].to_numpy(np.float64)})
-
-    ds = rd.read_parquet(f"{sf_dir}/events.parquet",
-                         columns=["event_id", "ts", "value"])
-    cube = spacetime_cube(ds.map_batches(pts, batch_format="pandas"),
-                          "lat", "lon", "ts", res=_STC_RES, freq="W",
-                          value_col="v")
-    out = cube.to_pandas()
-    return (out.sort_values(["cell", "period"])
-            .reset_index(drop=True))
-
-
-EVENTS_SPACETIME_CUBE_SQL = f"""
-WITH pts AS (
-  SELECT CAST(floor(((((event_id * 69621) % 36000) / 100.0 - 180.0)
-         + 180.0) / (180.0 / {1 << _STC_RES})) AS BIGINT) AS ix,
-         CAST(floor(((((event_id * 48271) % 18000) / 100.0 - 90.0)
-         + 90.0) / (180.0 / {1 << _STC_RES})) AS BIGINT) AS iy,
-         -- pandas 'W' periods are MON-anchored: date_trunc('week')
-         ts, value
-  FROM events
-)
-SELECT (CAST({_STC_RES} AS BIGINT) << 58) | (ix << 29) | iy AS cell,
-       CAST(date_trunc('week', ts) AS TIMESTAMP) AS period,
-       count(*) AS n, sum(value) AS sum_v
-FROM pts
-GROUP BY 1, 2
-ORDER BY cell, period
-"""
-
-
-# --- isochrones -----------------------------------------------------------
-
-def isochrone_polygons(dists, threshold: float, dir_k: int = 6,
-                       num_buckets: int = 32):
-    """Reachability polygons from network distances: cells whose
-    shortest-path distance (functions/graph.sssp_weighted over a
-    cell-node street graph) is <= ``threshold`` become a binary mask,
-    contoured per DIR-tile (ancestor at res - dir_k) with exact
-    cell-boundary rings. Output rows: (tile, poly_idx, area, wkb).
-
-    The only exchange groups the SURVIVING cells by their dir-tile;
-    tracing is tile-local (2^dir_k square grid per task).
-    """
-    import ray.data as rd
-
-    from ..geom.core import points_in_ring
-    from ..geom.raster import trace_contours
-    from ..geom.wkb import encode_polygon
-
-    if isinstance(dists, pd.DataFrame):
-        dists = rd.from_pandas(dists)
-    side = 1 << dir_k
-
-    def keep(batch: pd.DataFrame) -> pd.DataFrame:
-        m = batch["dist"].to_numpy(np.float64) <= threshold
-        cell = batch["vertex"].to_numpy(np.int64)[m]
-        if len(cell) == 0:
-            return pd.DataFrame({"cell": pd.Series(dtype=np.int64),
-                                 "tile": pd.Series(dtype=np.int64),
-                                 _BUCKET: pd.Series(dtype=np.int64)})
-        res = cell_res(cell)
-        if np.any(res < dir_k):
-            raise ValueError("cell res must be >= dir_k")
-        if np.unique(res).size != 1:
-            # mixed resolutions would silently alias onto wrong mask
-            # pixels (the tile grid assumes exactly dir_k levels below
-            # the tile); the cell-node street graph is single-res by
-            # construction, so fail loud instead
-            raise ValueError(
-                "isochrone_polygons: cells must share ONE resolution "
-                f"(got {sorted(np.unique(res).tolist())})")
-        tile = cell_parent(cell, int(res[0]) - dir_k)
-        h = pd.util.hash_array(tile)
-        return pd.DataFrame({"cell": cell, "tile": tile,
-                             _BUCKET: (h % num_buckets)
-                             .astype(np.int64)})
-
-    def trace(bucket: pd.DataFrame) -> pd.DataFrame:
-        out = {"tile": [], "poly_idx": [], "area": [], "wkb": []}
-        for tile, sub in bucket.groupby("tile", sort=True):
-            cells = sub["cell"].to_numpy(np.int64)
-            ix, iy = cell_ixy(cells)
-            mask = np.zeros((side, side), dtype=bool)
-            mask[iy & (side - 1), ix & (side - 1)] = True
-            lo_x, lo_y, hi_x, _ = cell_bounds(np.int64(tile))
-            step = (float(hi_x) - float(lo_x)) / side
-            rings = trace_contours(mask,
-                                   (float(lo_x), float(lo_y)), step)
-            shells = [(r, a) for r, a in rings if a > 0]
-            holes = [(r, a) for r, a in rings if a < 0]
-            polys = [[s] for s, _ in shells]
-            for h_ring, _ in holes:
-                for j, (s, _) in enumerate(shells):
-                    if points_in_ring(h_ring[:1, 0], h_ring[:1, 1],
-                                      s)[0]:
-                        polys[j].append(h_ring)
-                        break
-            for j, rings_j in enumerate(polys):
-                area = (abs(_ring_area(rings_j[0]))
-                        - sum(abs(_ring_area(r))
-                              for r in rings_j[1:]))
-                out["tile"].append(int(tile))
-                out["poly_idx"].append(j)
-                out["area"].append(area)
-                out["wkb"].append(encode_polygon(rings_j))
-        if not out["tile"]:
-            return pd.DataFrame({"tile": pd.Series(dtype=np.int64),
-                                 "poly_idx":
-                                 pd.Series(dtype=np.int64),
-                                 "area": pd.Series(dtype=np.float64),
-                                 "wkb": pd.Series(dtype=object)})
-        return pd.DataFrame(out)
-
-    return (dists.map_batches(keep, batch_format="pandas")
-            .groupby(_BUCKET)
-            .map_groups(lambda g: trace(g.drop(columns=_BUCKET)),
-                        batch_format="pandas"))

@@ -353,105 +353,6 @@ def trips_from_stays_ds(points, user_col: str = "user_id",
             .groupby(_BUCKET).map_groups(detect, batch_format="pandas"))
 
 
-# ----------------------------------------------------------- geofence
-
-
-def geofence_events_ds(points, zones_df: pd.DataFrame,
-                       user_col: str = "user_id", ts_col: str = "ts",
-                       lat_col: str = "lat", lon_col: str = "lon",
-                       zone_id_col: str = "zone_id",
-                       wkb_col: str = "wkb", res: int = 10,
-                       num_buckets: int = 32):
-    """Geofence transition stream: for each user's ordered trajectory,
-    emit a row whenever the containing zone CHANGES — kind 'enter'
-    (into a zone) and 'exit' (out of the previous one); a direct
-    zone->zone hop emits both, at the same ts. Outside-all-zones is
-    zone NULL. Output: (user, ts, kind, zone_id, prev_zone_id).
-
-    The polygon layer is broadcast once through ``tiles.
-    build_zone_index`` (bbox-cover cells -> candidate polys, exact PIP
-    per candidate — same index ``zonal_stats`` uses); when a point
-    lies in several overlapping zones the LOWEST zone row index wins,
-    deterministically. Zone assignment runs stateless per batch; only
-    the transition detection needs the user-bucketed shuffle."""
-    from ..geom.core import points_in_polygon
-    from ..cells import latlng_to_cell
-    from .tiles import build_zone_index
-
-    index_ref = ray.put(build_zone_index(zones_df, wkb_col,
-                                         zone_id_col, res))
-
-    def assign(batch: pd.DataFrame) -> pd.DataFrame:
-        out = batch.copy()
-        n = len(batch)
-        zone = np.full(n, -1, dtype=np.int64)  # poly row index
-        if n:
-            idx = ray.get(index_ref)
-            lat = batch[lat_col].to_numpy(np.float64)
-            lon = batch[lon_col].to_numpy(np.float64)
-            cell = latlng_to_cell(lat, lon, res)
-            order = np.argsort(cell, kind="stable")
-            cs = cell[order]
-            uq, st = np.unique(cs, return_index=True)
-            st = np.append(st, len(cs))
-            po = idx["poly_offsets"]
-            for i, c in enumerate(uq):
-                cands = idx["by_cell"].get(int(c))
-                if cands is None:
-                    continue
-                rows = order[st[i]:st[i + 1]]
-                px, py = lon[rows], lat[rows]
-                for z in sorted(cands):
-                    todo = zone[rows] < 0
-                    if not todo.any():
-                        break
-                    hit = points_in_polygon(
-                        px[todo], py[todo], idx["coords"],
-                        idx["ring_offsets"], int(po[z]),
-                        int(po[z + 1]))
-                    zone[rows[todo][hit]] = z
-        out["__zrow"] = zone
-        return out
-
-    zone_ids = zones_df[zone_id_col].to_numpy()
-
-    def transitions(g: pd.DataFrame) -> pd.DataFrame:
-        g, starts = _sorted_runs(g, user_col, ts_col)
-        z = g["__zrow"].to_numpy()
-        users = g[user_col].to_numpy()
-        ts = g[ts_col].to_numpy()
-        first = np.zeros(len(g), dtype=bool)
-        first[starts[:-1]] = True
-        prev = np.r_[np.int64(-1), z[:-1]]
-        prev[first] = -1
-        changed = np.flatnonzero((z != prev) & ~(first & (z < 0)))
-        rows = []
-        for i in changed:
-            pz = int(prev[i])
-            nz = int(z[i])
-            if pz >= 0:
-                rows.append((users[i], ts[i], "exit",
-                             zone_ids[pz], None))
-            if nz >= 0:
-                rows.append((users[i], ts[i], "enter", zone_ids[nz],
-                             zone_ids[pz] if pz >= 0 else None))
-        cols = [user_col, ts_col, "kind", zone_id_col, "prev_zone_id"]
-        if not rows:
-            return pd.DataFrame({
-                user_col: pd.Series([], dtype=g[user_col].dtype),
-                ts_col: pd.Series([], dtype=ts.dtype),
-                "kind": pd.Series([], dtype=object),
-                zone_id_col: pd.Series([], dtype=zone_ids.dtype),
-                "prev_zone_id": pd.Series([], dtype=object)})
-        return pd.DataFrame(rows, columns=cols)
-
-    return (points.map_batches(assign, batch_format="pandas")
-            .map_batches(_tag_bucket(user_col, num_buckets),
-                         batch_format="pandas")
-            .groupby(_BUCKET).map_groups(transitions,
-                                         batch_format="pandas"))
-
-
 # ---------------------------------------------------------- map match
 
 

@@ -296,15 +296,15 @@ class TestMinLabelComponents:
     def test_200_vertex_chain(self):
         # a path over shuffled ids (the min id sits mid-path); the
         # distributed min-label op needs ~200 rounds here, so the
-        # reference is the O(log n)-round star variant, itself checked
-        # against min-label in TestStarComponents
-        from osm_sidewalkreator_ray.functions.graph import (
-            connected_components_star, min_label_components)
+        # reference is the closed form: one component, labelled with
+        # the path's minimum id
+        from osm_sidewalkreator_ray.functions.graph import \
+            min_label_components
         ids = np.random.RandomState(3).permutation(200) + 1000
         edges = pd.DataFrame({"src": ids[:-1], "dst": ids[1:]})
         got = min_label_components(edges["src"], edges["dst"])
-        assert len(got) == 200 and (got["component"] == 1000).all()
-        pd.testing.assert_frame_equal(got, connected_components_star(edges))
+        assert got["vertex"].tolist() == list(range(1000, 1200))
+        assert (got["component"] == 1000).all()
 
 
 @pytest.mark.usefixtures("ray_session")
@@ -511,91 +511,6 @@ class TestPageRank:
 
 
 @pytest.mark.usefixtures("ray_session")
-class TestTriangleCount:
-    @staticmethod
-    def _oracle(edges) -> int:
-        # DuckDB 3-way self-join on canonical (u<v, distinct) edges
-        import duckdb
-        df = pd.DataFrame(edges, columns=["src", "dst"])
-        c = duckdb.connect()
-        c.register("raw", df)
-        return c.sql("""
-            WITH e AS (SELECT DISTINCT LEAST(src, dst) u,
-                                       GREATEST(src, dst) v
-                       FROM raw WHERE src <> dst)
-            SELECT COUNT(*) FROM e a
-            JOIN e b ON b.u = a.u AND b.v > a.v
-            JOIN e c ON c.u = a.v AND c.v = b.v
-        """).fetchone()[0]
-
-    def _check(self, edges):
-        from osm_sidewalkreator_ray.functions.graph import triangle_count
-        got = triangle_count(pd.DataFrame(edges,
-                                          columns=["src", "dst"]))
-        assert got == self._oracle(edges), edges[:10]
-
-    def test_k4_has_four(self):
-        self._check([(a, b) for a in range(4) for b in range(4) if a < b])
-
-    def test_hub_star_no_triangles(self):
-        self._check([(0, i) for i in range(1, 30)])
-
-    def test_duplicates_reverses_selfloops(self):
-        self._check([(1, 2), (2, 1), (1, 2), (2, 3), (1, 3),
-                     (3, 3), (4, 5)])
-
-    def test_random_graph_matches_sql(self):
-        rng = np.random.RandomState(11)
-        edges = [(int(a), int(b)) for a, b in
-                 rng.randint(0, 60, size=(500, 2))]
-        self._check(edges)
-
-    def test_hub_plus_rim(self):
-        # hub connected to all rim vertices + rim cycle: n triangles
-        n = 20
-        edges = [(100, i) for i in range(n)] + \
-            [(i, (i + 1) % n) for i in range(n)]
-        self._check(edges)
-
-
-@pytest.mark.usefixtures("ray_session")
-class TestStarComponents:
-    def test_equals_minlabel_random(self):
-        from osm_sidewalkreator_ray.functions.graph import \
-            connected_components, connected_components_star
-        rng = np.random.RandomState(13)
-        edges = pd.DataFrame(rng.randint(0, 80, size=(120, 2)),
-                             columns=["src", "dst"])
-        a = connected_components(edges)
-        b = connected_components_star(edges)
-        pd.testing.assert_frame_equal(a, b)
-
-    def test_long_chain_beyond_minlabel_budget(self):
-        # a 300-node path: min-label needs 300 rounds (raises at its
-        # default 50); star contraction converges in O(log n)
-        from osm_sidewalkreator_ray.functions.graph import \
-            connected_components, connected_components_star
-        edges = pd.DataFrame({"src": range(299),
-                              "dst": range(1, 300)})
-        with pytest.raises(RuntimeError):
-            connected_components(edges, max_iters=20)
-        got = connected_components_star(edges)
-        assert len(got) == 300
-        assert (got["component"] == 0).all()
-
-    def test_two_components_and_selfloops(self):
-        from osm_sidewalkreator_ray.functions.graph import \
-            connected_components_star
-        edges = pd.DataFrame({"src": [5, 6, 10, 11, 7, 3],
-                              "dst": [6, 7, 11, 12, 5, 3]})
-        got = connected_components_star(edges)
-        comp = dict(zip(got["vertex"], got["component"]))
-        assert comp[5] == comp[6] == comp[7] == 5
-        assert comp[10] == comp[11] == comp[12] == 10
-        assert comp[3] == 3  # self-loop-only vertex is its own comp
-
-
-@pytest.mark.usefixtures("ray_session")
 class TestWeightedPersonalizedPageRank:
     @staticmethod
     def _local(edges, weights=None, pers=None, d=0.85, iters=20):
@@ -665,168 +580,6 @@ class TestWeightedPersonalizedPageRank:
         assert np.allclose(got["rank"], base, atol=1e-12)
 
 
-class TestKCore:
-    @staticmethod
-    def _ref_k_core(edges, k):
-        """Local peeling reference: repeatedly drop deg<k vertices."""
-        adj = {}
-        for u, v in edges:
-            if u == v:
-                continue
-            adj.setdefault(u, set()).add(v)
-            adj.setdefault(v, set()).add(u)
-        changed = True
-        while changed:
-            changed = False
-            for v in [v for v, nb in adj.items() if len(nb) < k]:
-                for u in adj[v]:
-                    adj[u].discard(v)
-                del adj[v]
-                changed = True
-        return sorted(adj)
-
-    def test_triangle_with_tail(self):
-        from osm_sidewalkreator_ray.functions.graph import k_core
-        # triangle 1-2-3 plus a tail 3-4-5: 2-core = the triangle
-        edges = [(1, 2), (2, 3), (1, 3), (3, 4), (4, 5)]
-        got = k_core(pd.DataFrame(edges, columns=["src", "dst"]), k=2)
-        assert got["vertex"].tolist() == [1, 2, 3]
-
-    def test_matches_reference_random(self):
-        from osm_sidewalkreator_ray.functions.graph import k_core
-        rng = np.random.default_rng(7)
-        edges = [(int(a), int(b)) for a, b in
-                 rng.integers(0, 60, size=(400, 2))]
-        df = pd.DataFrame(edges, columns=["src", "dst"])
-        for k in (2, 3, 5):
-            got = k_core(df, k=k, num_buckets=8)
-            assert got["vertex"].tolist() == self._ref_k_core(edges, k)
-
-    def test_everything_peels(self):
-        from osm_sidewalkreator_ray.functions.graph import k_core
-        # a path has no 2-core
-        edges = [(i, i + 1) for i in range(10)]
-        got = k_core(pd.DataFrame(edges, columns=["src", "dst"]), k=2)
-        assert len(got) == 0
-        assert got["vertex"].dtype == np.int64
-
-    def test_multiedges_and_selfloops_ignored(self):
-        from osm_sidewalkreator_ray.functions.graph import k_core
-        # duplicate parallel edges must NOT inflate degree
-        edges = [(1, 2), (1, 2), (2, 1), (1, 1), (2, 2)]
-        got = k_core(pd.DataFrame(edges, columns=["src", "dst"]), k=2)
-        assert len(got) == 0
-
-
-class TestBfsHops:
-    @staticmethod
-    def _ref_bfs(edges, sources):
-        from collections import deque
-        adj = {}
-        verts = set()
-        for u, v in edges:
-            verts.update((u, v))
-            adj.setdefault(u, set()).add(v)
-            adj.setdefault(v, set()).add(u)
-        dist = {s: 0 for s in sources if s in verts}
-        q = deque(dist)
-        while q:
-            u = q.popleft()
-            for w in adj.get(u, ()):
-                if w not in dist:
-                    dist[w] = dist[u] + 1
-                    q.append(w)
-        return {v: dist.get(v, -1) for v in verts}
-
-    def test_chain(self):
-        from osm_sidewalkreator_ray.functions.graph import bfs_hops
-        edges = [(i, i + 1) for i in range(6)]
-        got = bfs_hops(pd.DataFrame(edges, columns=["src", "dst"]), [0])
-        assert dict(zip(got["vertex"], got["hops"])) == {
-            i: i for i in range(7)}
-
-    def test_multi_source_and_unreachable(self):
-        from osm_sidewalkreator_ray.functions.graph import bfs_hops
-        edges = [(0, 1), (1, 2), (10, 11)]
-        got = bfs_hops(pd.DataFrame(edges, columns=["src", "dst"]),
-                       [0, 2])
-        m = dict(zip(got["vertex"], got["hops"]))
-        assert m == {0: 0, 1: 1, 2: 0, 10: -1, 11: -1}
-
-    def test_matches_reference_random(self):
-        from osm_sidewalkreator_ray.functions.graph import bfs_hops
-        rng = np.random.default_rng(11)
-        edges = [(int(a), int(b)) for a, b in
-                 rng.integers(0, 80, size=(150, 2)) if a != b]
-        sources = [0, 5]
-        got = bfs_hops(pd.DataFrame(edges, columns=["src", "dst"]),
-                       sources, num_buckets=8)
-        assert dict(zip(got["vertex"], got["hops"])) == \
-            self._ref_bfs(edges, sources)
-
-
-class TestRandomWalks:
-    @staticmethod
-    def _ref_walks(edges, walk_len, wpv, seed):
-        from osm_sidewalkreator_ray.functions.graph import \
-            _walk_choice_hash
-        adj = {}
-        for u, v in edges:
-            adj.setdefault(u, []).append(v)
-        for u in adj:
-            adj[u].sort()
-        rows = []
-        for v in sorted(adj):
-            for r in range(wpv):
-                w = v * wpv + r
-                cur = v
-                rows.append((w, 0, cur))
-                for step in range(1, walk_len + 1):
-                    nb = adj.get(cur)
-                    if not nb:
-                        break
-                    h = _walk_choice_hash(
-                        np.array([w], dtype=np.int64), step, 42)[0]
-                    cur = nb[int(h % np.uint64(len(nb)))]
-                    rows.append((w, step, cur))
-        return pd.DataFrame(rows,
-                            columns=["walk_id", "step", "vertex"])
-
-    def test_matches_reference_random_digraph(self):
-        from osm_sidewalkreator_ray.functions.graph import random_walks
-        rng = np.random.default_rng(3)
-        edges = [(int(a), int(b)) for a, b in
-                 rng.integers(0, 40, size=(200, 2))]
-        got = random_walks(pd.DataFrame(edges,
-                                        columns=["src", "dst"]),
-                           walk_len=6, walks_per_vertex=2,
-                           num_buckets=8)
-        want = self._ref_walks(edges, 6, 2, 42) \
-            .sort_values(["walk_id", "step"]).reset_index(drop=True)
-        pd.testing.assert_frame_equal(got, want)
-
-    def test_dead_end_terminates(self):
-        from osm_sidewalkreator_ray.functions.graph import random_walks
-        edges = pd.DataFrame({"src": [1, 2], "dst": [2, 3]})
-        got = random_walks(edges, walk_len=5)
-        # walk from 1: 1 -> 2 -> 3 (3 has no out-edge, stops at step 2)
-        w1 = got[got["walk_id"] == 1]
-        assert w1["vertex"].tolist() == [1, 2, 3]
-        assert w1["step"].tolist() == [0, 1, 2]
-
-    def test_walks_per_vertex_and_determinism(self):
-        from osm_sidewalkreator_ray.functions.graph import random_walks
-        rng = np.random.default_rng(5)
-        edges = pd.DataFrame(rng.integers(0, 20, size=(80, 2)),
-                             columns=["src", "dst"]).astype("int64")
-        a = random_walks(edges, walk_len=4, walks_per_vertex=3)
-        b = random_walks(edges, walk_len=4, walks_per_vertex=3,
-                         num_buckets=5)
-        pd.testing.assert_frame_equal(a, b)
-        n_starts = a[a["step"] == 0]["walk_id"].nunique()
-        assert n_starts == edges["src"].nunique() * 3
-
-
 @pytest.mark.usefixtures("ray_session")
 class TestLabelPropagation:
     def _local_lpa(self, edges, iters):
@@ -874,76 +627,6 @@ class TestLabelPropagation:
                 rd.from_pandas(df).repartition(4), iters=it)
             ref = self._local_lpa(edges, it)
             assert dict(zip(got["vertex"], got["community"])) == ref
-
-
-@pytest.mark.usefixtures("ray_session")
-class TestSSSPWeighted:
-    @staticmethod
-    def _dijkstra(edges_df, sources, directed=False):
-        import heapq
-        adj = {}
-        for s, d, w in edges_df[["src", "dst", "w"]].itertuples(
-                index=False):
-            adj.setdefault(s, []).append((d, w))
-            if not directed:
-                adj.setdefault(d, []).append((s, w))
-        dist = {v: np.inf for v in
-                set(edges_df["src"]) | set(edges_df["dst"])}
-        heap = []
-        for s in sources:
-            dist[s] = 0.0
-            heapq.heappush(heap, (0.0, s))
-        while heap:
-            dcur, u = heapq.heappop(heap)
-            if dcur > dist[u]:
-                continue
-            for v, w in adj.get(u, []):
-                nd = dcur + w
-                if nd < dist[v]:
-                    dist[v] = nd
-                    heapq.heappush(heap, (nd, v))
-        return dist
-
-    def _random_graph(self, n=200, m=700, seed=13):
-        rng = np.random.default_rng(seed)
-        src = rng.integers(0, n, m)
-        dst = rng.integers(0, n, m)
-        keep = src != dst
-        return pd.DataFrame({"src": src[keep], "dst": dst[keep],
-                             "w": rng.uniform(0.5, 5.0, keep.sum())})
-
-    def test_matches_dijkstra(self):
-        import ray.data as rd
-
-        from osm_sidewalkreator_ray.functions.graph import sssp_weighted
-        e = self._random_graph()
-        got = sssp_weighted(rd.from_pandas(e), sources=[0, 17])
-        want = self._dijkstra(e, [0, 17])
-        assert len(got) == len(want)
-        for v, d in zip(got["vertex"], got["dist"]):
-            if np.isinf(want[v]):
-                assert np.isinf(d)
-            else:
-                assert abs(d - want[v]) < 1e-9, v
-
-    def test_directed_and_unreachable(self):
-        import ray.data as rd
-
-        from osm_sidewalkreator_ray.functions.graph import sssp_weighted
-        e = pd.DataFrame({"src": [0, 1, 3], "dst": [1, 2, 0],
-                          "w": [2.0, 3.0, 1.0]})
-        got = sssp_weighted(rd.from_pandas(e), sources=[0],
-                            directed=True).set_index("vertex")["dist"]
-        assert got[0] == 0 and got[1] == 2.0 and got[2] == 5.0
-        assert np.isinf(got[3])  # 3 -> 0 edge is directed away
-
-    def test_negative_weight_raises(self):
-        import ray.data as rd
-
-        from osm_sidewalkreator_ray.functions.graph import sssp_weighted
-        e = pd.DataFrame({"src": [0], "dst": [1], "w": [-1.0]})
-        with pytest.raises(Exception, match="negative"):
-            sssp_weighted(rd.from_pandas(e), sources=[0]).to_string()
 
 
 class TestShingleWidths:

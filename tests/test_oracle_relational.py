@@ -210,11 +210,6 @@ class TestVectorOracles:
         from osm_sidewalkreator_ray.pipelines import vectors as V
         check(V.knn_join_sample(SF), V.KNN_SQL, con)
 
-    def test_near_dups_runs(self):
-        from osm_sidewalkreator_ray.pipelines import vectors as V
-        df = V.embedding_near_dups(SF, sim_threshold=0.5)
-        assert list(df.columns) == ["vec_a", "vec_b", "cosine_sim"]
-
 
 @pytest.mark.usefixtures("ray_session")
 class TestStreamingShaped:
@@ -652,48 +647,6 @@ def test_package_imports_resolve():
                       and name not in top_level_names(f)):
                     bad.append(f"{where} {mod} has no {name}")
     assert not bad, "unresolved package imports:\n" + "\n".join(bad)
-
-
-@pytest.mark.usefixtures("ray_session")
-class TestIntervalOverlapJoin:
-    def _check(self, a, b):
-        import ray.data as rd
-        from osm_sidewalkreator_ray.functions.joins import \
-            interval_overlap_join
-        got = interval_overlap_join(
-            rd.from_pandas(a), rd.from_pandas(b),
-            "alo", "ahi", "blo", "bhi", cell_width=1.0) \
-            .to_pandas().sort_values(["aid", "bid"]) \
-            .reset_index(drop=True)
-        c2 = duckdb.connect()
-        c2.register("a", a)
-        c2.register("b", b)
-        want = c2.sql(
-            "SELECT * FROM a JOIN b ON alo <= bhi AND blo <= ahi "
-            "ORDER BY aid, bid").df()
-        assert got["aid"].tolist() == want["aid"].tolist()
-        assert got["bid"].tolist() == want["bid"].tolist()
-        assert not got.duplicated(["aid", "bid"]).any()
-
-    def test_overlaps_touch_nulls_and_spans(self):
-        a = pd.DataFrame({"alo": [0.0, 5.0, 10.0, None, 2.5],
-                          "ahi": [4.0, 6.0, 100.0, 3.0, 2.5],
-                          "aid": [1, 2, 3, 4, 5]})
-        b = pd.DataFrame({"blo": [4.0, 6.5, 50.0, -10.0],
-                          "bhi": [5.0, 7.0, 60.0, 200.0],
-                          "bid": [10, 20, 30, 40]})
-        self._check(a, b)
-
-    def test_random_intervals_vs_sql(self):
-        rng = np.random.RandomState(4)
-        lo = rng.uniform(0, 50, 150)
-        a = pd.DataFrame({"alo": lo, "ahi": lo + rng.uniform(0, 5, 150),
-                          "aid": range(150)})
-        lo2 = rng.uniform(0, 50, 120)
-        b = pd.DataFrame({"blo": lo2,
-                          "bhi": lo2 + rng.uniform(0, 8, 120),
-                          "bid": range(120)})
-        self._check(a, b)
 
 
 @pytest.mark.usefixtures("ray_session")

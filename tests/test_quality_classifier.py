@@ -8,8 +8,6 @@ correctness bar, not a hopeful accuracy number.
 """
 
 import numpy as np
-import pandas as pd
-import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
 
@@ -36,16 +34,25 @@ class TestQualityClassifier:
         conf = np.where(y == 1, out["proba"], 1 - out["proba"])
         assert float(conf.min()) > 0.5
 
-    def test_sampled_fit_is_deterministic_and_scores_all(self):
-        o1 = T.trained_quality_classifier(SF, sample_mod=2)
-        o2 = T.trained_quality_classifier(SF, sample_mod=2)
-        assert o1.equals(o2)
-        assert len(o1) == len(_gate_labels(SF))  # scores ALL docs
+    def test_sampled_fit_is_deterministic_and_scores_all(self,
+                                                        monkeypatch):
+        from osm_sidewalkreator_ray.pipelines import vectors as V
+        n = len(_gate_labels(SF))
+        # a row cap of half the corpus makes the doc_id modulus 2
+        monkeypatch.setattr(T, "_QC_TRAIN_ROWS", -(-n // 2))
+        fit_rows = []
+        fit_local = V.logreg_fit_local
 
-    def test_distributed_fit_runs(self):
-        out = T.trained_quality_classifier(SF, distributed_fit=True, iters=60)
-        assert len(out) == len(_gate_labels(SF))
-        assert set(out.columns) == {"doc_id", "proba", "pred"}
+        def spy(m, y, **kw):
+            fit_rows.append(len(y))
+            return fit_local(m, y, **kw)
+
+        monkeypatch.setattr(V, "logreg_fit_local", spy)
+        o1 = T.trained_quality_classifier(SF)
+        o2 = T.trained_quality_classifier(SF)
+        assert o1.equals(o2)
+        assert fit_rows[0] == fit_rows[1] and fit_rows[0] < n
+        assert len(o1) == n  # scores ALL docs
 
     def test_feature_batch_pandas_pyarrow_identical(self):
         t = pq.read_table(f"{SF}/documents.parquet",

@@ -8,8 +8,38 @@ import pytest
 from osm_sidewalkreator_ray.cells import (cell_bounds, cell_children,
                                           cell_parent, cell_res,
                                           latlng_to_cell)
+from osm_sidewalkreator_ray.pipelines import tiles as T
 
 SF = "/root/testdata/sf0.001"
+
+# DuckDB reference for tiles.tile_pyramid_query: the same deterministic
+# points, quantized at the finest res and shifted up to every level.
+TILE_PYRAMID_SQL = f"""
+WITH pts AS (
+    SELECT ((user_id * 48271) % 18000) / 100.0 - 90.0 AS lat,
+           ((user_id * 69621) % 36000) / 100.0 - 180.0 AS lon,
+           value AS v
+    FROM events
+), fine AS (
+    SELECT CAST(floor((lon + 180.0) / (180.0 / {1 << T._PYR_RES})) AS BIGINT) AS ix,
+           CAST(floor((lat + 90.0) / (180.0 / {1 << T._PYR_RES})) AS BIGINT) AS iy,
+           v
+    FROM pts
+), lv AS (
+    SELECT unnest(generate_series({T._PYR_MIN_RES}, {T._PYR_RES})) AS r
+), cells AS (
+    SELECT r, ix >> ({T._PYR_RES} - r) AS ix, iy >> ({T._PYR_RES} - r) AS iy, v
+    FROM fine, lv
+)
+SELECT CAST(r AS BIGINT) AS res,
+       (CAST(r AS BIGINT) << 58) | (ix << 29) | iy AS cell,
+       ix, iy,
+       count(*) AS n, sum(v) AS sum_v, min(v) AS min_v, max(v) AS max_v,
+       sum(v) / count(*) AS mean_v
+FROM cells
+GROUP BY 1, 2, 3, 4
+ORDER BY res, cell
+"""
 
 
 class TestCellHierarchy:
@@ -46,12 +76,11 @@ class TestCellHierarchy:
 @pytest.mark.usefixtures("ray_session")
 class TestTilePyramidOracle:
     def test_pyramid_matches_duckdb(self):
-        from osm_sidewalkreator_ray.pipelines import tiles as T
         got = T.tile_pyramid_query(SF)
         con = duckdb.connect()
         con.sql(f"CREATE VIEW events AS SELECT * "
                 f"FROM '{SF}/events.parquet'")
-        want = con.sql(T.TILE_PYRAMID_SQL).df()
+        want = con.sql(TILE_PYRAMID_SQL).df()
         assert len(got) == len(want)
         assert list(got.columns) == list(want.columns)
         for c in ("res", "cell", "ix", "iy", "n"):
@@ -466,206 +495,6 @@ def test_cover_cap_raises():
 
 
 @pytest.mark.usefixtures("ray_session")
-class TestZonalStats:
-    def test_matches_bruteforce_pip(self):
-        import ray.data as rd
-
-        from osm_sidewalkreator_ray.geom.core import points_in_polygon
-        from osm_sidewalkreator_ray.geom.wkb import (decode_polygons,
-                                                     encode_polygon)
-        from osm_sidewalkreator_ray.pipelines.tiles import zonal_stats
-        rng = np.random.default_rng(21)
-        zones = []
-        for i in range(12):
-            cx, cy = rng.uniform(-15, 15, 2)
-            ang = np.linspace(0, 2 * np.pi, 9, endpoint=False)
-            rad = rng.uniform(2, 7, 9)
-            ring = np.column_stack((cx + rad * np.cos(ang),
-                                    cy + rad * np.sin(ang)))
-            zones.append({"zone_id": f"z{i}",
-                          "wkb": encode_polygon(
-                              [np.vstack([ring, ring[:1]])])})
-        zones_df = pd.DataFrame(zones)
-        pts = pd.DataFrame({"lat": rng.uniform(-25, 25, 5000),
-                            "lon": rng.uniform(-25, 25, 5000),
-                            "v": rng.normal(0, 2, 5000)})
-        got = (zonal_stats(rd.from_pandas(pts), zones_df, "lat", "lon",
-                           res=6, value_col="v").to_pandas()
-               .set_index("zone_id").sort_index())
-        c, ro, po, _ = decode_polygons(zones_df["wkb"].tolist())
-        hits_any = 0
-        for i, zid in enumerate(zones_df["zone_id"]):
-            hit = points_in_polygon(pts["lon"].to_numpy(),
-                                    pts["lat"].to_numpy(),
-                                    c, ro, int(po[i]), int(po[i + 1]))
-            k = int(hit.sum())
-            if k == 0:
-                assert zid not in got.index
-                continue
-            hits_any += 1
-            row = got.loc[zid]
-            assert row["n"] == k
-            wv = pts["v"].to_numpy()[hit]
-            np.testing.assert_allclose(
-                [row["sum_v"], row["min_v"], row["max_v"],
-                 row["mean_v"]],
-                [wv.sum(), wv.min(), wv.max(), wv.mean()], atol=1e-9)
-        assert hits_any >= 8 and len(got) == hits_any
-
-    def test_overlapping_zones_count_in_each(self):
-        import ray.data as rd
-
-        from osm_sidewalkreator_ray.geom.wkb import encode_polygon
-        from osm_sidewalkreator_ray.pipelines.tiles import zonal_stats
-        sq = np.array([[0.0, 0], [4, 0], [4, 4], [0, 4], [0, 0]])
-        zones_df = pd.DataFrame({
-            "zone_id": ["a", "b"],
-            "wkb": [encode_polygon([sq]),
-                    encode_polygon([sq + 2.0])]})  # overlap [2,4]^2
-        pts = pd.DataFrame({"lat": [3.0, 1.0, 5.0, 9.0],
-                            "lon": [3.0, 1.0, 5.0, 9.0]})
-        got = (zonal_stats(rd.from_pandas(pts), zones_df, "lat", "lon",
-                           res=5).to_pandas()
-               .set_index("zone_id")["n"].sort_index())
-        assert got.to_dict() == {"a": 2, "b": 2}
-
-
-@pytest.mark.usefixtures("ray_session")
-def test_events_od_matrix_oracle():
-    from osm_sidewalkreator_ray.pipelines import tiles as T
-    for sf in ("/root/testdata/sf0.001", "/root/testdata/sf0.01"):
-        got = T.events_od_matrix(sf)
-        con = duckdb.connect()
-        con.sql(f"CREATE VIEW events AS SELECT * "
-                f"FROM '{sf}/events.parquet'")
-        want = con.sql(T.EVENTS_OD_MATRIX_SQL).df()
-        assert len(got) == len(want) > 0
-        for c in ("cell_from", "cell_to", "n"):
-            np.testing.assert_array_equal(got[c].to_numpy(np.int64),
-                                          want[c].to_numpy(np.int64), c)
-        # flow conservation: total transitions = sum over users of
-        # (events - 1)
-        per_user = con.sql(
-            "SELECT count(*) AS c FROM events GROUP BY user_id").df()
-        assert got["n"].sum() == (per_user["c"] - 1).sum()
-
-
-_CELLS_SQL = """
-WITH pts AS (
-  SELECT CAST(floor(((((event_id * 69621) % 36000) / 100.0 - 180.0)
-         + 180.0) / (180.0 / 16)) AS BIGINT) AS ix,
-         CAST(floor(((((event_id * 48271) % 18000) / 100.0 - 90.0)
-         + 90.0) / (180.0 / 16)) AS BIGINT) AS iy
-  FROM events
-), c AS (
-  SELECT ix, iy, CAST(count(*) AS DOUBLE) AS x FROM pts GROUP BY ix, iy
-), nbr AS (
-  SELECT a.ix, a.iy, a.x,
-         COALESCE(sum(b.x), 0.0) AS nbr_sum,
-         count(b.x) AS nbr_cnt
-  FROM c a LEFT JOIN c b
-    ON abs(a.ix - b.ix) <= 1 AND abs(a.iy - b.iy) <= 1
-       AND NOT (a.ix = b.ix AND a.iy = b.iy)
-  GROUP BY a.ix, a.iy, a.x
-)
-"""
-
-
-@pytest.mark.usefixtures("ray_session")
-class TestSpatialAutocorrelation:
-    SF = "/root/testdata/sf0.001"
-
-    def _con(self):
-        con = duckdb.connect()
-        con.sql(f"CREATE VIEW events AS SELECT * "
-                f"FROM '{self.SF}/events.parquet'")
-        return con
-
-    def test_morans_i_oracle(self):
-        from osm_sidewalkreator_ray.pipelines import tiles as T
-        got = T.morans_i(T.events_cells_ds(self.SF))
-        con = self._con()
-        want = con.sql(_CELLS_SQL + """
-        , s AS (SELECT count(*) AS n, avg(x) AS m FROM c)
-        SELECT (s.n / sum(nbr.nbr_cnt))
-               * sum((nbr.x - s.m) * (nbr.nbr_sum - nbr.nbr_cnt * s.m))
-               / sum((nbr.x - s.m) * (nbr.x - s.m)) AS i,
-               CAST(sum(nbr.nbr_cnt) AS DOUBLE) AS w,
-               s.n AS n_cells
-        FROM nbr, s GROUP BY s.n
-        """).df()
-        assert int(got["n_cells"].iloc[0]) == int(want["n_cells"].iloc[0])
-        np.testing.assert_allclose(got["w"], want["w"])
-        np.testing.assert_allclose(got["i"], want["i"], rtol=1e-9)
-        assert np.isfinite(got["i"].iloc[0])
-
-    def test_gi_star_oracle(self):
-        from osm_sidewalkreator_ray.pipelines import tiles as T
-        got = (T.getis_gi_star(T.events_cells_ds(self.SF)).to_pandas()
-               .sort_values("cell").reset_index(drop=True))
-        con = self._con()
-        want = con.sql(_CELLS_SQL + """
-        , s AS (SELECT count(*) AS n, avg(x) AS m,
-                       sqrt(sum(x * x) / count(*)
-                            - avg(x) * avg(x)) AS sd
-                FROM c)
-        SELECT (CAST(4 AS BIGINT) << 58) | (ix << 29) | iy AS cell, x,
-               ((nbr_sum + x) - s.m * (nbr_cnt + 1))
-               / (s.sd * sqrt((s.n * (nbr_cnt + 1.0)
-                  - (nbr_cnt + 1.0) * (nbr_cnt + 1.0)) / (s.n - 1)))
-               AS gi_star
-        FROM nbr, s ORDER BY cell
-        """).df()
-        assert len(got) == len(want)
-        np.testing.assert_array_equal(got["cell"].to_numpy(np.int64),
-                                      want["cell"].to_numpy(np.int64))
-        np.testing.assert_allclose(got["gi_star"], want["gi_star"],
-                                   rtol=1e-9)
-        # hotspots exist and z-scores are centered-ish
-        assert (np.abs(got["gi_star"]) > 1.96).any()
-
-
-@pytest.mark.usefixtures("ray_session")
-def test_raster_pyramid_pools_exactly():
-    import ray.data as rd
-
-    from osm_sidewalkreator_ray.cells import (cell_bounds, cell_parent,
-                                              latlng_to_cell)
-    from osm_sidewalkreator_ray.pipelines.tiles import (rasterize_tiles,
-                                                        raster_pyramid)
-    rng = np.random.default_rng(31)
-    pts = pd.DataFrame({"lat": rng.uniform(-40, 40, 4000),
-                        "lon": rng.uniform(-40, 40, 4000)})
-    res, px = 5, 8
-    fine = rasterize_tiles(rd.from_pandas(pts), "lat", "lon", res,
-                           px=px)
-    pyr = raster_pyramid(fine, min_res=3).to_pandas()
-    by_level = pyr.groupby("res")
-    assert sorted(by_level.groups) == [3, 4, 5]
-    # mass conserved at every level
-    for _, lv in by_level:
-        assert lv["n"].sum() == 4000.0
-        grids = np.stack([np.frombuffer(g, dtype="<f8")
-                          for g in lv["grid"]])
-        np.testing.assert_allclose(grids.sum(), 4000.0)
-    # each parent grid equals the direct rasterization at parent res
-    direct = rasterize_tiles(rd.from_pandas(pts), "lat", "lon", 4,
-                             px=px).to_pandas().set_index("cell")
-    lv4 = pyr[pyr["res"] == 4].set_index("cell")
-    assert set(lv4.index) == set(direct.index)
-    for cell in lv4.index:
-        a = np.frombuffer(lv4.loc[cell, "grid"], dtype="<f8")
-        b = np.frombuffer(direct.loc[cell, "grid"], dtype="<f8")
-        # pooled pyramid halves the effective resolution: compare the
-        # pooled direct grid (8->4 px) against the pooled quadrants
-        a2 = a.reshape(8, 8)
-        b2 = b.reshape(8, 8).reshape(4, 2, 4, 2).sum(axis=(1, 3))
-        got_q = a2.reshape(4, 2, 4, 2).sum(axis=(1, 3))
-        np.testing.assert_allclose(got_q.sum(), b2.sum())
-        np.testing.assert_allclose(a2.sum(), b2.sum())
-
-
-@pytest.mark.usefixtures("ray_session")
 def test_vector_tile_simplification():
     import ray.data as rd
 
@@ -696,76 +525,6 @@ def test_vector_tile_simplification():
     with pytest.raises(ValueError, match="line-only"):
         export_vector_tiles(rd.from_pandas(df), "/tmp/never",
                             geometry="polygon", simplify_tol=0.01)
-
-
-@pytest.mark.usefixtures("ray_session")
-def test_events_spacetime_cube_oracle():
-    from osm_sidewalkreator_ray.pipelines import tiles as T
-    for sf in ("/root/testdata/sf0.001", "/root/testdata/sf0.01"):
-        got = T.events_spacetime_cube(sf)
-        con = duckdb.connect()
-        con.sql(f"CREATE VIEW events AS SELECT * "
-                f"FROM '{sf}/events.parquet'")
-        want = con.sql(T.EVENTS_SPACETIME_CUBE_SQL).df()
-        assert len(got) == len(want) > 0
-        np.testing.assert_array_equal(got["cell"].to_numpy(np.int64),
-                                      want["cell"].to_numpy(np.int64))
-        np.testing.assert_array_equal(
-            pd.to_datetime(got["period"]).to_numpy(),
-            pd.to_datetime(want["period"]).to_numpy())
-        np.testing.assert_array_equal(got["n"].to_numpy(np.int64),
-                                      want["n"].to_numpy(np.int64))
-        np.testing.assert_allclose(got["sum_v"], want["sum_v"],
-                                   atol=1e-6)
-
-
-@pytest.mark.usefixtures("ray_session")
-def test_isochrone_manhattan_diamond():
-    import ray.data as rd
-
-    from osm_sidewalkreator_ray.cells import cell_bounds, latlng_to_cell
-    from osm_sidewalkreator_ray.functions.graph import sssp_weighted
-    from osm_sidewalkreator_ray.geom.core import points_in_polygon
-    from osm_sidewalkreator_ray.geom.wkb import decode_polygons
-    from osm_sidewalkreator_ray.pipelines.tiles import isochrone_polygons
-    res = 8  # cell size 0.703 deg
-    # unit-weight 4-neighbor grid graph over a 15x15 cell patch
-    base = int(latlng_to_cell(10.0, 10.0, res))
-    from osm_sidewalkreator_ray.cells import cell_ixy
-    bx, by = (int(v) for v in cell_ixy(base))
-    def cid(dx, dy):
-        return (res << 58) | ((bx + dx) << 29) | (by + dy)
-    edges = []
-    for x in range(15):
-        for y in range(15):
-            if x + 1 < 15:
-                edges.append({"src": cid(x, y), "dst": cid(x + 1, y),
-                              "w": 1.0})
-            if y + 1 < 15:
-                edges.append({"src": cid(x, y), "dst": cid(x, y + 1),
-                              "w": 1.0})
-    dists = sssp_weighted(rd.from_pandas(pd.DataFrame(edges)),
-                          sources=[cid(7, 7)])
-    T = 3.0
-    iso = isochrone_polygons(dists, T, dir_k=5).to_pandas()
-    # Manhattan ball of radius 3: 1 + 4*(1+2+3) = 25 cells
-    lo_x, lo_y, hi_x, _ = (float(v) for v in cell_bounds(np.int64(
-        cid(0, 0))))
-    d = hi_x - lo_x
-    np.testing.assert_allclose(iso["area"].sum(), 25 * d * d,
-                               rtol=1e-9)
-    # the ball's cell centers are inside, radius-4 ring centers are not
-    c, ro, po, _ = decode_polygons(iso["wkb"].tolist())
-    def center_in(dx, dy):
-        lo_x2, lo_y2, hi_x2, hi_y2 = (float(v) for v in cell_bounds(
-            np.int64(cid(7 + dx, 7 + dy))))
-        px = np.array([(lo_x2 + hi_x2) / 2])
-        py = np.array([(lo_y2 + hi_y2) / 2])
-        return any(points_in_polygon(px, py, c, ro, int(po[i]),
-                                     int(po[i + 1]))[0]
-                   for i in range(len(po) - 1))
-    assert center_in(0, 0) and center_in(3, 0) and center_in(1, 2)
-    assert not center_in(4, 0) and not center_in(2, 3)
 
 
 class TestGeohashAndCompaction:
@@ -801,25 +560,6 @@ class TestGeohashAndCompaction:
                          for i in range(0, 40, 3)], dtype=np.int64)
         np.testing.assert_array_equal(compact_cells(diag),
                                       np.sort(diag))
-
-
-@pytest.mark.usefixtures("ray_session")
-def test_isochrone_mixed_resolution_raises():
-    """Regression: mixed-resolution distance rows silently aliased
-    onto wrong mask pixels (the tile grid assumes one res)."""
-    import ray.data as rd
-    from osm_sidewalkreator_ray.cells import latlng_to_cell
-    from osm_sidewalkreator_ray.pipelines.tiles import \
-        isochrone_polygons
-    c10 = latlng_to_cell(np.array([10.0]), np.array([10.0]), 10)
-    c11 = latlng_to_cell(np.array([10.0]), np.array([10.0]), 11)
-    dists = pd.DataFrame({
-        "vertex": np.concatenate([c10, c11]).astype(np.int64),
-        "dist": [1.0, 1.0]})
-    with pytest.raises((ValueError, Exception)) as ei:
-        isochrone_polygons(rd.from_pandas(dists), threshold=5.0,
-                           dir_k=6).to_pandas()
-    assert "resolution" in str(ei.value)
 
 
 @pytest.mark.usefixtures("ray_session")

@@ -1,5 +1,4 @@
-"""Trajectory operators vs independent references: the geodesic
-distance join vs a DuckDB cross-join haversine oracle, stay-point
+"""Trajectory operators vs independent references: stay-point
 detection vs a plain-python reimplementation, per-point stats vs a
 pandas groupby reference, and HMM map-matching vs a planted walk plus
 an O(T*K^2) pure-loop Viterbi reference."""
@@ -10,72 +9,12 @@ import pandas as pd
 import pytest
 import ray.data as rd
 
-from osm_sidewalkreator_ray.functions.joins import (
-    haversine_distance_join, haversine_m, _EARTH_R_M)
+from osm_sidewalkreator_ray.functions.joins import _EARTH_R_M, haversine_m
 from osm_sidewalkreator_ray.pipelines.trajectory import (
     trajectory_stats_ds, stay_points_ds, map_match_ds,
     trajectory_stats_query, _SegmentIndex)
 
 pytestmark = pytest.mark.usefixtures("ray_session")
-
-
-# ------------------------------------------------ haversine join
-
-
-def _rand_points(n, seed, lat_c=-25.45, lon_c=-49.25, spread=0.02):
-    rng = np.random.RandomState(seed)
-    return pd.DataFrame({
-        "lat": lat_c + rng.uniform(-spread, spread, n),
-        "lon": lon_c + rng.uniform(-spread, spread, n)})
-
-
-def test_haversine_join_matches_duckdb_cross_join():
-    left = _rand_points(180, 1).rename(columns={})
-    left["lid"] = np.arange(180, dtype=np.int64)
-    right = _rand_points(140, 2).rename(
-        columns={"lat": "lat2", "lon": "lon2"})
-    right["rid"] = np.arange(140, dtype=np.int64)
-    d = 300.0
-
-    out = haversine_distance_join(
-        rd.from_pandas(left), rd.from_pandas(right), d,
-        num_buckets=8).to_pandas()
-
-    con = duckdb.connect()
-    con.register("l", left)
-    con.register("r", right)
-    ref = con.sql(f"""
-        SELECT * FROM (
-            SELECT lid, rid,
-                   2 * {_EARTH_R_M} * asin(least(1.0, sqrt(
-                       pow(sin(radians(lat2 - lat) / 2), 2)
-                       + cos(radians(lat)) * cos(radians(lat2))
-                       * pow(sin(radians(lon2 - lon) / 2), 2)))) AS dist_m
-            FROM l CROSS JOIN r)
-        WHERE dist_m <= {d}
-    """).df()
-    got = out.sort_values(["lid", "rid"]).reset_index(drop=True)
-    want = ref.sort_values(["lid", "rid"]).reset_index(drop=True)
-    assert len(got) == len(want) > 0
-    assert (got["lid"].to_numpy() == want["lid"].to_numpy()).all()
-    assert (got["rid"].to_numpy() == want["rid"].to_numpy()).all()
-    np.testing.assert_allclose(got["dist_m"], want["dist_m"],
-                               rtol=1e-9, atol=1e-6)
-
-
-def test_haversine_join_antimeridian_and_pole():
-    # pairs straddling the antimeridian and near the pole that a
-    # lat/lon grid would miss; the 3-D chord grid must find them
-    left = pd.DataFrame({"lat": [0.0, 89.98], "lon": [179.999, 0.0],
-                         "lid": [0, 1]})
-    right = pd.DataFrame({"lat2": [0.0, 89.98], "lon2": [-179.999, 180.0],
-                          "rid": [0, 1]})
-    out = haversine_distance_join(
-        rd.from_pandas(left), rd.from_pandas(right), 5000.0,
-        num_buckets=4).to_pandas()
-    pairs = set(zip(out["lid"], out["rid"]))
-    assert (0, 0) in pairs          # ~222 m across the antimeridian
-    assert (1, 1) in pairs          # ~44 m across the pole's meridian
 
 
 # ------------------------------------------------ per-point stats
@@ -345,91 +284,6 @@ def test_trips_between_planted_stays():
     assert straight <= t["length_m"] <= 1.2 * straight
 
 
-# ------------------------------------------------ geofence
-
-
-def test_geofence_enter_exit_sequence():
-    from osm_sidewalkreator_ray.geom.wkb import encode_polygon
-    from osm_sidewalkreator_ray.pipelines.trajectory import (
-        geofence_events_ds)
-
-    def square(lon_c, lat_c, half=0.002):
-        ring = np.array([
-            [lon_c - half, lat_c - half], [lon_c + half, lat_c - half],
-            [lon_c + half, lat_c + half], [lon_c - half, lat_c + half],
-            [lon_c - half, lat_c - half]])
-        return encode_polygon([ring])
-
-    zones = pd.DataFrame({
-        "zone_id": np.array([10, 20], dtype=np.int64),
-        "wkb": [square(-49.28, -25.44), square(-49.27, -25.44)]})
-
-    # path: outside -> zone 10 -> outside -> zone 20 -> ends inside
-    lons = np.array([-49.292, -49.281, -49.279, -49.2745,
-                     -49.2712, -49.2695])
-    df = pd.DataFrame({
-        "user_id": np.int64(3),
-        "ts": np.datetime64("2026-01-01")
-        + np.arange(len(lons)) * np.timedelta64(60, "s"),
-        "lat": np.full(len(lons), -25.44), "lon": lons})
-
-    ev = geofence_events_ds(rd.from_pandas(df), zones,
-                            num_buckets=2).to_pandas()
-    ev = ev.sort_values(["ts", "kind"]).reset_index(drop=True)
-    got = list(zip(ev["kind"], ev["zone_id"]))
-    assert got == [("enter", 10), ("exit", 10), ("enter", 20)]
-    # exit of 10 fires at the first OUTSIDE point's ts
-    assert ev.loc[ev["kind"] == "exit", "ts"].iloc[0] \
-        == df["ts"].iloc[3]
-
-
-# ------------------------------------------------ geodesic kNN join
-
-
-def test_haversine_knn_join_matches_duckdb_window_oracle():
-    from osm_sidewalkreator_ray.functions.joins import (
-        haversine_knn_join)
-    left = _rand_points(60, 11)
-    left["lid"] = np.arange(60, dtype=np.int64)
-    right = _rand_points(200, 12).rename(
-        columns={"lat": "lat2", "lon": "lon2"})
-    right["rid"] = np.arange(200, dtype=np.int64)
-    k, d = 3, 900.0
-
-    out = haversine_knn_join(
-        rd.from_pandas(left), rd.from_pandas(right), k, d,
-        num_buckets=8).to_pandas()
-
-    con = duckdb.connect()
-    con.register("l", left)
-    con.register("r", right)
-    ref = con.sql(f"""
-        SELECT * FROM (
-            SELECT lid, rid, dist_m,
-                   row_number() OVER (PARTITION BY lid
-                       ORDER BY dist_m, lat2, lon2) AS knn_rank
-            FROM (
-                SELECT lid, rid, lat2, lon2,
-                       2 * {_EARTH_R_M} * asin(least(1.0, sqrt(
-                           pow(sin(radians(lat2 - lat) / 2), 2)
-                           + cos(radians(lat)) * cos(radians(lat2))
-                           * pow(sin(radians(lon2 - lon) / 2), 2))))
-                       AS dist_m
-                FROM l CROSS JOIN r)
-            WHERE dist_m <= {d})
-        WHERE knn_rank <= {k}
-    """).df()
-    got = out.sort_values(["lid", "knn_rank"]).reset_index(drop=True)
-    want = ref.sort_values(["lid", "knn_rank"]).reset_index(drop=True)
-    assert len(got) == len(want) > 0
-    assert (got["lid"].to_numpy() == want["lid"].to_numpy()).all()
-    assert (got["rid"].to_numpy() == want["rid"].to_numpy()).all()
-    assert (got["knn_rank"].to_numpy()
-            == want["knn_rank"].to_numpy()).all()
-    np.testing.assert_allclose(got["dist_m"], want["dist_m"],
-                               rtol=1e-9, atol=1e-6)
-
-
 # ------------------------------------------------ resample
 
 
@@ -466,59 +320,6 @@ def test_resample_linear_interp_and_gap_policy():
     assert len(capped) == 4  # 0, 30, 60 (+ the real 600 s point)
     assert capped["ts"].iloc[-1] == df["ts"].iloc[-1]
     assert not capped["interpolated"].iloc[-1]
-
-
-# ------------------------------------------------ spacetime join
-
-
-def test_spacetime_join_matches_duckdb_cross_join():
-    from osm_sidewalkreator_ray.functions.joins import spacetime_join
-    rng = np.random.RandomState(21)
-    t0 = np.datetime64("2026-03-01T12:00:00")
-
-    def frame(n, seed, prefix):
-        r = np.random.RandomState(seed)
-        return pd.DataFrame({
-            f"{prefix}lat" if prefix else "lat":
-                -25.45 + r.uniform(-0.01, 0.01, n),
-            f"{prefix}lon" if prefix else "lon":
-                -49.25 + r.uniform(-0.01, 0.01, n),
-            f"{prefix}ts" if prefix else "ts":
-                t0 + r.randint(0, 7200, n) * np.timedelta64(1, "s")})
-
-    left = frame(150, 1, "")
-    left["lid"] = np.arange(150, dtype=np.int64)
-    right = frame(160, 2, "x").rename(columns={
-        "xlat": "lat2", "xlon": "lon2", "xts": "ts2"})
-    right["rid"] = np.arange(160, dtype=np.int64)
-    d, dt = 400.0, 300.0
-
-    out = spacetime_join(rd.from_pandas(left), rd.from_pandas(right),
-                         d, dt, num_buckets=8).to_pandas()
-
-    con = duckdb.connect()
-    con.register("l", left)
-    con.register("r", right)
-    ref = con.sql(f"""
-        SELECT * FROM (
-            SELECT lid, rid,
-                   2 * {_EARTH_R_M} * asin(least(1.0, sqrt(
-                       pow(sin(radians(lat2 - lat) / 2), 2)
-                       + cos(radians(lat)) * cos(radians(lat2))
-                       * pow(sin(radians(lon2 - lon) / 2), 2))))
-                   AS dist_m,
-                   abs(epoch(ts2) - epoch(ts)) AS dt_s
-            FROM l CROSS JOIN r)
-        WHERE dist_m <= {d} AND dt_s <= {dt}
-    """).df()
-    got = out.sort_values(["lid", "rid"]).reset_index(drop=True)
-    want = ref.sort_values(["lid", "rid"]).reset_index(drop=True)
-    assert len(got) == len(want) > 0
-    assert (got["lid"].to_numpy() == want["lid"].to_numpy()).all()
-    assert (got["rid"].to_numpy() == want["rid"].to_numpy()).all()
-    np.testing.assert_allclose(got["dist_m"], want["dist_m"],
-                               rtol=1e-9, atol=1e-6)
-    np.testing.assert_allclose(got["dt_s"], want["dt_s"], atol=1e-6)
 
 
 # ------------------------------------------------ simplify
