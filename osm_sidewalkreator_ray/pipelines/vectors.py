@@ -4,10 +4,15 @@
   matmul per batch, partial top-k per batch, tiny driver-side merge)
 - kNN self-join for a sample of query vectors
 - approximate top-k: an IVF probe (``ivf_topk``) and a navigable
-  small-world graph per IVF list (``nsw_topk``)
-- exact embedding near-duplicate pairs, scored block pair by block pair
-- distributed k-means, the in-context document order built on it, and
-  the logistic-regression fit/scorer of the trained quality classifier
+  small-world graph per IVF list (``nsw_topk``, or stored by list with
+  ``nsw_write`` / ``nsw_topk_stored``)
+- exact embedding near-duplicate pairs, scored block pair by block
+  pair, and DBSCAN over the same eps-graph
+- per-label centroids, covariance and top principal component, int8
+  scalar quantization
+- distributed k-means with SemDeDup and the in-context document order
+  built on it, the logistic-regression fit/scorer of the trained
+  quality classifier, and a calibration table for its scores
 """
 
 from __future__ import annotations
@@ -222,6 +227,38 @@ def ivf_topk(sf_dir: str, k: int = 10, n_clusters: int = 16,
     return df.reset_index(drop=True)
 
 
+def label_centroids(sf_dir: str):
+    """Per-label embedding centroid (class means — nearest-class-mean
+    classification / IVF init). Per-batch partial: one scatter-add
+    over (label, dim) -> long-form (label, dim, s, c) slim rows (cardinality
+    = labels x dims, never vectors), combined by a small groupby; the
+    mean is taken after the final combine, so the result is exact."""
+    ds = _read_emb(sf_dir, ["label", "embedding"])
+
+    def partial(batch: pd.DataFrame) -> pd.DataFrame:
+        m = _batch_matrix(batch)
+        labs = batch["label"].to_numpy()
+        uniq, inv = np.unique(labs, return_inverse=True)
+        sums = np.zeros((len(uniq), m.shape[1]))
+        np.add.at(sums, inv, m)
+        counts = np.bincount(inv)
+        nl, d = sums.shape
+        return pd.DataFrame({
+            "label": np.repeat(uniq.astype(np.int64), d),
+            "dim": np.tile(np.arange(1, d + 1, dtype=np.int64), nl),
+            "s": sums.ravel(),
+            "c": np.repeat(counts.astype(np.int64), d)})
+
+    from ..functions.aggregates import grouped_agg
+    agg = grouped_agg(ds.map_batches(partial, batch_format="pandas"),
+                      ["label", "dim"],
+                      {"s": ("s", "sum"), "c": ("c", "sum")})
+    df = agg.to_pandas()
+    df["mean_val"] = (df["s"] / df["c"]).round(6)
+    return (df[["label", "dim", "mean_val"]]
+            .sort_values(["label", "dim"]).reset_index(drop=True))
+
+
 def _empty_pairs() -> pd.DataFrame:
     return pd.DataFrame({"vec_a": pd.Series([], dtype="int64"),
                          "vec_b": pd.Series([], dtype="int64"),
@@ -279,6 +316,14 @@ def embedding_near_dups_exact(sf_dir: str, sim_threshold: float = 0.4,
     semantics.
     """
     ds = _read_emb(sf_dir, ["vec_id", "embedding"])
+    return _exact_pairs(ds, sim_threshold, target_block_rows)
+
+
+def _exact_pairs(ds, sim_threshold: float,
+                 target_block_rows: int = 4096) -> pd.DataFrame:
+    """Block-pair exact cosine pairs >= threshold over an embeddings
+    Dataset (the physical plan documented on
+    ``embedding_near_dups_exact``); shared with DBSCAN's eps-graph."""
     n = ds.count()
     nblocks = max(1, -(-n // target_block_rows))
     refs = [r for bundle in ds.repartition(nblocks).iter_internal_ref_bundles()
@@ -395,6 +440,64 @@ def kmeans_fit_ds(ds, k: int = 8, iters: int = 10,
             "inertia": inertia_hist}
 
 
+# ----------------------------------------------------------- SemDeDup
+#
+# Semantic deduplication (Abbas et al. 2023, arXiv:2303.09540):
+# cluster the embeddings with k-means, then WITHIN each cluster drop
+# every vector whose cosine similarity to an earlier-kept member
+# exceeds the threshold (greedy keep-first in ascending vec_id order
+# — deterministic). All-pairs work is confined to one cluster at a
+# time: the cluster shuffle moves slim (vec_id, cluster) rows plus the
+# vectors once, and the O(m^2) verify is per-group vectorized matmul.
+# Partitioning assumption: a single cluster's members fit one task —
+# pick k so corpus_size/k does; skewed clusters can be re-split by a
+# second k-means level.
+
+
+def semantic_dedup_ds(emb_ds, centroids: np.ndarray,
+                      sim_threshold: float = 0.95):
+    """(vec_id, embedding) Dataset -> (vec_id, cluster, keep,
+    dup_of) Dataset. dup_of = the kept vec_id that shadowed a dropped
+    one (-1 for kept rows)."""
+    # ride the embedding along the cluster shuffle once (payload moves
+    # exactly once; the groupby key is the small int cluster id);
+    # assignment is recomputed inline rather than joined back
+    ref = ray.put(np.asarray(centroids, dtype=np.float64))
+
+    def tag(batch: pd.DataFrame) -> pd.DataFrame:
+        c = ray.get(ref)
+        lab, _ = _assign(_batch_matrix(batch).astype(np.float64), c)
+        return pd.DataFrame({
+            "vec_id": batch["vec_id"].to_numpy().astype(np.int64),
+            "cluster": lab.astype(np.int64),
+            "embedding": batch["embedding"]})
+
+    tagged = emb_ds.map_batches(tag, batch_format="pandas")
+
+    def dedup_cluster(g: pd.DataFrame) -> pd.DataFrame:
+        g = g.sort_values("vec_id", kind="mergesort")
+        m = _batch_matrix(g).astype(np.float64)
+        m = m / np.maximum(np.linalg.norm(m, axis=1, keepdims=True),
+                           1e-12)
+        sims = m @ m.T
+        ids = g["vec_id"].to_numpy(np.int64)
+        keep = np.ones(len(g), dtype=bool)
+        dup_of = np.full(len(g), -1, dtype=np.int64)
+        for i in range(len(g)):
+            if not keep[i]:
+                continue
+            shadowed = (sims[i] >= sim_threshold) & keep
+            shadowed[: i + 1] = False
+            dup_of[shadowed] = ids[i]
+            keep[shadowed] = False
+        return pd.DataFrame({
+            "vec_id": ids, "cluster": g["cluster"].to_numpy(np.int64),
+            "keep": keep, "dup_of": dup_of})
+
+    return tagged.groupby("cluster").map_groups(dedup_cluster,
+                                                batch_format="pandas")
+
+
 # --------------------------- in-context pretraining document order
 
 def incontext_order_ds(emb_ds, centroids: np.ndarray):
@@ -467,6 +570,225 @@ def incontext_order(sf_dir: str, k: int = 8, iters: int = 5):
     return df.sort_values(["cluster", "pos"]).reset_index(drop=True)
 
 
+# --------------------------------------- covariance / distributed PCA
+
+def embedding_covariance(sf_dir: str):
+    """Mean vector and covariance matrix of the embedding column as
+    ALGEBRAIC aggregates: each batch contributes (n, Σx, Σxxᵀ) — one
+    (d + d²)-float partial per batch, summed on the driver; no
+    shuffle, the corpus streams once. The whitening/OPQ/PCA
+    preprocessing primitive. Returns (mean (d,), cov (d,d) — the
+    population covariance, matching np.cov(bias=True))."""
+    ds = _read_emb(sf_dir, ["embedding"])
+
+    def partial(b: pd.DataFrame) -> pd.DataFrame:
+        m = np.stack([np.asarray(v, dtype=np.float64)
+                      for v in b["embedding"]])
+        return pd.DataFrame({
+            "n": [len(m)],
+            "sx": [m.sum(axis=0).tobytes()],
+            "sxx": [(m.T @ m).tobytes()]})
+
+    p = ds.map_batches(partial, batch_format="pandas",
+                       batch_size=4096).to_pandas()
+    n = int(p["n"].sum())
+    d = len(np.frombuffer(p["sx"].iloc[0], dtype=np.float64))
+    sx = np.sum([np.frombuffer(v, dtype=np.float64)
+                 for v in p["sx"]], axis=0)
+    sxx = np.sum([np.frombuffer(v, dtype=np.float64).reshape(d, d)
+                  for v in p["sxx"]], axis=0)
+    mean = sx / n
+    cov = sxx / n - np.outer(mean, mean)
+    return mean, cov
+
+
+def embedding_top_component(sf_dir: str, iters: int = 50,
+                            seed: int = 3):
+    """First principal component by POWER ITERATION with the matvec
+    distributed: per iteration each batch contributes
+    Xᵀ(Xv) - n·mean(mean·v) partials (one d-float row per batch,
+    driver-summed; v broadcast via ray.put) — the corpus streams once
+    per iteration and the driver holds O(d). Deterministic start
+    vector. Returns (eigenvalue, component (d,), sign-fixed so the
+    largest-|coord| entry is positive)."""
+    mean, _ = embedding_covariance(sf_dir)
+    ds = _read_emb(sf_dir, ["embedding"]).materialize()
+    rng = np.random.RandomState(seed)
+    d = len(mean)
+    v = rng.normal(size=d)
+    v /= np.linalg.norm(v)
+    n_total = ds.count()
+    lam = 0.0
+    for _ in range(iters):
+        v_ref = ray.put(v)
+
+        def matvec(b: pd.DataFrame) -> pd.DataFrame:
+            m = np.stack([np.asarray(x, dtype=np.float64)
+                          for x in b["embedding"]])
+            vv = ray.get(v_ref)
+            return pd.DataFrame({
+                "y": [(m.T @ (m @ vv)).tobytes()],
+                "n": [len(m)]})
+
+        p = ds.map_batches(matvec, batch_format="pandas",
+                           batch_size=4096).to_pandas()
+        y = np.sum([np.frombuffer(x, dtype=np.float64)
+                    for x in p["y"]], axis=0)
+        # centered matvec: Cov·v = (XᵀX v)/n - mean (mean·v)
+        y = y / n_total - mean * float(mean @ v)
+        lam = float(np.linalg.norm(y))
+        if lam == 0:
+            break
+        v = y / lam
+    if v[np.argmax(np.abs(v))] < 0:
+        v = -v
+    return lam, v
+
+
+# -------------------------------------------------- DBSCAN clustering
+#
+# Density clustering over the embedding column (Ester et al., KDD'96)
+# with COSINE distance (1 - cosine_sim), the metric every other op in
+# this module uses. Deterministic variant: classic DBSCAN assigns a
+# border point to whichever core reaches it first (scan-order
+# dependent); here a border point joins the MINIMUM cluster label
+# among its core neighbors, so output is independent of block layout.
+
+def dbscan_embeddings_ds(emb, eps: float = 0.2, min_pts: int = 4,
+                         target_block_rows: int = 4096):
+    """embeddings Dataset (vec_id, embedding) -> Dataset of
+    (vec_id, label, is_core); label = min core vec_id of the cluster,
+    -1 = noise.
+
+    Physical plan: eps-graph from the shared block-pair kernel
+    (`_exact_pairs`, only pairs with cosine_sim >= 1 - eps leave the
+    tasks) -> degrees / core flags from the SURVIVING pair list (edge
+    set, not corpus-sized) -> `min_label_components` over core-core
+    edges, in-process on the collected pairs -> border points take the
+    min core-neighbor component; everything else is noise. The
+    labeling map (clustered points only) is broadcast via ``ray.put``
+    into one final map_batches over vec_ids — the embeddings table
+    itself streams, is read twice (pairs + labeling) and never
+    materializes on the driver.
+    """
+    from ..functions.graph import min_label_components
+    pairs = _exact_pairs(emb.select_columns(["vec_id", "embedding"]),
+                         1.0 - eps, target_block_rows)
+    if len(pairs):
+        ids = np.concatenate([pairs["vec_a"].to_numpy(np.int64),
+                              pairs["vec_b"].to_numpy(np.int64)])
+        deg = pd.Series(ids).value_counts()
+        # |N_eps(p)| includes p itself
+        core_ids = set(deg.index[(deg + 1) >= min_pts].astype(np.int64))
+    else:
+        core_ids = set()
+    label: dict[int, int] = {}
+    if core_ids:
+        ca = pairs["vec_a"].isin(core_ids).to_numpy()
+        cb = pairs["vec_b"].isin(core_ids).to_numpy()
+        cc = pairs[ca & cb]
+        if len(cc):
+            comp = min_label_components(cc["vec_a"].to_numpy(np.int64),
+                                        cc["vec_b"].to_numpy(np.int64))
+            label = dict(zip(comp["vertex"].astype(np.int64),
+                             comp["component"].astype(np.int64)))
+        for c in core_ids:          # isolated cores: own cluster
+            label.setdefault(int(c), int(c))
+        # border points: min component among core neighbors
+        border = pairs[ca ^ cb]
+        if len(border):
+            p = np.where(ca[ca ^ cb], border["vec_b"].to_numpy(np.int64),
+                         border["vec_a"].to_numpy(np.int64))
+            c = np.where(ca[ca ^ cb], border["vec_a"].to_numpy(np.int64),
+                         border["vec_b"].to_numpy(np.int64))
+            bl = pd.DataFrame({"p": p, "lab": [label[int(x)] for x in c]})
+            for pt, lab in bl.groupby("p")["lab"].min().items():
+                label[int(pt)] = int(lab)
+    lab_ref = ray.put(label)
+    cores_ref = ray.put(core_ids)
+
+    def assign(batch: pd.DataFrame) -> pd.DataFrame:
+        lab = ray.get(lab_ref)
+        cores = ray.get(cores_ref)
+        vid = batch["vec_id"].to_numpy(np.int64)
+        return pd.DataFrame({
+            "vec_id": vid,
+            "label": np.fromiter((lab.get(int(v), -1) for v in vid),
+                                 dtype=np.int64, count=len(vid)),
+            "is_core": np.fromiter((int(v) in cores for v in vid),
+                                   dtype=bool, count=len(vid))})
+
+    return emb.select_columns(["vec_id"]).map_batches(
+        assign, batch_format="pandas")
+
+
+def dbscan_clusters(sf_dir: str, eps: float = 0.2, min_pts: int = 4):
+    """Collected oracle form over the embeddings table (reference
+    equality vs a naive quadratic DBSCAN with the same deterministic
+    border rule — see tests)."""
+    out = dbscan_embeddings_ds(_read_emb(sf_dir, ["vec_id", "embedding"]),
+                               eps=eps, min_pts=min_pts)
+    return (out.to_pandas().sort_values("vec_id").reset_index(drop=True)
+            if out.count() else
+            pd.DataFrame({"vec_id": pd.Series([], dtype="int64"),
+                          "label": pd.Series([], dtype="int64"),
+                          "is_core": pd.Series([], dtype="bool")}))
+
+
+# ------------------------------------------- int8 scalar quantization
+#
+# Symmetric-range per-dimension scalar quantization (the SQ8 scheme of
+# Faiss/Jégou: affine map of each dimension's [min, max] onto 0..255)
+# — 4x smaller vectors, so an ANN scan reads a quarter of the bytes
+# and the object store holds 4x more corpus. Two streaming passes:
+# (1) per-batch per-dim min/max partials fold on the driver to a
+# (2, d) range matrix — fixed-size, broadcast via closure; (2) a
+# zero-shuffle map_batches encodes each vector to d uint8 codes.
+# ``dequantize_codes`` inverts to the bin centers (max error =
+# half a bin per dim).
+
+
+def embedding_ranges(emb, col: str = "embedding") -> np.ndarray:
+    """(2, d) per-dimension [min; max] of a vector column — slim
+    two-row partials per batch, driver fold."""
+    def partial(b: pd.DataFrame) -> pd.DataFrame:
+        m = np.stack(b[col].to_numpy()).astype(np.float64)
+        return pd.DataFrame({"mn": [m.min(axis=0).tobytes()],
+                             "mx": [m.max(axis=0).tobytes()]})
+
+    rows = emb.map_batches(partial, batch_format="pandas").to_pandas()
+    mn = np.min([np.frombuffer(x) for x in rows["mn"]], axis=0)
+    mx = np.max([np.frombuffer(x) for x in rows["mx"]], axis=0)
+    return np.stack([mn, mx])
+
+
+def quantize_embeddings_ds(emb, ranges: np.ndarray,
+                           col: str = "embedding",
+                           id_col: str = "vec_id"):
+    """Encode vectors to uint8 codes: (id_col, codes binary). Constant
+    dimensions map to code 0."""
+    mn, mx = ranges[0], ranges[1]
+    scale = np.divide(255.0, mx - mn, out=np.zeros_like(mx, dtype=np.float64),
+                      where=mx > mn)
+
+    def enc(b: pd.DataFrame) -> pd.DataFrame:
+        m = np.stack(b[col].to_numpy()).astype(np.float64)
+        codes = np.clip(np.rint((m - mn) * scale), 0, 255) \
+            .astype(np.uint8)
+        return pd.DataFrame({id_col: b[id_col].to_numpy(np.int64),
+                             "codes": [r.tobytes() for r in codes]})
+
+    return emb.map_batches(enc, batch_format="pandas")
+
+
+def dequantize_codes(codes: np.ndarray, ranges: np.ndarray
+                     ) -> np.ndarray:
+    """(n, d) uint8 codes -> float64 bin-center reconstruction."""
+    mn, mx = ranges[0], ranges[1]
+    step = np.where(mx > mn, (mx - mn) / 255.0, 0.0)
+    return mn + codes.astype(np.float64) * step
+
+
 # ------------------------------------------------ logistic regression
 #
 # Full-batch gradient-descent logistic regression — the learned-filter
@@ -520,6 +842,40 @@ def logreg_predict_ds(ds, w: np.ndarray, b: float,
             "pred": (p >= threshold).astype(np.int64)})
 
     return ds.map_batches(f, batch_format="pandas")
+
+
+# ------------------------------------------------- model evaluation
+#
+# Classifier calibration table: bin predicted probabilities into
+# fixed-width bins, per-bin mean prediction vs observed positive rate
+# (the reliability-diagram input). One slim grouped_agg pass; O(bins)
+# driver rows.
+
+
+def calibration_table_ds(ds, proba_col: str, label_col: str,
+                         n_bins: int = 10) -> pd.DataFrame:
+    """(bin, mean_proba, frac_pos, n) per non-empty probability bin;
+    bin = floor(p * n_bins) clipped to the last bin at p = 1.0."""
+    from ..functions.aggregates import grouped_agg
+
+    def binned(b: pd.DataFrame) -> pd.DataFrame:
+        p = b[proba_col].to_numpy(np.float64)
+        return pd.DataFrame({
+            "bin": np.minimum((p * n_bins).astype(np.int64),
+                              n_bins - 1),
+            "__p": p,
+            "__y": b[label_col].to_numpy(np.float64)})
+
+    g = grouped_agg(ds.map_batches(binned, batch_format="pandas"),
+                    ["bin"],
+                    {"sp": ("__p", "sum"), "sy": ("__y", "sum"),
+                     "n": ("__p", "count")}).to_pandas()
+    g = g.sort_values("bin").reset_index(drop=True)
+    return pd.DataFrame({
+        "bin": g["bin"].astype(np.int64),
+        "mean_proba": np.round(g["sp"] / g["n"], 6),
+        "frac_pos": np.round(g["sy"] / g["n"], 6),
+        "n": g["n"].astype(np.int64)})
 
 
 # ------------------------------------ graph ANN: NSW per IVF list
@@ -730,3 +1086,57 @@ def nsw_topk(sf_dir: str, k: int = 10, n_clusters: int = 16,
     return df.reset_index(drop=True)
 
 
+def nsw_write(sf_dir: str, index_dir: str, n_clusters: int = 16,
+              n_neighbors: int = 8, hub_stride: int = 8,
+              seed: int = 42) -> str:
+    """Stored-index variant: persist the NSW graph as parquet
+    PARTITIONED BY list_id (plus a _coarse.npy sidecar), so a query
+    reads ONLY its probed lists' partitions."""
+    import os
+    graph, coarse = nsw_build(sf_dir, n_clusters=n_clusters,
+                              n_neighbors=n_neighbors,
+                              hub_stride=hub_stride, seed=seed)
+    graph.write_parquet(index_dir, partition_cols=["list_id"])
+    np.save(os.path.join(index_dir, "_coarse.npy"), coarse)
+    return index_dir
+
+
+def nsw_topk_stored(sf_dir: str, index_dir: str, k: int = 10,
+                    n_probe: int = 4, ef: int = 50) -> pd.DataFrame:
+    """Query a ``nsw_write`` index: hive-pruned read of the probed
+    lists' partitions only, greedy ef-search per list, pushed-down
+    exact rerank. Returns the same shape as ``nsw_topk``."""
+    import os
+    import pyarrow as pa
+    import pyarrow.compute as pc
+    import pyarrow.dataset as pads
+    import pyarrow.parquet as pq
+
+    coarse = np.load(os.path.join(index_dir, "_coarse.npy"))
+    t = pq.read_table(f"{sf_dir}/embeddings.parquet",
+                      columns=["vec_id", "embedding"],
+                      filters=[("vec_id", "=", 0)])
+    q = np.asarray(t["embedding"][0].as_py(), dtype=np.float64)
+    q = q / np.linalg.norm(q)
+    probes = np.argsort(-(coarse @ q))[:n_probe].tolist()
+    probed = pads.dataset(index_dir, partitioning="hive").to_table(
+        filter=pads.field("list_id").isin(probes)).to_pandas()
+    found: list[tuple[float, int]] = []
+    for _, rows in probed.groupby("list_id"):
+        found.extend(_nsw_search_rows(rows, q, ef))
+    if not found:
+        return pd.DataFrame({"vec_id": pd.Series([], dtype="int64"),
+                             "cosine_sim": pd.Series([], dtype="float64")})
+    ids = np.unique(np.array([v for _, v in found], dtype=np.int64))
+    rer = pads.dataset(f"{sf_dir}/embeddings.parquet").to_table(
+        columns=["vec_id", "embedding"],
+        filter=pc.field("vec_id").isin(pa.array(ids, pa.int64())))
+    mm = np.stack([np.asarray(v, dtype=np.float64)
+                   for v in rer["embedding"].to_pylist()])
+    mm = mm / np.linalg.norm(mm, axis=1, keepdims=True)
+    df = pd.DataFrame({"vec_id": rer["vec_id"].to_numpy(),
+                       "cosine_sim": mm @ q})
+    df = df.sort_values(["cosine_sim", "vec_id"],
+                        ascending=[False, True]).head(k)
+    df["cosine_sim"] = df["cosine_sim"].round(6)
+    return df.reset_index(drop=True)

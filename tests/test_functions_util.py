@@ -346,6 +346,48 @@ class TestNewOpsEmptyInputs:
 
 
 @pytest.mark.usefixtures("ray_session")
+class TestDistanceJoin:
+    def test_matches_sql_cross_join(self):
+        import duckdb
+        import ray.data as rd
+        from osm_sidewalkreator_ray.functions.joins import distance_join
+        rng = np.random.RandomState(8)
+        a = pd.DataFrame({"x": rng.uniform(0, 20, 200),
+                          "y": rng.uniform(0, 20, 200),
+                          "aid": range(200)})
+        b = pd.DataFrame({"x2": rng.uniform(0, 20, 150),
+                          "y2": rng.uniform(0, 20, 150),
+                          "bid": range(150)})
+        got = distance_join(rd.from_pandas(a), rd.from_pandas(b),
+                            d=1.5).to_pandas() \
+            .sort_values(["aid", "bid"]).reset_index(drop=True)
+        c = duckdb.connect()
+        c.register("a", a)
+        c.register("b", b)
+        want = c.sql(
+            "SELECT aid, bid FROM a, b WHERE "
+            "(x-x2)*(x-x2) + (y-y2)*(y-y2) <= 1.5*1.5 "
+            "ORDER BY aid, bid").df()
+        assert got["aid"].tolist() == want["aid"].tolist()
+        assert got["bid"].tolist() == want["bid"].tolist()
+        assert not got.duplicated(["aid", "bid"]).any()
+
+    def test_boundary_negatives_nulls(self):
+        import ray.data as rd
+        from osm_sidewalkreator_ray.functions.joins import distance_join
+        a = pd.DataFrame({"x": [0.0, -5.0, None],
+                          "y": [0.0, -5.0, 1.0], "aid": [1, 2, 3]})
+        b = pd.DataFrame({"x2": [1.0, -5.0, 100.0],
+                          "y2": [0.0, -6.0, 100.0], "bid": [10, 20, 30]})
+        got = distance_join(rd.from_pandas(a), rd.from_pandas(b),
+                            d=1.0).to_pandas() \
+            .sort_values(["aid", "bid"]).reset_index(drop=True)
+        # (1,10) exactly at d; (2,20) at distance 1 across negative
+        # cells; NULL row never matches
+        assert list(zip(got["aid"], got["bid"])) == [(1, 10), (2, 20)]
+
+
+@pytest.mark.usefixtures("ray_session")
 class TestMergeInto:
     def test_upsert_insert_delete_vs_sql(self):
         import duckdb
@@ -399,6 +441,27 @@ def test_no_library_module_calls_ray_init():
                     and node.func.value.id in ("ray", "_ray")):
                 offenders.append(f"{f.name}:{node.lineno}")
     assert not offenders, offenders
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_distance_join_dense_cluster_exact():
+    """All points piled into one cell (worst skew): the single big
+    group stays correct, pairs still exact and dup-free."""
+    import duckdb
+    import ray.data as rd
+    from osm_sidewalkreator_ray.functions.joins import distance_join
+    rng = np.random.RandomState(12)
+    a = pd.DataFrame({"x": rng.uniform(0, 0.5, 300),
+                      "y": rng.uniform(0, 0.5, 300),
+                      "aid": range(300)})
+    b = pd.DataFrame({"x2": rng.uniform(0, 0.5, 300),
+                      "y2": rng.uniform(0, 0.5, 300),
+                      "bid": range(300)})
+    got = distance_join(rd.from_pandas(a), rd.from_pandas(b),
+                        d=5.0).to_pandas()
+    # every pair is within d=5 of each other in a 0.5-side box
+    assert len(got) == 300 * 300
+    assert not got.duplicated(["aid", "bid"]).any()
 
 
 @pytest.mark.usefixtures("ray_session")
