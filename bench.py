@@ -42,10 +42,8 @@ def run_bench(sf_dir: str, num_cpus: int) -> dict:
     from osm_sidewalkreator_ray.pipelines import relational as R
     from osm_sidewalkreator_ray.pipelines import textops as T
     from osm_sidewalkreator_ray.pipelines import vectors as V
-    from osm_sidewalkreator_ray.sources.synthetic import sf_from_dir
-
     from osm_sidewalkreator_ray.sources.synthetic import (n_pages_for_sf,
-                                                          pages_dataset)
+                                                          sf_from_dir)
 
     timings: dict[str, float] = {}
     extra: dict[str, float] = {}

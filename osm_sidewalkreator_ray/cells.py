@@ -19,8 +19,6 @@ from __future__ import annotations
 
 import numpy as np
 
-MAX_RES = 28
-
 
 def _delta(res: int) -> float:
     return 180.0 / (1 << res)
@@ -67,19 +65,6 @@ def cell_parent(cell, parent_res: int):
     ix, iy = cell_ixy(cell)
     out = (np.int64(parent_res) << 58) | ((ix >> k) << 29) | (iy >> k)
     return out if out.shape else np.int64(out)
-
-
-def cell_children(cell: int) -> np.ndarray:
-    """The four child cells one resolution finer (quadtree split)."""
-    cell = int(cell)
-    res = int(cell_res(cell)) + 1
-    if res > MAX_RES:
-        raise ValueError("cell is already at MAX_RES")
-    ix, iy = (int(v) for v in cell_ixy(cell))
-    jx, jy = np.meshgrid(np.arange(2), np.arange(2))
-    return ((np.int64(res) << 58)
-            | ((2 * ix + jx.ravel().astype(np.int64)) << 29)
-            | (2 * iy + jy.ravel().astype(np.int64)))
 
 
 def cell_bounds(cell):
@@ -149,104 +134,3 @@ def cover_bboxes(min_lon, min_lat, max_lon, max_lat, res: int):
     jy = iy0[row_idx] + rank // gx
     cell = (np.int64(res) << 58) | (jx << 29) | jy
     return row_idx, cell
-
-
-_GH32 = np.frombuffer(b"0123456789bcdefghjkmnpqrstuvwxyz", dtype="S1")
-_GH32_INV = {c: i for i, c in enumerate(
-    "0123456789bcdefghjkmnpqrstuvwxyz")}
-
-
-def geohash_encode(lat, lon, precision: int = 9) -> np.ndarray:
-    """Vectorized standard geohash strings (public base-32 alphabet,
-    interleaved lon/lat bisection) — interop with external systems;
-    the engine's own partition key stays the int64 cell id."""
-    lat = np.atleast_1d(np.asarray(lat, dtype=np.float64))
-    lon = np.atleast_1d(np.asarray(lon, dtype=np.float64))
-    nbits = precision * 5
-    lon_bits = (nbits + 1) // 2
-    lat_bits = nbits // 2
-    qlon = np.minimum(((lon + 180.0) / 360.0
-                       * (1 << lon_bits)).astype(np.uint64),
-                      (1 << lon_bits) - 1)
-    qlat = np.minimum(((lat + 90.0) / 180.0
-                       * (1 << lat_bits)).astype(np.uint64),
-                      (1 << lat_bits) - 1)
-    # interleave: even bit positions (from MSB, 0-based) are lon
-    val = np.zeros(len(lon), dtype=np.uint64)
-    for i in range(nbits):
-        if i % 2 == 0:  # lon bit
-            b = (qlon >> np.uint64(lon_bits - 1 - i // 2)) & np.uint64(1)
-        else:
-            b = (qlat >> np.uint64(lat_bits - 1 - i // 2)) & np.uint64(1)
-        val = (val << np.uint64(1)) | b
-    chars = np.empty((len(lon), precision), dtype="S1")
-    for k in range(precision):
-        idx = (val >> np.uint64(5 * (precision - 1 - k))) & np.uint64(31)
-        chars[:, k] = _GH32[idx.astype(np.int64)]
-    return chars.view(f"S{precision}").ravel().astype(str)
-
-
-def geohash_decode(hashes) -> tuple[np.ndarray, np.ndarray]:
-    """Geohash strings -> (lat, lon) cell centers (vectorized over the
-    bit assembly; one pass per character position)."""
-    hashes = np.asarray(hashes, dtype=str)
-    precision = len(hashes[0]) if len(hashes) else 0
-    nbits = precision * 5
-    lon_bits = (nbits + 1) // 2
-    lat_bits = nbits // 2
-    val = np.zeros(len(hashes), dtype=np.uint64)
-    for k in range(precision):
-        idx = np.fromiter((_GH32_INV[h[k]] for h in hashes),
-                          dtype=np.uint64, count=len(hashes))
-        val = (val << np.uint64(5)) | idx
-    qlon = np.zeros(len(hashes), dtype=np.uint64)
-    qlat = np.zeros(len(hashes), dtype=np.uint64)
-    for i in range(nbits):
-        b = (val >> np.uint64(nbits - 1 - i)) & np.uint64(1)
-        if i % 2 == 0:
-            qlon = (qlon << np.uint64(1)) | b
-        else:
-            qlat = (qlat << np.uint64(1)) | b
-    lon = (qlon.astype(np.float64) + 0.5) / (1 << lon_bits) * 360.0 - 180.0
-    lat = (qlat.astype(np.float64) + 0.5) / (1 << lat_bits) * 180.0 - 90.0
-    return lat, lon
-
-
-def compact_cells(cells) -> np.ndarray:
-    """H3-style compaction: wherever all 4 children of a parent are
-    present, replace them by the parent, recursively — the minimal
-    mixed-resolution cover of the same area. Input cells must share
-    one resolution and be unique."""
-    cur = np.unique(np.asarray(cells, dtype=np.int64))
-    if len(cur) == 0:
-        return cur
-    out = []
-    while len(cur) and int(cell_res(cur[0])) > 0:
-        r = int(cell_res(cur[0]))
-        parent = cell_parent(cur, r - 1)
-        uq, counts = np.unique(parent, return_counts=True)
-        full = uq[counts == 4]
-        promote = np.isin(parent, full)
-        out.append(cur[~promote])
-        cur = full
-    out.append(cur)
-    return np.sort(np.concatenate(out))
-
-
-def uncompact_cells(cells, res: int) -> np.ndarray:
-    """Inverse of compact_cells: expand every cell to its descendants
-    at ``res``."""
-    cells = np.asarray(cells, dtype=np.int64)
-    out = []
-    for c in cells:
-        r = int(cell_res(c))
-        if r > res:
-            raise ValueError("cell finer than target res")
-        k = res - r
-        ix, iy = (int(v) for v in cell_ixy(c))
-        jx, jy = np.meshgrid(np.arange(1 << k), np.arange(1 << k))
-        out.append((np.int64(res) << 58)
-                   | (((ix << k) + jx.ravel().astype(np.int64)) << 29)
-                   | ((iy << k) + jy.ravel().astype(np.int64)))
-    return (np.sort(np.concatenate(out)) if out
-            else np.zeros(0, dtype=np.int64))

@@ -559,91 +559,6 @@ def join(left, right, on: str | list[str], how: str = "inner",
                                n_salts=n_salts)
 
 
-# ------------------------------------------------- band joins
-#
-# The non-equi joins Ray Data lacks. Plan: grid the value domain into
-# cells of width w and co-group rows by bucketed cell id; the only
-# shuffle is that co-group, and the exact predicate runs in-bucket.
-
-
-def _cell_of(values: np.ndarray, w: float) -> np.ndarray:
-    return np.floor(np.asarray(values, dtype=np.float64) / w).astype(np.int64)
-
-
-def distance_join(left, right, d: float, l_x: str = "x", l_y: str = "y",
-                  r_x: str = "x2", r_y: str = "y2",
-                  num_buckets: int = 32):
-    """All (left, right) point pairs within EUCLIDEAN distance ``d``
-    (closed; NULL coords never match) — the planar distance-band join
-    (ST_DWithin shape). Column names must be disjoint.
-
-    Grid plan with cell width exactly ``d``: any qualifying pair's
-    cells differ by at most 1 in each axis, so LEFT points sit only in
-    their home cell while RIGHT points replicate to the 3x3 ring —
-    each qualifying pair meets exactly ONCE (in the left point's
-    cell), no post-dedup. The exact d² filter runs in-bucket on the
-    squared distance (no sqrt). The flagship's kNN stage uses the same
-    ring-1 trick over H3-ish cells (`page_join.py`)."""
-    w = float(d)
-    if w <= 0:
-        raise ValueError("d must be positive")
-
-    lcols = [f.name for f in _arrow_schema(left)]
-    rcols = [f.name for f in _arrow_schema(right)]
-
-    def tag_left(b: pd.DataFrame) -> pd.DataFrame:
-        b = b[b[l_x].notna() & b[l_y].notna()].copy()
-        b["__cx"] = _cell_of(b[l_x].to_numpy(), w)
-        b["__cy"] = _cell_of(b[l_y].to_numpy(), w)
-        b["__side"] = np.int8(0)
-        return b
-
-    def tag_right(b: pd.DataFrame) -> pd.DataFrame:
-        b = b[b[r_x].notna() & b[r_y].notna()]
-        cx = _cell_of(b[r_x].to_numpy(), w)
-        cy = _cell_of(b[r_y].to_numpy(), w)
-        rep = b.iloc[np.repeat(np.arange(len(b)), 9)].copy()
-        off = np.tile(np.arange(-1, 2), 3)
-        rep["__cx"] = np.repeat(cx, 9) + np.tile(
-            np.repeat(np.arange(-1, 2), 3), len(b))
-        rep["__cy"] = np.repeat(cy, 9) + np.tile(off, len(b))
-        rep["__side"] = np.int8(1)
-        return rep
-
-    def pad(missing):
-        def f(b: pd.DataFrame) -> pd.DataFrame:
-            b = b.copy()
-            for c in missing:
-                b[c] = None
-            b["__b"] = ((pd.util.hash_array(
-                b["__cx"].to_numpy(np.int64))
-                ^ pd.util.hash_array(b["__cy"].to_numpy(np.int64)))
-                % num_buckets).astype(np.int64)
-            return b[lcols + rcols
-                     + ["__cx", "__cy", "__b", "__side"]]
-        return f
-
-    tagged = (left.map_batches(tag_left, batch_format="pandas")
-              .map_batches(pad(rcols), batch_format="pandas")
-              .union(right.map_batches(tag_right,
-                                       batch_format="pandas")
-                     .map_batches(pad(lcols), batch_format="pandas")))
-
-    def merge(g: pd.DataFrame) -> pd.DataFrame:
-        a = g.loc[g["__side"] == 0, lcols + ["__cx", "__cy"]]
-        b = g.loc[g["__side"] == 1, rcols + ["__cx", "__cy"]]
-        out = a.merge(b, on=["__cx", "__cy"])
-        if out.empty:
-            return out.drop(columns=["__cx", "__cy"])
-        dx = out[l_x].to_numpy(np.float64) - out[r_x].to_numpy(np.float64)
-        dy = out[l_y].to_numpy(np.float64) - out[r_y].to_numpy(np.float64)
-        keep = dx * dx + dy * dy <= w * w
-        return out.loc[keep].drop(columns=["__cx", "__cy"])
-
-    return tagged.groupby("__b").map_groups(merge,
-                                            batch_format="pandas")
-
-
 _EARTH_R_M = 6371008.8  # IUGG mean Earth radius
 
 

@@ -1,70 +1,10 @@
-"""Pipeline introspection: parse ``Dataset.stats()`` into a frame.
-
-Ray Data reports execution stats as a text blob; ``stats_frame`` turns
-it into one row per operator (tasks, blocks, wall/UDF time, rows and
-bytes out, throughput) so a pipeline author can see WHERE time goes —
-"read ds.stats() for the stage and iterate until wall-time is
-dominated by useful compute" — without eyeballing the raw text.
-Driver-side only; no Ray calls.
+"""Pipeline introspection: partition- and key-skew diagnostics for a
+Dataset (``skew_report``), read before choosing a shuffle key.
 """
 
 from __future__ import annotations
 
-import re
-
 import pandas as pd
-
-_OP = re.compile(r"^Operator (\d+) (.+?): (\d+) tasks executed, "
-                 r"(\d+) blocks produced in ([\d.]+)s", re.M)
-_TOTAL = re.compile(r"\* {} time: .*?, ([\d.]+)(us|ms|s) total")
-_ROWS = re.compile(r"\* Output num rows per block: .*?, (\d+) total")
-_BYTES = re.compile(r"\* Output size bytes per block: .*?, (\d+) total")
-_THRU = re.compile(r"\* Ray Data throughput: ([\d.e+]+) rows/s")
-
-_UNIT = {"us": 1e-6, "ms": 1e-3, "s": 1.0}
-
-
-def _section_totals(section: str, kind: str) -> float | None:
-    m = re.search(_TOTAL.pattern.format(kind), section)
-    return float(m.group(1)) * _UNIT[m.group(2)] if m else None
-
-
-def stats_frame(ds_or_text) -> pd.DataFrame:
-    """One row per operator: (op, name, tasks, blocks, wall_s,
-    remote_wall_s, udf_s, rows_out, bytes_out, rows_per_s). Accepts a
-    Dataset (calls ``.stats()``) or the stats text itself."""
-    text = (ds_or_text if isinstance(ds_or_text, str)
-            else ds_or_text.stats())
-    heads = list(_OP.finditer(text))
-    rows = []
-    for i, m in enumerate(heads):
-        end = heads[i + 1].start() if i + 1 < len(heads) else len(text)
-        sec = text[m.start():end]
-        rmatch = _ROWS.search(sec)
-        bmatch = _BYTES.search(sec)
-        tmatch = _THRU.search(sec)
-        rows.append({
-            "op": int(m.group(1)),
-            "name": m.group(2),
-            "tasks": int(m.group(3)),
-            "blocks": int(m.group(4)),
-            "wall_s": float(m.group(5)),
-            "remote_wall_s": _section_totals(sec, "Remote wall"),
-            "udf_s": _section_totals(sec, "UDF"),
-            "rows_out": int(rmatch.group(1)) if rmatch else None,
-            "bytes_out": int(bmatch.group(1)) if bmatch else None,
-            "rows_per_s": float(tmatch.group(1)) if tmatch else None,
-        })
-    return pd.DataFrame(rows)
-
-
-def dominant_operator(ds_or_text) -> str:
-    """Name of the operator with the largest wall share — the first
-    place to look when a pipeline is slower than expected."""
-    df = stats_frame(ds_or_text)
-    if df.empty:
-        return ""
-    return str(df.loc[df["wall_s"].idxmax(), "name"])
 
 
 def skew_report(ds, key: str | None = None, k_counters: int = 64,

@@ -37,41 +37,6 @@ def ring_signed_area(ring: np.ndarray) -> float:
     return 0.5 * float(np.sum(x[:-1] * y[1:] - x[1:] * y[:-1]))
 
 
-def ring_areas(coords: np.ndarray, ring_offsets: np.ndarray) -> np.ndarray:
-    """Signed shoelace area per ring (vectorized over all rings)."""
-    n = len(ring_offsets) - 1
-    if n == 0:
-        return np.empty(0, dtype=np.float64)
-    x, y = coords[:, 0], coords[:, 1]
-    cross = x[:-1] * y[1:] - x[1:] * y[:-1]
-    cut = np.zeros(len(cross), dtype=bool)
-    cut[ring_offsets[1:-1] - 1] = True
-    cross = np.where(cut, 0.0, cross)
-    out = 0.5 * np.add.reduceat(np.concatenate((cross, [0.0])),
-                                np.asarray(ring_offsets[:-1], dtype=np.intp))
-    return out[:n]
-
-
-def polygon_areas(coords, ring_offsets, poly_offsets) -> np.ndarray:
-    """Area per polygon: |shell| - sum |holes| (M11 ``in_area``)."""
-    ra = ring_areas(coords, ring_offsets)
-    n = len(poly_offsets) - 1
-    out = np.zeros(n, dtype=np.float64)
-    for i in range(n):
-        rs = ra[poly_offsets[i]:poly_offsets[i + 1]]
-        if len(rs):
-            out[i] = abs(rs[0]) - np.abs(rs[1:]).sum()
-    return out
-
-
-def polygon_perimeters(coords, ring_offsets, poly_offsets) -> np.ndarray:
-    """Exterior-shell perimeter per polygon (M11 ``perimeter``)."""
-    lens = line_lengths(coords, ring_offsets)
-    n = len(poly_offsets) - 1
-    return np.array([lens[poly_offsets[i]] if poly_offsets[i + 1] > poly_offsets[i]
-                     else 0.0 for i in range(n)])
-
-
 # -------------------------------------------------------- point-segment
 
 def point_segment_dist(px, py, ax, ay, bx, by):
@@ -84,16 +49,6 @@ def point_segment_dist(px, py, ax, ay, bx, by):
     dx = apx - t * abx
     dy = apy - t * aby
     return np.sqrt(dx * dx + dy * dy)
-
-
-def points_to_polyline_dist(points: np.ndarray, line: np.ndarray) -> np.ndarray:
-    """Min distance from each of N points to one polyline (M coords)."""
-    if len(line) == 1:
-        return np.linalg.norm(points - line[0], axis=1)
-    px = points[:, 0:1]; py = points[:, 1:2]
-    ax = line[:-1, 0][None, :]; ay = line[:-1, 1][None, :]
-    bx = line[1:, 0][None, :]; by = line[1:, 1][None, :]
-    return point_segment_dist(px, py, ax, ay, bx, by).min(axis=1)
 
 
 # -------------------------------------------------------------- P-I-P
@@ -255,63 +210,3 @@ def angle_at(p_prev: np.ndarray, p: np.ndarray, p_next: np.ndarray) -> float:
         return 180.0
     c = np.clip(np.dot(v1, v2) / (n1 * n2), -1.0, 1.0)
     return float(np.degrees(np.arccos(c)))
-
-
-def _akl_toussaint_keep(pts: np.ndarray) -> np.ndarray:
-    """Vectorized Akl-Toussaint prefilter: mask of points NOT strictly
-    inside the quadrilateral of the four extreme points in x, y, x+y,
-    x-y (those interior points cannot be on the convex hull), so the
-    O(n log n) chain walk only ever sees the thin candidate rim."""
-    x, y = pts[:, 0], pts[:, 1]
-    corners = pts[[np.argmin(x), np.argmin(x + y), np.argmax(x),
-                   np.argmax(x - y), np.argmin(y), np.argmax(y)]]
-    corners = np.unique(corners, axis=0)
-    if len(corners) < 3:
-        return np.ones(len(pts), dtype=bool)
-    # order corners CCW around their centroid
-    c = corners.mean(axis=0)
-    corners = corners[np.argsort(
-        np.arctan2(corners[:, 1] - c[1], corners[:, 0] - c[0]))]
-    inside = np.ones(len(pts), dtype=bool)
-    for i in range(len(corners)):
-        a, b = corners[i], corners[(i + 1) % len(corners)]
-        cross = ((b[0] - a[0]) * (y - a[1])
-                 - (b[1] - a[1]) * (x - a[0]))
-        inside &= cross > 1e-12
-    return ~inside
-
-
-def convex_hull_xy(pts: np.ndarray) -> np.ndarray:
-    """Convex hull of (n, 2) float points — Andrew's monotone chain
-    (CCW vertex order, first vertex = lexicographic minimum, collinear
-    boundary points dropped). Degenerate inputs (<3 distinct points,
-    or all collinear) return the distinct extreme points. The Python
-    chain walk runs only on the Akl-Toussaint candidate rim, so batch
-    cost is vectorized-prefilter + a short loop."""
-    pts = np.asarray(pts, dtype=np.float64).reshape(-1, 2)
-    pts = np.unique(pts, axis=0)          # also lexsorts by (x, y)
-    if len(pts) <= 2:
-        return pts
-    pts = pts[_akl_toussaint_keep(pts)]
-
-    def half(points):
-        out = []
-        for p in points:
-            while len(out) >= 2:
-                ox, oy = out[-2]
-                ax, ay = out[-1]
-                if (ax - ox) * (p[1] - oy) - (ay - oy) * (p[0] - ox) \
-                        <= 1e-12:
-                    out.pop()
-                else:
-                    break
-            out.append((p[0], p[1]))
-        return out
-
-    lower = half(pts)
-    upper = half(pts[::-1])
-    hull = np.asarray(lower[:-1] + upper[:-1], dtype=np.float64)
-    if len(hull) < 3:                     # collinear input
-        return np.unique(np.asarray(lower + upper), axis=0)[
-            [0, -1]] if len(pts) > 1 else pts
-    return hull

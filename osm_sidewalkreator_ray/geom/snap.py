@@ -14,12 +14,6 @@ import numpy as np
 from .grid_index import SegmentGrid
 
 
-def snap_points_to_grid(pts: np.ndarray, tol: float) -> np.ndarray:
-    """Behavior 'prefer grid': quantize coordinates to a tol lattice
-    (used to unify nearly-identical vertices before dedup, M14/A5)."""
-    return np.round(pts / tol) * tol
-
-
 def snap_line_to_segments(line: np.ndarray, s0: np.ndarray, s1: np.ndarray,
                           tol: float) -> np.ndarray:
     """Behavior 'prefer closest point': move each vertex of ``line``

@@ -34,13 +34,6 @@ _HDR = struct.Struct("<BI")
 
 # ---------------------------------------------------------------- encode
 
-def encode_points(xy: np.ndarray) -> list[bytes]:
-    """(N,2) -> N Point WKBs."""
-    hdr = b"\x01\x01\x00\x00\x00"
-    return [hdr + struct.pack("<dd", x, y)
-            for x, y in np.asarray(xy, dtype=np.float64)]
-
-
 def encode_lines(coords: np.ndarray, offsets: np.ndarray) -> list[bytes]:
     """Ragged lines -> LineString WKBs."""
     coords = np.asarray(coords, dtype=np.float64)
@@ -232,13 +225,10 @@ def bbox_of_lines(coords, offsets):
 # column buffers — no per-feature WKB parse. Types:
 #   linestring: list<fixed_size_list<double>[2]>
 #   polygon:    list<list<fixed_size_list<double>[2]>>  (ring 0 = shell)
-# The converters below map exactly onto this package's ragged numpy
-# layout (module docstring), so every kernel runs unchanged on either
-# encoding.
+# The encoders below map this package's ragged numpy layout (module
+# docstring) onto those types.
 
 import pyarrow as _pa
-
-GEOARROW_LINESTRING = _pa.list_(_pa.list_(_pa.float64(), 2))
 
 
 def lines_to_geoarrow(coords: np.ndarray,
@@ -251,20 +241,6 @@ def lines_to_geoarrow(coords: np.ndarray,
     return _pa.ListArray.from_arrays(
         _pa.array(np.asarray(offsets, dtype=np.int32),
                   type=_pa.int32()), verts)
-
-
-def geoarrow_to_lines(arr) -> tuple[np.ndarray, np.ndarray]:
-    """GeoArrow linestring array -> (coords (M,2), offsets (N+1)).
-    Coordinate buffer is read zero-copy; offsets account for any
-    array-level slice offset."""
-    if isinstance(arr, _pa.ChunkedArray):
-        arr = arr.combine_chunks()
-    offsets = np.asarray(arr.offsets, dtype=np.int64)
-    coords = np.asarray(arr.values.values, dtype=np.float64) \
-        .reshape(-1, 2)
-    # normalize to a 0-based offset window over the used span
-    coords = coords[offsets[0]:offsets[-1]]
-    return coords, offsets - offsets[0]
 
 
 def polygons_to_geoarrow(coords: np.ndarray, ring_offsets: np.ndarray,
@@ -281,23 +257,6 @@ def polygons_to_geoarrow(coords: np.ndarray, ring_offsets: np.ndarray,
                   type=_pa.int32()), rings)
 
 
-def geoarrow_to_polygons(arr) \
-        -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """GeoArrow polygon array -> (coords, ring_offsets, poly_offsets)
-    in this package's ragged layout."""
-    if isinstance(arr, _pa.ChunkedArray):
-        arr = arr.combine_chunks()
-    poly_off = np.asarray(arr.offsets, dtype=np.int64)
-    rings = arr.values
-    ring_off = np.asarray(rings.offsets, dtype=np.int64)
-    coords = np.asarray(rings.values.values, dtype=np.float64) \
-        .reshape(-1, 2)
-    # window to the used span and rebase both offset levels
-    ring_off = ring_off[poly_off[0]:poly_off[-1] + 1]
-    coords = coords[ring_off[0]:ring_off[-1]]
-    return (coords, ring_off - ring_off[0], poly_off - poly_off[0])
-
-
 def wkb_lines_to_geoarrow(wkbs) -> "_pa.Array":
     """Convenience: LineString WKB column -> GeoArrow column (single-
     part lines only; MultiLineStrings must be flattened upstream)."""
@@ -308,11 +267,6 @@ def wkb_lines_to_geoarrow(wkbs) -> "_pa.Array":
     return lines_to_geoarrow(coords, offsets)
 
 
-def geoarrow_lines_to_wkb(arr) -> list[bytes]:
-    coords, offsets = geoarrow_to_lines(arr)
-    return encode_lines(coords, offsets)
-
-
 def wkb_polygons_to_geoarrow(wkbs) -> "_pa.Array":
     """Polygon WKB column -> GeoArrow column (single-part polygons;
     MultiPolygons must be flattened upstream)."""
@@ -321,8 +275,3 @@ def wkb_polygons_to_geoarrow(wkbs) -> "_pa.Array":
         raise ValueError("MultiPolygon rows must be flattened before "
                          "GeoArrow encoding (1 row = 1 polygon)")
     return polygons_to_geoarrow(coords, ring_off, poly_off)
-
-
-def geoarrow_polygons_to_wkb(arr) -> list[bytes]:
-    coords, ring_off, poly_off = geoarrow_to_polygons(arr)
-    return encode_polygons(coords, ring_off, poly_off)

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import numpy as np
 import pandas as pd
-import pyarrow as pa
 import ray
 
 from ..config import DEFAULT_CONFIG, PipelineConfig

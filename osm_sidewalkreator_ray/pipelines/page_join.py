@@ -521,19 +521,6 @@ class _SideThread:
         return self._out["v"]
 
 
-def join_pages_to_tiles(geotags, features, cfg: PipelineConfig = DEFAULT_CONFIG):
-    """The explicit groupby-on-cell join. Returns the assignments
-    Dataset (lineage/metric rows tagged by the ``is_metrics`` column)."""
-    # index build (feature side) and geotag extraction (page side) are
-    # independent — run them as two concurrent Ray Data executions so
-    # neither serializes behind the other
-    th = _SideThread(lambda: _prepare_index(features, cfg))
-    # geotags are tiny rows (url, lat, lon, cell) — pin them so the
-    # scope split doesn't recompute the HTML extraction stage
-    geotags = geotags.materialize()
-    return _join_with_prepared(geotags, th.result(), cfg)
-
-
 def split_metrics(assign_df: pd.DataFrame):
     """(assignments, metrics) split on the typed ``is_metrics`` column
     (boolean mask, no per-row string scan). The flag column is dropped

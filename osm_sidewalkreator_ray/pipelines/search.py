@@ -23,10 +23,8 @@ from collections import Counter
 
 import numpy as np
 import pandas as pd
-import ray.data as rd
 
-from ..functions.aggregates import grouped_agg  # noqa: F401 (API kin)
-from .textops import _read_docs, _tokens
+from .textops import _tokens
 
 
 def _bucket_of(terms: np.ndarray, num_buckets: int) -> np.ndarray:
@@ -173,129 +171,6 @@ def search_index(index_dir: str, terms: list[str], mode: str = "and",
     else:
         raise ValueError(f"mode must be and/or, got {mode!r}")
     return pd.DataFrame({"doc_id": pd.Series(hits, dtype="int64")})
-
-
-def build_index_for_sf(sf_dir: str, out_dir: str,
-                       num_buckets: int = 32) -> str:
-    return build_inverted_index(_read_docs(sf_dir, ["doc_id", "text"]),
-                                out_dir, num_buckets=num_buckets)
-
-
-INDEX_POSTINGS_SQL = r"""
-WITH t AS (
-  SELECT doc_id, unnest(
-           CASE WHEN trim(text) = '' THEN []::VARCHAR[]
-                ELSE regexp_split_to_array(trim(text), '\s+') END)
-         AS term
-  FROM documents),
-tf AS (SELECT term, doc_id, COUNT(*) AS tf FROM t GROUP BY term, doc_id)
-SELECT term, CAST(COUNT(*) AS BIGINT) AS df,
-       list(doc_id ORDER BY doc_id) AS doc_ids,
-       list(tf ORDER BY doc_id) AS tfs
-FROM tf GROUP BY term ORDER BY term
-"""
-
-
-def hybrid_search(sf_dir: str, terms: list[str] | None = None,
-                  k: int = 10, num_buckets: int = 32,
-                  index_dir: str | None = None,
-                  pushdown_max_hits: int = 10_000) -> pd.DataFrame:
-    """Hybrid (filtered-vector) search: boolean TERM filter through
-    the partition-pruned inverted index, then cosine TOP-K over only
-    the surviving docs' embeddings — the retrieval shape every
-    RAG/search stack runs. The filter never touches the corpus (index
-    postings read via hive-partition + row pushdown); the vector leg
-    reads embeddings with a pushed-down ``vec_id IN hits`` parquet
-    filter when the hit set is small (same trick as the PQ stored
-    path), falling back to a broadcast hit-set membership filter in
-    ``map_batches`` when it isn't; top-k folds per batch so only k
-    rows per batch reach the driver."""
-    import tempfile
-    import ray
-    import pyarrow.parquet as pq
-
-    if terms is None:
-        terms = ["join", "scan"]
-    if index_dir is None:
-        index_dir = tempfile.mkdtemp(prefix="hybridx_")
-        build_index_for_sf(sf_dir, index_dir, num_buckets=num_buckets)
-    hits = search_index(index_dir, terms, mode="and",
-                        num_buckets=num_buckets)["doc_id"].to_numpy()
-    if len(hits) == 0:
-        return pd.DataFrame({"doc_id": pd.Series([], dtype="int64"),
-                             "cosine_sim": pd.Series([], dtype="float64")})
-
-    # query vector: the first hit's embedding ("more like this")
-    qt = pq.read_table(f"{sf_dir}/embeddings.parquet",
-                       columns=["vec_id", "embedding"],
-                       filters=[("vec_id", "=", int(hits[0]))])
-    q = np.asarray(qt["embedding"][0].as_py(), dtype=np.float64)
-    q = q / np.linalg.norm(q)
-
-    if len(hits) <= pushdown_max_hits:
-        # pushed-down in-list row filter (the PQ stored-codes trick):
-        # only hit rows leave storage
-        import pyarrow.dataset as pads
-        import pyarrow.compute as pc
-        import pyarrow as pa
-        tbl = pads.dataset(f"{sf_dir}/embeddings.parquet").to_table(
-            columns=["vec_id", "embedding"],
-            filter=pc.field("vec_id").isin(
-                pa.array(hits, type=pa.int64())))
-        ds = rd.from_arrow(tbl)
-        hit_ref = None
-    else:  # broadcast membership filter, corpus streams
-        ds = rd.read_parquet(f"{sf_dir}/embeddings.parquet",
-                             columns=["vec_id", "embedding"])
-        hit_ref = ray.put(np.sort(hits))
-    q_ref = ray.put(q)
-
-    def topk(b: pd.DataFrame) -> pd.DataFrame:
-        ids = b["vec_id"].to_numpy(np.int64)
-        if hit_ref is not None:
-            hs = ray.get(hit_ref)
-            m = hs[np.searchsorted(hs, ids).clip(0, len(hs) - 1)] == ids
-            b, ids = b[m], ids[m]
-        if len(b) == 0:
-            return pd.DataFrame({
-                "doc_id": pd.Series([], dtype="int64"),
-                "cosine_sim": pd.Series([], dtype="float64")})
-        emb = np.stack([np.asarray(v, dtype=np.float64)
-                        for v in b["embedding"]])
-        emb = emb / np.linalg.norm(emb, axis=1, keepdims=True)
-        sim = emb @ ray.get(q_ref)
-        take = np.lexsort((ids, -sim))[:k]
-        return pd.DataFrame({"doc_id": ids[take],
-                             "cosine_sim": sim[take]})
-
-    df = ds.map_batches(topk, batch_format="pandas",
-                        batch_size=4096).to_pandas()
-    df = df.sort_values(["cosine_sim", "doc_id"],
-                        ascending=[False, True]).head(k)
-    df["cosine_sim"] = df["cosine_sim"].round(6)
-    return df.reset_index(drop=True)
-
-
-HYBRID_SEARCH_SQL = r"""
-WITH toks AS (
-  SELECT doc_id, unnest(regexp_split_to_array(trim(text), '\s+')) AS t
-  FROM documents),
-hits AS (
-  SELECT doc_id FROM toks WHERE t IN ('join', 'scan')
-  GROUP BY doc_id HAVING COUNT(DISTINCT t) = 2),
-q AS (
-  SELECT embedding FROM embeddings
-  WHERE vec_id = (SELECT MIN(doc_id) FROM hits))
-SELECT e.vec_id AS doc_id,
-       ROUND(list_cosine_similarity(e.embedding::DOUBLE[],
-                                    q.embedding::DOUBLE[]), 6)
-         AS cosine_sim
-FROM embeddings e JOIN hits h ON e.vec_id = h.doc_id, q
-ORDER BY list_cosine_similarity(e.embedding::DOUBLE[],
-                                q.embedding::DOUBLE[]) DESC,
-         e.vec_id
-LIMIT 10
-"""
 
 
 def update_inverted_index(new_docs, index_dir: str,
@@ -567,71 +442,3 @@ def bm25_search(index_dir: str, terms: list[str], k: int = 10,
     return pd.DataFrame({
         "doc_id": acc_ids[take],
         "score": np.round(acc[take], 6)})
-
-
-BM25_SEARCH_SQL = r"""
-WITH toks AS (
-  SELECT doc_id, unnest(regexp_split_to_array(trim(text), '\s+')) AS t
-  FROM documents),
-dl AS (SELECT doc_id, COUNT(*) AS dl FROM toks GROUP BY doc_id),
-meta AS (SELECT COUNT(*) AS n, AVG(dl) AS avg_dl FROM dl),
-tf AS (SELECT doc_id, t, COUNT(*) AS tf FROM toks
-       WHERE t IN ('join', 'scan') GROUP BY doc_id, t),
-df AS (SELECT t, COUNT(*) AS df FROM tf GROUP BY t)
-SELECT tf.doc_id,
-       ROUND(SUM(ln(1 + (meta.n - df.df + 0.5) / (df.df + 0.5))
-                 * tf.tf * 2.5
-                 / (tf.tf + 1.5 * (1 - 0.75
-                                   + 0.75 * dl.dl / meta.avg_dl))),
-             6) AS score
-FROM tf, df, dl, meta
-WHERE df.t = tf.t AND dl.doc_id = tf.doc_id
-GROUP BY tf.doc_id
-ORDER BY score DESC, tf.doc_id LIMIT 10
-"""
-
-
-# ------------------------------------------- reciprocal rank fusion
-#
-# RRF (Cormack/Clarke/Buettcher SIGIR'09): fuse N ranked lists with
-# score = sum_i 1 / (k0 + rank_i); documents absent from a list
-# contribute nothing. The lists are already top-k (the distributed
-# work happened in the legs); fusion itself is O(sum of list lengths)
-# driver arithmetic — deliberately NOT a Ray stage.
-
-
-def rrf_fuse(ranked: list[pd.DataFrame], id_col: str = "doc_id",
-             k0: int = 60, k: int = 10) -> pd.DataFrame:
-    """(id_col, rrf_score) for the top-k fused documents. Each input
-    frame must be ordered best-first; ranks are 1-based positions."""
-    scores: dict = {}
-    for df in ranked:
-        for rank, doc in enumerate(df[id_col].tolist(), start=1):
-            scores[doc] = scores.get(doc, 0.0) + 1.0 / (k0 + rank)
-    out = pd.DataFrame({id_col: list(scores.keys()),
-                        "rrf_score": np.round(
-                            np.fromiter(scores.values(), float), 6)})
-    return (out.sort_values(["rrf_score", id_col],
-                            ascending=[False, True])
-            .head(k).reset_index(drop=True))
-
-
-def hybrid_search_rrf(sf_dir: str, terms: list[str] | None = None,
-                      k: int = 10, num_buckets: int = 32,
-                      index_dir: str | None = None) -> pd.DataFrame:
-    """Two-leg retrieval fused with RRF: a BM25 lexical leg over the
-    inverted index and a cosine vector leg over the embeddings (both
-    distributed), fused on the driver. Returns (doc_id, rrf_score)."""
-    import tempfile
-
-    if terms is None:
-        terms = ["join", "scan"]
-    if index_dir is None:
-        index_dir = tempfile.mkdtemp(prefix="rrfx_")
-        build_index_for_sf(sf_dir, index_dir, num_buckets=num_buckets)
-    lexical = bm25_search(index_dir, terms, k=k,
-                          num_buckets=num_buckets)
-    vector = hybrid_search(sf_dir, terms, k=k,
-                           num_buckets=num_buckets,
-                           index_dir=index_dir)
-    return rrf_fuse([lexical, vector], k=k)

@@ -38,7 +38,6 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
-import ray.data as rd
 
 from .. import cells
 from ..config import DEFAULT_CONFIG, PipelineConfig

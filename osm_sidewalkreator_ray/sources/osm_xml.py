@@ -1,9 +1,7 @@
-"""OSM sources: Overpass query builder (S1) and OSM-XML parser (S3).
+"""OSM source: the OSM-XML parser (S3).
 
-S1 reproduces ``osm_query_string_by_bbox`` (reference
-osm_fetch.py:60-111) byte-for-byte — a pure function, unit-testable,
-kept only for parity (at scale the input is Parquet; the fetch/retry
-loop S2 is subsumed by Ray task retries, SURVEY.md §2.1).
+At scale the input is Parquet; the Overpass fetch/retry loop (S1/S2)
+is subsumed by Ray task retries (SURVEY.md §2.1).
 
 S3 replaces the reference's GDAL-OGR OSM driver + HSTORE flattening
 (osm_fetch.py:203-305) with a stdlib ``xml.etree`` parser exposed as a
@@ -27,37 +25,6 @@ from ..geom import wkb
 
 HOT_KEYS = ("highway", "width", "sidewalk", "sidewalk:left",
             "sidewalk:right", "sidewalk:both", "footway")
-
-
-def osm_query_string_by_bbox(min_lat, min_lgt, max_lat, max_lgt,
-                             interest_key="highway", node=False, way=True,
-                             relation=False, interest_value=None) -> str:
-    """Byte-identical to reference osm_fetch.py:60-111."""
-    node_part = way_part = relation_part = ""
-    query_bbox = f"{min_lat},{min_lgt},{max_lat},{max_lgt}"
-    interest_value_part = ""
-    if interest_value:
-        interest_value_part = f'="{interest_value}"'
-    if node:
-        node_part = f'node["{interest_key}"{interest_value_part}]({query_bbox});'
-    if way:
-        way_part = f'way["{interest_key}"{interest_value_part}]({query_bbox});'
-    if relation:
-        relation_part = (
-            f'relation["{interest_key}"{interest_value_part}]({query_bbox});'
-        )
-    overpass_query = f"""
-    (
-        {node_part}
-        {way_part}
-        {relation_part}
-    );
-    /*added by auto repair*/
-    (._;>;);
-    /*end of auto repair*/
-    out;
-    """
-    return overpass_query
 
 
 def parse_osm_xml(xml_bytes: bytes, layer: str = "lines") -> pa.Table:
@@ -287,20 +254,3 @@ def build_pois(buildings: pa.Table | None = None,
         "poi_id": pa.array(ids, pa.int64()),
         "housenumber": pa.array(house, pa.string()),
         "geometry_wkb": pa.array(geoms, pa.binary())})
-
-
-def parse_hstore(tags_str: str) -> dict[str, str]:
-    """The reference's other_tags HSTORE flattening regex
-    (osm_fetch.py:262-293), kept for parity with GDAL-style exports."""
-    import re
-    parsed: dict[str, str] = {}
-    if isinstance(tags_str, str) and tags_str.strip():
-        for match in re.finditer(r'"([^"]+)"=>"((?:[^"]|"")*)"', tags_str):
-            key, value = match.groups()
-            parsed[key] = value.replace('""', '"')
-        if not parsed and "=>" not in tags_str:
-            for pair in tags_str.split(","):
-                if "=" in pair:
-                    k, v = pair.split("=", 1)
-                    parsed[k.strip()] = v.strip()
-    return parsed

@@ -1,20 +1,8 @@
-"""Parquet dataset maintenance: compaction + schema-harmonized ingest.
+"""Parquet dataset maintenance: a versioned (manifest) table.
 
-``compact_parquet`` fixes the small-files problem a streaming writer
-leaves behind (thousands of KB-sized files make every later read
-metadata-bound): it coalesces blocks WITHOUT a shuffle
-(``repartition(shuffle=False)`` only concatenates adjacent blocks) and
-rewrites the dataset at a target rows-per-file, into a temp directory
-renamed over only on success so a crashed compaction never destroys
-the input's readers.
-
-``read_parquet_harmonized`` ingests several parquet sources whose
-schemas drifted (a column added mid-crawl, an int32 that became int64)
-into ONE dataset with a declared target schema: each source is read
-with only the columns it actually has, per-batch cast/null-fill aligns
-it (zero shuffle), and the sources union. The alternative — pyarrow's
-unify_schemas at read time — cannot add missing columns per file
-inside Ray's parquet reader.
+``commit_append`` / ``commit_replace`` / ``commit_merge`` publish
+snapshots, ``read_table_version`` reads any of them (time travel) and
+``vacuum_table`` drops what no kept version lists.
 """
 
 from __future__ import annotations
@@ -27,193 +15,6 @@ import pyarrow.parquet as pq
 import ray.data as rd
 
 
-def compact_parquet(in_dir: str, out_dir: str,
-                    target_rows_per_file: int = 1_000_000) -> dict:
-    """Rewrite ``in_dir`` (a parquet file or directory tree) into
-    ``out_dir`` with ~target_rows_per_file rows per file. Shuffle-free
-    (adjacent-block coalesce). Returns {rows, files_before,
-    files_after}."""
-    files_before = sum(
-        1 for root, _, fs in os.walk(in_dir)
-        for f in fs if f.endswith(".parquet")) \
-        if os.path.isdir(in_dir) else 1
-    ds = rd.read_parquet(in_dir)
-    n = ds.count()
-    blocks = max(1, -(-n // target_rows_per_file))
-    tmp = out_dir.rstrip("/") + ".compacting"
-    if os.path.exists(tmp):
-        import shutil
-        shutil.rmtree(tmp)
-    ds.repartition(blocks, shuffle=False).write_parquet(tmp)
-    os.rename(tmp, out_dir)
-    files_after = sum(1 for _, _, fs in os.walk(out_dir)
-                      for f in fs if f.endswith(".parquet"))
-    return {"rows": int(n), "files_before": int(files_before),
-            "files_after": int(files_after)}
-
-
-def read_parquet_harmonized(paths: list[str],
-                            schema: dict[str, pa.DataType]):
-    """Read several parquet sources into one Dataset with the target
-    ``schema`` (name -> pyarrow type, in output column order): missing
-    columns fill with nulls, present columns cast. Raises if a source
-    has a column that cannot cast."""
-    cols = list(schema)
-    parts = []
-    for p in paths:
-        have = set(pq.read_schema(
-            p if not os.path.isdir(p) else os.path.join(
-                p, sorted(f for f in os.listdir(p)
-                          if f.endswith(".parquet"))[0])).names)
-        use = [c for c in cols if c in have]
-
-        def align(t: pa.Table, _use=tuple(use)) -> pa.Table:
-            arrays = []
-            for c in cols:
-                if c in _use:
-                    arrays.append(t[c].cast(schema[c]))
-                else:
-                    arrays.append(pa.nulls(t.num_rows, schema[c]))
-            return pa.table(dict(zip(cols, arrays)))
-
-        parts.append(rd.read_parquet(p, columns=use)
-                     .map_batches(align, batch_format="pyarrow"))
-    out = parts[0]
-    for p in parts[1:]:
-        out = out.union(p)
-    return out
-
-
-# ------------------------------------------------ zone-map file pruning
-#
-# File skipping for selective scans: ``build_zone_map`` collects one
-# (path, min, max, null_count, rows) row per file per column from
-# parquet FOOTER metadata only (no data pages read; row-group stats
-# folded per file), persisted as a tiny manifest parquet.
-# ``read_parquet_pruned`` consults the manifest and hands Ray's
-# reader ONLY the files whose [min, max] range can satisfy the
-# predicate — at 100 TB a selective predicate over a layout sorted or
-# partitioned on the column skips almost every file before a single
-# byte of data moves. Pruning is conservative (files lacking
-# stats for the column are kept) and therefore always correct; an
-# optional residual row filter finishes the job.
-
-
-def _file_zones(path: str, columns: list[str]) -> list[dict]:
-    """Footer-only (file, column) zone rows for one parquet file."""
-    md = pq.ParquetFile(path).metadata
-    idx = {md.schema.column(i).name: i for i in range(md.num_columns)}
-    rows = []
-    for col in columns:
-        if col not in idx:
-            continue
-        mins, maxs, nulls = [], [], 0
-        ok = True
-        for rg in range(md.num_row_groups):
-            st = md.row_group(rg).column(idx[col]).statistics
-            if st is None or not st.has_min_max:
-                ok = False
-                break
-            mins.append(st.min)
-            maxs.append(st.max)
-            nulls += st.null_count or 0
-        rows.append({
-            "path": path, "column": col,
-            "vmin": min(mins) if ok else None,
-            "vmax": max(maxs) if ok else None,
-            "nulls": nulls if ok else -1,
-            "rows": md.num_rows})
-    return rows
-
-
-def build_zone_map(in_dir: str, columns: list[str],
-                   manifest_path: str | None = None) -> pd.DataFrame:
-    """One row per (file, column): (path, column, vmin, vmax, nulls,
-    rows) with NATIVE stat values (object dtype). Footer reads fan
-    out as Ray tasks (one per file batch) — a million-file dataset's
-    zone map builds at cluster width, not driver speed. The optional
-    persisted manifest stringifies values for inspection and is NOT
-    the pruning input (rebuilds are footer-only and cheap)."""
-    names = sorted(f for f in os.listdir(in_dir)
-                   if f.endswith(".parquet"))
-    paths = [os.path.join(in_dir, n) for n in names]
-
-    def zones(b: pd.DataFrame) -> pd.DataFrame:
-        rows = []
-        for path in b["path"]:
-            rows.extend(_file_zones(path, columns))
-        return pd.DataFrame(rows) if rows else pd.DataFrame(
-            {"path": pd.Series(dtype=object),
-             "column": pd.Series(dtype=object),
-             "vmin": pd.Series(dtype=object),
-             "vmax": pd.Series(dtype=object),
-             "nulls": pd.Series(dtype="int64"),
-             "rows": pd.Series(dtype="int64")})
-
-    mf = (rd.from_pandas(pd.DataFrame({"path": paths}))
-          .map_batches(zones, batch_format="pandas", batch_size=64)
-          .to_pandas().sort_values(["path", "column"])
-          .reset_index(drop=True))
-    if manifest_path:
-        disp = mf.copy()
-        disp["vmin"] = disp["vmin"].map(repr)
-        disp["vmax"] = disp["vmax"].map(repr)
-        disp.to_parquet(manifest_path)
-    return mf
-
-
-def prune_files(manifest: pd.DataFrame, column: str,
-                lo=None, hi=None) -> list[str]:
-    """Paths whose [vmin, vmax] zone intersects [lo, hi] (either bound
-    may be None = unbounded). Files without stats are conservatively
-    kept."""
-    all_paths = sorted(manifest["path"].unique())
-    m = manifest[manifest["column"] == column]
-    keep = set(all_paths) - set(m["path"])  # no zone row -> keep
-    for _, r in m.iterrows():
-        vmin, vmax = r["vmin"], r["vmax"]
-        if vmin is None:
-            keep.add(r["path"])
-            continue
-        if (lo is None or vmax >= lo) and (hi is None or vmin <= hi):
-            keep.add(r["path"])
-    return sorted(keep)
-
-
-def read_parquet_pruned(in_dir: str, manifest: pd.DataFrame,
-                        column: str, lo=None, hi=None,
-                        columns: list[str] | None = None,
-                        exact: bool = True):
-    """Dataset of rows with lo <= column <= hi, reading ONLY the files
-    the zone map cannot rule out. ``exact=True`` applies the residual
-    per-batch filter (zone pruning alone admits whole surviving
-    files)."""
-    paths = prune_files(manifest, column, lo, hi)
-    if not paths:
-        sch = pq.read_schema(
-            os.path.join(in_dir, sorted(
-                f for f in os.listdir(in_dir)
-                if f.endswith(".parquet"))[0]))
-        if columns:
-            sch = pa.schema([sch.field(c) for c in columns])
-        return rd.from_arrow(sch.empty_table())
-    ds = rd.read_parquet(paths, columns=columns)
-    if not exact:
-        return ds
-
-    def residual(t: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-        mask = None
-        if lo is not None:
-            mask = pc.greater_equal(t[column], lo)
-        if hi is not None:
-            le = pc.less_equal(t[column], hi)
-            mask = le if mask is None else pc.and_(mask, le)
-        return t.filter(mask) if mask is not None else t
-
-    return ds.map_batches(residual, batch_format="pyarrow")
-
-
 # ------------------------------------------- versioned table (manifest)
 #
 # Lakehouse-lite snapshot isolation: a table directory whose state is
@@ -221,8 +22,8 @@ def read_parquet_pruned(in_dir: str, manifest: pd.DataFrame,
 # publish a new manifest atomically (temp + rename), so readers never
 # see a half-commit and every historical version stays readable
 # (time travel) until explicitly vacuumed. Appends reuse all prior
-# files (commit cost = delta); compaction publishes a rewritten file
-# list as a NEW version without touching old manifests.
+# files (commit cost = delta); a replace or merge publishes a rewritten
+# file list as a NEW version without touching old manifests.
 
 
 def _versions_dir(table_dir: str) -> str:

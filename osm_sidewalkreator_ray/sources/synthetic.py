@@ -1,7 +1,5 @@
 """Deterministic synthetic fixtures (FIXTURES.md; SURVEY.md §7.1-1).
 
-- ``streets_unit_square``  — the reference's 4-segment square-loop
-  fixture (test_processing_algorithms.py:62-89): 1 protoblock expected.
 - ``streets_grid(n, m)``   — parametric Manhattan grid near Curitiba
   (-49.30, -25.52) with seeded widths/tags, dangling spurs, sub-0.5 m
   classes: n*m protoblocks expected after cleaning.
@@ -46,28 +44,6 @@ STREET_SCHEMA = pa.schema([
 def _m_to_lonlat(x_m: np.ndarray, y_m: np.ndarray):
     return (ORIGIN_LON + x_m / M_PER_DEG_LON,
             ORIGIN_LAT + y_m / M_PER_DEG_LAT)
-
-
-def streets_unit_square(side_m: float = 100.0) -> pa.Table:
-    """4 residential segments forming a closed square loop."""
-    pts_m = np.array([[0, 0], [side_m, 0], [side_m, side_m], [0, side_m]])
-    rows = {k: [] for k in STREET_SCHEMA.names}
-    for i in range(4):
-        a = pts_m[i]
-        b = pts_m[(i + 1) % 4]
-        lon, lat = _m_to_lonlat(np.array([a[0], b[0]], dtype=float),
-                                np.array([a[1], b[1]], dtype=float))
-        rows["way_id"].append(i + 1)
-        rows["highway"].append("residential")
-        rows["width"].append(None)
-        rows["sidewalk"].append(None)
-        rows["sidewalk_left"].append(None)
-        rows["sidewalk_right"].append(None)
-        rows["sidewalk_both"].append(None)
-        rows["footway"].append(None)
-        rows["geometry_wkb"].append(
-            wkb.encode_line(np.column_stack((lon, lat))))
-    return pa.table(rows, schema=STREET_SCHEMA)
 
 
 def streets_grid(n: int = 4, m: int = 4, spacing_m: float = 100.0,
@@ -224,23 +200,6 @@ def buildings_grid(n: int = 4, m: int = 4, spacing_m: float = 100.0,
                 wkb.encode_polygon([np.column_stack((lon, lat))]))
             bid += 1
     return pa.table(rows, schema=BUILDING_SCHEMA)
-
-
-def building_pois(buildings: pa.Table) -> pa.Table:
-    """Building centroids + address points -> POI table for G6b
-    (reference merges centroids and addr nodes,
-    osm_sidewalkreator.py:2908-2931)."""
-    coords, ro, po, part = wkb.decode_polygons(
-        buildings["geometry_wkb"].to_pylist())
-    pts = []
-    for p in range(len(po) - 1):
-        ring = coords[ro[po[p]]:ro[po[p] + 1]]
-        pts.append(ring[:-1].mean(axis=0))
-    pts = np.asarray(pts)
-    return pa.table({
-        "poi_id": pa.array(np.arange(len(pts), dtype=np.int64)),
-        "geometry_wkb": pa.array(wkb.encode_points(pts), pa.binary()),
-    })
 
 
 AOI_BOUNDS = (-49.31, -25.53, -49.27, -25.50)

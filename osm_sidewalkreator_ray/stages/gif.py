@@ -1,4 +1,4 @@
-"""GIF codec (GIF87a/89a) on numpy + stdlib only.
+"""GIF decoder (GIF87a/89a) on numpy + stdlib only.
 
 Closes the GIF plug point in ``stages/multimodal.py``: after BMP, PNG
 and JPEG this is the remaining image format a web crawl actually
@@ -6,17 +6,15 @@ contains. Implements, from the public GIF89a specification:
 
 - LZW decompression with variable code width (LSB-first bit packing,
   clear/EOI codes, the ``code == len(dict)`` cScSc case, 12-bit table
-  cap with deferred-clear tolerance) and a real LZW compressor on the
-  encode side (prefix-dict, synchronized width growth, table-full
-  clear);
+  cap with deferred-clear tolerance);
 - global and local color tables, interlaced row order (the 8/8/4/2
   four-pass scheme), transparency via the Graphic Control Extension;
 - multi-frame (animated) streams: ``decode_gif_frames`` composites
   each frame onto the logical screen honoring disposal methods
-  0/1 (keep), 2 (restore background) and 3 (restore previous);
-- ``encode_gif`` writes single- or multi-frame files from uint8 RGB
-  arrays with an exact (<=256 distinct colors) global palette, so
-  round-trips are LOSSLESS and testable byte-for-pixel.
+  0/1 (keep), 2 (restore background) and 3 (restore previous).
+
+The lossless encoder that makes test streams is test-only
+(``tests/media_references.py``).
 
 No code from the reference repo (it contains no codecs).
 """
@@ -31,67 +29,6 @@ _MAX_CODE = 4096  # 12-bit LZW table cap
 
 
 # ------------------------------------------------------------- LZW
-
-class _LsbBitWriter:
-    """LSB-first bit packer (GIF's bit order — opposite of JPEG)."""
-
-    def __init__(self) -> None:
-        self.buf = bytearray()
-        self.acc = 0
-        self.nbits = 0
-
-    def put(self, value: int, width: int) -> None:
-        self.acc |= (value & ((1 << width) - 1)) << self.nbits
-        self.nbits += width
-        while self.nbits >= 8:
-            self.buf.append(self.acc & 0xFF)
-            self.acc >>= 8
-            self.nbits -= 8
-
-    def flush(self) -> bytes:
-        if self.nbits:
-            self.buf.append(self.acc & 0xFF)
-            self.acc = 0
-            self.nbits = 0
-        return bytes(self.buf)
-
-
-def lzw_compress(indices: np.ndarray, min_code_size: int) -> bytes:
-    """Pixel indices -> GIF LZW stream (without sub-block framing)."""
-    clear = 1 << min_code_size
-    eoi = clear + 1
-    bw = _LsbBitWriter()
-    width = min_code_size + 1
-    bw.put(clear, width)
-    table: dict[bytes, int] = {bytes([i]): i for i in range(clear)}
-    next_code = eoi + 1
-    w = b""
-    for k in indices.astype(np.uint8).tobytes():
-        kb = bytes([k])
-        wk = w + kb
-        if wk in table:
-            w = wk
-            continue
-        bw.put(table[w], width)
-        if next_code < _MAX_CODE:
-            table[wk] = next_code
-            next_code += 1
-            # grow once the just-added code needs one more bit: the
-            # NEXT emitted code may reference it (decoder mirrors by
-            # growing when its table length reaches 1 << width)
-            if next_code == (1 << width) + 1 and width < 12:
-                width += 1
-        else:
-            bw.put(clear, width)
-            table = {bytes([i]): i for i in range(clear)}
-            next_code = eoi + 1
-            width = min_code_size + 1
-        w = kb
-    if w:
-        bw.put(table[w], width)
-    bw.put(eoi, width)
-    return bw.flush()
-
 
 def lzw_decompress(data: bytes, min_code_size: int) -> bytes:
     """GIF LZW stream -> pixel index bytes."""
@@ -135,80 +72,6 @@ def lzw_decompress(data: bytes, min_code_size: int) -> bytes:
         prev = entry
         if len(table) >= (1 << width) and width < 12:
             width += 1
-
-
-# ---------------------------------------------------------- encoder
-
-def _sub_blocks(data: bytes) -> bytes:
-    out = bytearray()
-    for i in range(0, len(data), 255):
-        chunk = data[i:i + 255]
-        out.append(len(chunk))
-        out += chunk
-    out.append(0)
-    return bytes(out)
-
-
-def encode_gif(frames: np.ndarray | list[np.ndarray],
-               delay_cs: int = 10, interlace: bool = False,
-               disposal: int = 1,
-               transparent_color: tuple | None = None) -> bytes:
-    """uint8 (h, w, 3) RGB frame or list of same-size frames ->
-    GIF89a bytes with one exact global palette over all frames
-    (raises if the frames hold more than 256 distinct colors — this
-    encoder never quantises, so decode round-trips losslessly).
-    ``transparent_color`` marks one RGB as transparent in every
-    frame's Graphic Control Extension."""
-    if isinstance(frames, np.ndarray):
-        frames = [frames]
-    if not frames:
-        raise ValueError("no frames")
-    h, w = frames[0].shape[:2]
-    for f in frames:
-        if f.dtype != np.uint8 or f.shape != (h, w, 3):
-            raise ValueError("frames must be uint8 (h, w, 3), same size")
-    stacked = np.concatenate([f.reshape(-1, 3) for f in frames])
-    palette, inverse = np.unique(stacked, axis=0, return_inverse=True)
-    if len(palette) > 256:
-        raise ValueError(f"{len(palette)} distinct colors > 256; "
-                         "quantise first")
-    trans_idx = None
-    if transparent_color is not None:
-        tc = np.asarray(transparent_color, dtype=np.uint8)
-        hits = np.nonzero((palette == tc).all(axis=1))[0]
-        if len(hits) == 0:
-            raise ValueError("transparent_color not present in frames")
-        trans_idx = int(hits[0])
-    # palette size: power of two >= max(2, len) (GIF requires 2^(n+1))
-    n = max(1, int(len(palette) - 1).bit_length())
-    size = 1 << n
-    pal_bytes = palette.tobytes() + b"\x00" * (3 * (size - len(palette)))
-    min_code = max(2, n)
-
-    out = bytearray(b"GIF89a")
-    out += struct.pack("<HHBBB", w, h, 0x80 | ((n - 1) << 4) | (n - 1),
-                       0, 0)
-    out += pal_bytes
-    if len(frames) > 1:
-        # Netscape looping extension (loop forever)
-        out += b"\x21\xff\x0bNETSCAPE2.0\x03\x01\x00\x00\x00"
-    per_frame = inverse.reshape(len(frames), h * w)
-    for fi in range(len(frames)):
-        packed = (disposal & 7) << 2
-        if trans_idx is not None:
-            packed |= 1
-        out += struct.pack("<BBBBHBB", 0x21, 0xF9, 4, packed, delay_cs,
-                           trans_idx or 0, 0)
-        idx = per_frame[fi].reshape(h, w)
-        if interlace:
-            order = _interlace_rows(h)
-            idx = idx[order]
-        out += struct.pack("<BHHHHB", 0x2C, 0, 0, w, h,
-                           0x40 if interlace else 0)
-        out.append(min_code)
-        out += _sub_blocks(lzw_compress(idx.ravel(), min_code))
-    out.append(0x3B)
-    return bytes(out)
 
 
 # ---------------------------------------------------------- decoder

@@ -1,40 +1,35 @@
-"""Baseline JPEG (ITU-T T.81, 1992) codec on numpy + stdlib only.
+"""Baseline and progressive JPEG (ITU-T T.81, 1992) decoder on numpy +
+stdlib only.
 
 Closes the JPEG plug point in ``stages/multimodal.py`` (the container
-ships no PIL/libjpeg): ``encode_jpeg`` / ``decode_jpeg`` implement
-baseline sequential DCT JPEG — the format of essentially every ``.jpg``
-on the web — end to end:
+ships no PIL/libjpeg): ``decode_jpeg`` implements sequential DCT JPEG
+— the format of essentially every ``.jpg`` on the web — end to end:
 
-- 8-bit grayscale and YCbCr color, 4:4:4 and 4:2:0 chroma subsampling
-  (encode); the decoder handles ANY sampling-factor combination up to
-  4x4 via the general T.81 MCU geometry (A.2.3), so 4:2:2 streams from
-  other encoders decode too.
-- Annex K.1/K.2 quantisation tables scaled by the libjpeg quality
-  formula; Annex K.3 typical Huffman tables (the tables virtually all
-  baseline encoders emit).
+- 8-bit grayscale and YCbCr color; any sampling-factor combination up
+  to 4x4 via the general T.81 MCU geometry (A.2.3), so 4:4:4, 4:2:2
+  and 4:2:0 streams all decode.
 - Canonical Huffman decode per T.81 F.2.2.3 (mincode/maxcode/valptr),
-  byte-stuffing (FF 00) and restart-marker (DRI/RSTn) handling on both
-  sides.
-- The 2-D DCT as one einsum over all blocks of a component against the
-  orthonormal DCT-II matrix (exactly the T.81 A.3.3 definition — the
-  1/4·C(u)C(v) scaling IS the orthonormal normalisation), so there is
-  no per-block Python work outside entropy coding.
+  byte-stuffing (FF 00) and restart-marker (DRI/RSTn) handling.
+- The 2-D IDCT as one einsum over all blocks of a component against
+  the orthonormal DCT-II matrix (exactly the T.81 A.3.3 definition —
+  the 1/4·C(u)C(v) scaling IS the orthonormal normalisation), so there
+  is no per-block Python work outside entropy decoding.
 
 Progressive JPEG (SOF2) DECODES too: spectral selection, successive
 approximation (DC/AC first + refinement passes with EOB-run coding per
 T.81 G.1.2 / Annex G), interleaved DC scans and the non-interleaved
 per-component scan geometry, restart markers inside progressive scans.
-The matching scan-script encoder (with T.81 K.2 optimal Huffman
-tables) is test-only and lives in ``tests/test_jpeg_progressive.py``,
-which checks this decode path against baseline decode bit-exactly
-without any codec library.
+The baseline and progressive encoders that make test streams are
+test-only (``tests/media_references.py``,
+``tests/test_jpeg_progressive.py``); the tests check the progressive
+decode path against baseline decode bit-exactly without any codec
+library.
 Arithmetic-coded, hierarchical, lossless and 12-bit streams raise
 ``NotImplementedError`` with the marker named — the same honest
 plug-point contract as the other codecs.
 
-Everything here is public knowledge: the T.81 spec text plus the
-libjpeg quality-scaling convention. No code is taken from the
-reference repo (it contains no codecs).
+Everything here is public knowledge: the T.81 spec text. No code is
+taken from the reference repo (it contains no codecs).
 """
 
 from __future__ import annotations
@@ -42,82 +37,6 @@ from __future__ import annotations
 import struct
 
 import numpy as np
-
-# ------------------------------------------------------- Annex K tables
-
-# K.1 / K.2 base quantisation tables (natural / raster order).
-QTBL_LUMA = np.array([
-    16, 11, 10, 16, 24, 40, 51, 61,
-    12, 12, 14, 19, 26, 58, 60, 55,
-    14, 13, 16, 24, 40, 57, 69, 56,
-    14, 17, 22, 29, 51, 87, 80, 62,
-    18, 22, 37, 56, 68, 109, 103, 77,
-    24, 35, 55, 64, 81, 104, 113, 92,
-    49, 64, 78, 87, 103, 121, 120, 101,
-    72, 92, 95, 98, 112, 100, 103, 99], dtype=np.int64)
-
-QTBL_CHROMA = np.array([
-    17, 18, 24, 47, 99, 99, 99, 99,
-    18, 21, 26, 66, 99, 99, 99, 99,
-    24, 26, 56, 99, 99, 99, 99, 99,
-    47, 66, 99, 99, 99, 99, 99, 99,
-    99, 99, 99, 99, 99, 99, 99, 99,
-    99, 99, 99, 99, 99, 99, 99, 99,
-    99, 99, 99, 99, 99, 99, 99, 99,
-    99, 99, 99, 99, 99, 99, 99, 99], dtype=np.int64)
-
-# K.3 typical Huffman tables: (BITS[1..16], HUFFVAL).
-DC_LUMA_BITS = [0, 1, 5, 1, 1, 1, 1, 1, 1, 0, 0, 0, 0, 0, 0, 0]
-DC_LUMA_VALS = list(range(12))
-DC_CHROMA_BITS = [0, 3, 1, 1, 1, 1, 1, 1, 1, 1, 1, 0, 0, 0, 0, 0]
-DC_CHROMA_VALS = list(range(12))
-
-AC_LUMA_BITS = [0, 2, 1, 3, 3, 2, 4, 3, 5, 5, 4, 4, 0, 0, 1, 0x7D]
-AC_LUMA_VALS = [
-    0x01, 0x02, 0x03, 0x00, 0x04, 0x11, 0x05, 0x12,
-    0x21, 0x31, 0x41, 0x06, 0x13, 0x51, 0x61, 0x07,
-    0x22, 0x71, 0x14, 0x32, 0x81, 0x91, 0xA1, 0x08,
-    0x23, 0x42, 0xB1, 0xC1, 0x15, 0x52, 0xD1, 0xF0,
-    0x24, 0x33, 0x62, 0x72, 0x82, 0x09, 0x0A, 0x16,
-    0x17, 0x18, 0x19, 0x1A, 0x25, 0x26, 0x27, 0x28,
-    0x29, 0x2A, 0x34, 0x35, 0x36, 0x37, 0x38, 0x39,
-    0x3A, 0x43, 0x44, 0x45, 0x46, 0x47, 0x48, 0x49,
-    0x4A, 0x53, 0x54, 0x55, 0x56, 0x57, 0x58, 0x59,
-    0x5A, 0x63, 0x64, 0x65, 0x66, 0x67, 0x68, 0x69,
-    0x6A, 0x73, 0x74, 0x75, 0x76, 0x77, 0x78, 0x79,
-    0x7A, 0x83, 0x84, 0x85, 0x86, 0x87, 0x88, 0x89,
-    0x8A, 0x92, 0x93, 0x94, 0x95, 0x96, 0x97, 0x98,
-    0x99, 0x9A, 0xA2, 0xA3, 0xA4, 0xA5, 0xA6, 0xA7,
-    0xA8, 0xA9, 0xAA, 0xB2, 0xB3, 0xB4, 0xB5, 0xB6,
-    0xB7, 0xB8, 0xB9, 0xBA, 0xC2, 0xC3, 0xC4, 0xC5,
-    0xC6, 0xC7, 0xC8, 0xC9, 0xCA, 0xD2, 0xD3, 0xD4,
-    0xD5, 0xD6, 0xD7, 0xD8, 0xD9, 0xDA, 0xE1, 0xE2,
-    0xE3, 0xE4, 0xE5, 0xE6, 0xE7, 0xE8, 0xE9, 0xEA,
-    0xF1, 0xF2, 0xF3, 0xF4, 0xF5, 0xF6, 0xF7, 0xF8,
-    0xF9, 0xFA]
-AC_CHROMA_BITS = [0, 2, 1, 2, 4, 4, 3, 4, 7, 5, 4, 4, 0, 1, 2, 0x77]
-AC_CHROMA_VALS = [
-    0x00, 0x01, 0x02, 0x03, 0x11, 0x04, 0x05, 0x21,
-    0x31, 0x06, 0x12, 0x41, 0x51, 0x07, 0x61, 0x71,
-    0x13, 0x22, 0x32, 0x81, 0x08, 0x14, 0x42, 0x91,
-    0xA1, 0xB1, 0xC1, 0x09, 0x23, 0x33, 0x52, 0xF0,
-    0x15, 0x62, 0x72, 0xD1, 0x0A, 0x16, 0x24, 0x34,
-    0xE1, 0x25, 0xF1, 0x17, 0x18, 0x19, 0x1A, 0x26,
-    0x27, 0x28, 0x29, 0x2A, 0x35, 0x36, 0x37, 0x38,
-    0x39, 0x3A, 0x43, 0x44, 0x45, 0x46, 0x47, 0x48,
-    0x49, 0x4A, 0x53, 0x54, 0x55, 0x56, 0x57, 0x58,
-    0x59, 0x5A, 0x63, 0x64, 0x65, 0x66, 0x67, 0x68,
-    0x69, 0x6A, 0x73, 0x74, 0x75, 0x76, 0x77, 0x78,
-    0x79, 0x7A, 0x82, 0x83, 0x84, 0x85, 0x86, 0x87,
-    0x88, 0x89, 0x8A, 0x92, 0x93, 0x94, 0x95, 0x96,
-    0x97, 0x98, 0x99, 0x9A, 0xA2, 0xA3, 0xA4, 0xA5,
-    0xA6, 0xA7, 0xA8, 0xA9, 0xAA, 0xB2, 0xB3, 0xB4,
-    0xB5, 0xB6, 0xB7, 0xB8, 0xB9, 0xBA, 0xC2, 0xC3,
-    0xC4, 0xC5, 0xC6, 0xC7, 0xC8, 0xC9, 0xCA, 0xD2,
-    0xD3, 0xD4, 0xD5, 0xD6, 0xD7, 0xD8, 0xD9, 0xDA,
-    0xE2, 0xE3, 0xE4, 0xE5, 0xE6, 0xE7, 0xE8, 0xE9,
-    0xEA, 0xF2, 0xF3, 0xF4, 0xF5, 0xF6, 0xF7, 0xF8,
-    0xF9, 0xFA]
 
 # Zigzag scan: ZIGZAG[k] = raster index of the k-th zigzag position
 # (T.81 Figure 5).
@@ -146,41 +65,7 @@ def _dct_matrix() -> np.ndarray:
 _DCT = _dct_matrix()
 
 
-def scaled_quant_table(base: np.ndarray, quality: int) -> np.ndarray:
-    """libjpeg quality scaling: 1..100 -> scaled Annex K table."""
-    q = min(100, max(1, int(quality)))
-    scale = 5000 // q if q < 50 else 200 - 2 * q
-    return np.clip((base * scale + 50) // 100, 1, 255).astype(np.int64)
-
-
 # ----------------------------------------------------------- bit I/O
-
-class _BitWriter:
-    """MSB-first bit accumulator with FF 00 byte stuffing."""
-
-    def __init__(self) -> None:
-        self.buf = bytearray()
-        self.acc = 0
-        self.nbits = 0
-
-    def put(self, value: int, n: int) -> None:
-        if n == 0:
-            return
-        self.acc = (self.acc << n) | (value & ((1 << n) - 1))
-        self.nbits += n
-        while self.nbits >= 8:
-            byte = (self.acc >> (self.nbits - 8)) & 0xFF
-            self.buf.append(byte)
-            if byte == 0xFF:
-                self.buf.append(0x00)
-            self.nbits -= 8
-        self.acc &= (1 << self.nbits) - 1
-
-    def pad_to_byte(self) -> None:
-        """1-fill to a byte boundary (F.1.2.3)."""
-        if self.nbits:
-            self.put((1 << (8 - self.nbits)) - 1, 8 - self.nbits)
-
 
 class _BitReader:
     """MSB-first reader over entropy-coded data: un-stuffs FF 00,
@@ -236,22 +121,6 @@ class _BitReader:
 
 # ------------------------------------------------------ Huffman tables
 
-def _canonical_codes(bits: list[int], vals: list[int]
-                     ) -> dict[int, tuple[int, int]]:
-    """symbol -> (code, size) per T.81 C.2 (codes assigned in
-    increasing length order)."""
-    out: dict[int, tuple[int, int]] = {}
-    code = 0
-    k = 0
-    for ln in range(1, 17):
-        for _ in range(bits[ln - 1]):
-            out[vals[k]] = (code, ln)
-            code += 1
-            k += 1
-        code <<= 1
-    return out
-
-
 class _HuffDecoder:
     """T.81 F.2.2.3 mincode/maxcode/valptr canonical decoder."""
 
@@ -291,16 +160,6 @@ def _extend(v: int, n: int) -> int:
 
 # ------------------------------------------------------- color + blocks
 
-def _rgb_to_ycbcr(img: np.ndarray) -> tuple[np.ndarray, ...]:
-    r = img[:, :, 0].astype(np.float64)
-    g = img[:, :, 1].astype(np.float64)
-    b = img[:, :, 2].astype(np.float64)
-    y = 0.299 * r + 0.587 * g + 0.114 * b
-    cb = 128.0 - 0.168735892 * r - 0.331264108 * g + 0.5 * b
-    cr = 128.0 + 0.5 * r - 0.418687589 * g - 0.081312411 * b
-    return y, cb, cr
-
-
 def _ycbcr_to_rgb(y: np.ndarray, cb: np.ndarray, cr: np.ndarray
                   ) -> np.ndarray:
     cb = cb - 128.0
@@ -312,23 +171,6 @@ def _ycbcr_to_rgb(y: np.ndarray, cb: np.ndarray, cr: np.ndarray
                    255).astype(np.uint8)
 
 
-def _pad_edge(plane: np.ndarray, ph: int, pw: int) -> np.ndarray:
-    h, w = plane.shape
-    return np.pad(plane, ((0, ph - h), (0, pw - w)), mode="edge")
-
-
-def _blocks_fdct_quant(plane: np.ndarray, qtbl: np.ndarray
-                       ) -> np.ndarray:
-    """Padded float plane -> (by, bx, 64) quantised zigzag coeffs;
-    the DCT is one einsum over every block of the component."""
-    h, w = plane.shape
-    by, bx = h // 8, w // 8
-    blocks = (plane - 128.0).reshape(by, 8, bx, 8).transpose(0, 2, 1, 3)
-    coeff = np.einsum("ij,bcjk,lk->bcil", _DCT, blocks, _DCT)
-    q = np.rint(coeff / qtbl.reshape(8, 8)).astype(np.int64)
-    return q.reshape(by, bx, 64)[:, :, ZIGZAG]
-
-
 def _idct_assemble(zz: np.ndarray, qtbl: np.ndarray) -> np.ndarray:
     """(by, bx, 64) zigzag coeffs -> float plane (by*8, bx*8)."""
     by, bx = zz.shape[:2]
@@ -338,148 +180,6 @@ def _idct_assemble(zz: np.ndarray, qtbl: np.ndarray) -> np.ndarray:
     blocks = nat.reshape(by, bx, 8, 8)
     pix = np.einsum("ji,bcjk,kl->bcil", _DCT, blocks, _DCT) + 128.0
     return pix.transpose(0, 2, 1, 3).reshape(by * 8, bx * 8)
-
-
-# ------------------------------------------------------------- encoder
-
-def _encode_block(w: _BitWriter, zz: np.ndarray, pred: int,
-                  dc: dict[int, tuple[int, int]],
-                  ac: dict[int, tuple[int, int]]) -> int:
-    """Entropy-code one zigzag block (F.1.2); returns the new DC pred."""
-    dc_val = int(zz[0])
-    diff = dc_val - pred
-    ssss = abs(diff).bit_length()
-    code, size = dc[ssss]
-    w.put(code, size)
-    if ssss:
-        w.put(diff if diff >= 0 else diff + (1 << ssss) - 1, ssss)
-    nz = np.nonzero(zz[1:])[0]
-    prev = 0
-    for pos in nz:
-        run = int(pos) - prev
-        prev = int(pos) + 1
-        while run > 15:
-            c, s = ac[0xF0]  # ZRL
-            w.put(c, s)
-            run -= 16
-        v = int(zz[1 + pos])
-        ssss = abs(v).bit_length()
-        c, s = ac[(run << 4) | ssss]
-        w.put(c, s)
-        w.put(v if v >= 0 else v + (1 << ssss) - 1, ssss)
-    if prev != 63:
-        c, s = ac[0x00]  # EOB
-        w.put(c, s)
-    return dc_val
-
-
-def _seg(marker: int, payload: bytes) -> bytes:
-    return struct.pack(">BBH", 0xFF, marker, len(payload) + 2) + payload
-
-
-def encode_jpeg(img: np.ndarray, quality: int = 75,
-                subsample: str = "420",
-                restart_interval: int = 0) -> bytes:
-    """uint8 (h, w) grayscale or (h, w, 3) RGB -> baseline JFIF bytes.
-
-    ``subsample`` is '444' or '420' (ignored for grayscale);
-    ``restart_interval`` > 0 emits a DRI segment and RSTn markers
-    every that many MCUs (the resumable-scan feature real encoders
-    use for corruption resilience)."""
-    if img.dtype != np.uint8:
-        raise ValueError("expected uint8 image")
-    gray = img.ndim == 2
-    h, w = img.shape[:2]
-    if h == 0 or w == 0:
-        raise ValueError("empty image")
-    qt_l = scaled_quant_table(QTBL_LUMA, quality)
-    qt_c = scaled_quant_table(QTBL_CHROMA, quality)
-
-    if gray:
-        comps = [(1, (1, 1), 0, img.astype(np.float64))]
-        hmax = vmax = 1
-    else:
-        y, cb, cr = _rgb_to_ycbcr(img)
-        if subsample == "444":
-            comps = [(1, (1, 1), 0, y), (2, (1, 1), 1, cb),
-                     (3, (1, 1), 1, cr)]
-            hmax = vmax = 1
-        elif subsample == "420":
-            # chroma = mean of each 2x2 (plane edge-padded to even)
-            eh, ew = h + (h & 1), w + (w & 1)
-            cbp = _pad_edge(cb, eh, ew)
-            crp = _pad_edge(cr, eh, ew)
-            cb2 = cbp.reshape(eh // 2, 2, ew // 2, 2).mean(axis=(1, 3))
-            cr2 = crp.reshape(eh // 2, 2, ew // 2, 2).mean(axis=(1, 3))
-            comps = [(1, (2, 2), 0, y), (2, (1, 1), 1, cb2),
-                     (3, (1, 1), 1, cr2)]
-            hmax = vmax = 2
-        else:
-            raise ValueError("subsample must be '444' or '420'")
-
-    mcux = -(-w // (8 * hmax))
-    mcuy = -(-h // (8 * vmax))
-    planes = []  # (comp_id, hi, vi, tq, zigzag coeff array)
-    for cid, (hi, vi), tq, plane in comps:
-        padded = _pad_edge(plane, mcuy * vi * 8, mcux * hi * 8)
-        planes.append((cid, hi, vi, tq,
-                       _blocks_fdct_quant(padded,
-                                          qt_l if tq == 0 else qt_c)))
-
-    dc_l = _canonical_codes(DC_LUMA_BITS, DC_LUMA_VALS)
-    ac_l = _canonical_codes(AC_LUMA_BITS, AC_LUMA_VALS)
-    dc_c = _canonical_codes(DC_CHROMA_BITS, DC_CHROMA_VALS)
-    ac_c = _canonical_codes(AC_CHROMA_BITS, AC_CHROMA_VALS)
-
-    bw = _BitWriter()
-    preds = {cid: 0 for cid, *_ in planes}
-    n_mcu = mcux * mcuy
-    rst = 0
-    for m in range(n_mcu):
-        if restart_interval and m and m % restart_interval == 0:
-            bw.pad_to_byte()
-            bw.buf += bytes([0xFF, 0xD0 + (rst & 7)])
-            rst += 1
-            preds = {cid: 0 for cid, *_ in planes}
-        my, mx = divmod(m, mcux)
-        for cid, hi, vi, tq, zz in planes:
-            dct, act = (dc_l, ac_l) if tq == 0 else (dc_c, ac_c)
-            for v in range(vi):
-                for hh in range(hi):
-                    preds[cid] = _encode_block(
-                        bw, zz[my * vi + v, mx * hi + hh],
-                        preds[cid], dct, act)
-    bw.pad_to_byte()
-
-    out = bytearray(b"\xff\xd8")  # SOI
-    out += _seg(0xE0, b"JFIF\x00" + struct.pack(">BBBHHBB",
-                                                1, 1, 0, 1, 1, 0, 0))
-    out += _seg(0xDB, bytes([0x00]) + bytes(qt_l[ZIGZAG].astype(np.uint8)))
-    if not gray:
-        out += _seg(0xDB, bytes([0x01])
-                    + bytes(qt_c[ZIGZAG].astype(np.uint8)))
-    sof = struct.pack(">BHHB", 8, h, w, len(planes))
-    for cid, hi, vi, tq, _zz in planes:
-        sof += struct.pack(">BBB", cid, (hi << 4) | vi, tq)
-    out += _seg(0xC0, sof)
-    for tc_th, bits, vals in (
-            ((0 << 4) | 0, DC_LUMA_BITS, DC_LUMA_VALS),
-            ((1 << 4) | 0, AC_LUMA_BITS, AC_LUMA_VALS),
-            ((0 << 4) | 1, DC_CHROMA_BITS, DC_CHROMA_VALS),
-            ((1 << 4) | 1, AC_CHROMA_BITS, AC_CHROMA_VALS)):
-        if gray and (tc_th & 0x0F):
-            continue
-        out += _seg(0xC4, bytes([tc_th]) + bytes(bits) + bytes(vals))
-    if restart_interval:
-        out += _seg(0xDD, struct.pack(">H", restart_interval))
-    sos = bytes([len(planes)])
-    for cid, _hi, _vi, tq, _zz in planes:
-        sos += struct.pack(">BB", cid, (tq << 4) | tq)
-    sos += bytes([0, 63, 0])
-    out += _seg(0xDA, sos)
-    out += bw.buf
-    out += b"\xff\xd9"  # EOI
-    return bytes(out)
 
 
 # ------------------------------------------------------------- decoder

@@ -4,19 +4,19 @@ container-decodable formats.
 
 Per the build brief, image/audio/video payloads are opaque ``binary``
 columns with typed metadata; decode is a ``map_batches`` stage.
-Five codecs are fully real, implemented on numpy + stdlib only:
+Six formats are fully real, implemented on numpy + stdlib only:
 
 - **BMP** (24-bit uncompressed, the format the synthetic generator
   emits): header parse + bottom-up BGR row decode in ``_decode_bmp``.
 - **PNG** (stdlib ``zlib`` + ``struct``): full filter set
   (None/Sub/Up/Average/Paeth) decode for 8-bit gray/RGB/RGBA,
   filter-0 truecolor encode — ``encode_png`` / ``_decode_png``.
-- **JPEG** (ITU-T T.81; gray + YCbCr, any sampling-factor geometry
-  on decode, 4:4:4/4:2:0 + restart markers on encode): baseline
-  sequential AND progressive (SOF2 spectral-selection + successive-
-  approximation) streams decode — ``stages/jpeg.py``.
+- **JPEG** (ITU-T T.81; gray + YCbCr, any sampling-factor geometry,
+  restart markers): baseline sequential AND progressive (SOF2
+  spectral-selection + successive-approximation) streams decode —
+  ``stages/jpeg.py``.
   Arithmetic-coded streams still raise.
-- **GIF** (87a/89a: real LZW both directions, interlace, local/global
+- **GIF** (87a/89a: real LZW decode, interlace, local/global
   palettes, transparency, multi-frame animation with disposal
   compositing): ``stages/gif.py`` — animated GIFs also feed the
   video frame-sample stage.
@@ -50,8 +50,8 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from .gif import decode_gif, decode_gif_frames, encode_gif  # noqa: F401 (re-exported)
-from .jpeg import decode_jpeg, encode_jpeg  # noqa: F401 (re-exported)
+from .gif import decode_gif, decode_gif_frames
+from .jpeg import decode_jpeg
 
 _JPEG_SIG = b"\xff\xd8\xff"
 
@@ -718,16 +718,6 @@ def _media_near_dups_ds(media_ds, kind: str, hasher, sig_col: str,
                                 out_a="media_a", out_b="media_b")
 
 
-def _collect_pairs(pairs_ds) -> pd.DataFrame:
-    df = pairs_ds.to_pandas()
-    if df.empty:
-        return pd.DataFrame({"media_a": pd.Series([], dtype="int64"),
-                             "media_b": pd.Series([], dtype="int64"),
-                             "hamming": pd.Series([], dtype="int64")})
-    return df.sort_values(["media_a", "media_b"]) \
-        .reset_index(drop=True)
-
-
 def phash_near_dups_ds(media_ds, max_hamming: int = 6, bands: int = 8,
                        coarse_buckets: int = 64):
     """Streaming form: perceptual near-duplicate image pairs Dataset
@@ -735,15 +725,6 @@ def phash_near_dups_ds(media_ds, max_hamming: int = 6, bands: int = 8,
     return _media_near_dups_ds(media_ds, "image", ImagePHasher(),
                                "phash", 256, max_hamming, bands,
                                coarse_buckets)
-
-
-def phash_near_dups(media_ds, max_hamming: int = 6, bands: int = 8,
-                    coarse_buckets: int = 64) -> pd.DataFrame:
-    """Collecting wrapper over :func:`phash_near_dups_ds` (driver
-    oracles / small results only)."""
-    return _collect_pairs(phash_near_dups_ds(
-        media_ds, max_hamming=max_hamming, bands=bands,
-        coarse_buckets=coarse_buckets))
 
 
 class AudioFingerprinter:
@@ -790,14 +771,6 @@ def audio_near_dups_ds(media_ds, max_hamming: int = 6, bands: int = 8,
                                coarse_buckets)
 
 
-def audio_near_dups(media_ds, max_hamming: int = 6, bands: int = 8,
-                    coarse_buckets: int = 64) -> pd.DataFrame:
-    """Collecting wrapper over :func:`audio_near_dups_ds`."""
-    return _collect_pairs(audio_near_dups_ds(
-        media_ds, max_hamming=max_hamming, bands=bands,
-        coarse_buckets=coarse_buckets))
-
-
 class VideoFingerprinter:
     """map_batches stage: Y4M payload -> 64-bit clip fingerprint.
     Temporal dHash: luma frames resize to 8x8, the clip collapses to
@@ -838,11 +811,3 @@ def video_near_dups_ds(media_ds, max_hamming: int = 6, bands: int = 8,
     return _media_near_dups_ds(media_ds, "video", VideoFingerprinter(),
                                "vfp", 64, max_hamming, bands,
                                coarse_buckets)
-
-
-def video_near_dups(media_ds, max_hamming: int = 6, bands: int = 8,
-                    coarse_buckets: int = 64) -> pd.DataFrame:
-    """Collecting wrapper over :func:`video_near_dups_ds`."""
-    return _collect_pairs(video_near_dups_ds(
-        media_ds, max_hamming=max_hamming, bands=bands,
-        coarse_buckets=coarse_buckets))

@@ -14,6 +14,7 @@ from osm_sidewalkreator_ray.pipelines import page_join as PJ
 from osm_sidewalkreator_ray.pipelines import sidewalks as SW
 from osm_sidewalkreator_ray.sources import synthetic as SYN
 from osm_sidewalkreator_ray.state import checkpoint as CK
+import spatial_references as SR
 
 
 @pytest.mark.usefixtures("ray_session")
@@ -66,7 +67,7 @@ def test_checkpoint_resume(tmp_path):
 @pytest.mark.usefixtures("ray_session")
 def test_manifest_atomic_layout(tmp_path):
     cfg = PipelineConfig()
-    streets = rd.from_arrow(SYN.streets_unit_square(side_m=120.0))
+    streets = rd.from_arrow(SR.streets_unit_square(side_m=120.0))
     features = SW.build_features(streets, cfg).materialize()
     pages = rd.from_arrow(SYN.pages_corpus(100))
     geotags = PJ.extract_geotags(pages, cfg).materialize()

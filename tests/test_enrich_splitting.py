@@ -16,16 +16,7 @@ from osm_sidewalkreator_ray.pipelines import splitting as SP
 from osm_sidewalkreator_ray.sources import geojson as GJ
 from osm_sidewalkreator_ray.sources import osm_xml as OX
 from osm_sidewalkreator_ray.sources import synthetic as SYN
-
-
-def test_overpass_query_builder():
-    q = OX.osm_query_string_by_bbox(-25.52, -49.31, -25.50, -49.27)
-    assert 'way["highway"](-25.52,-49.31,-25.5,-49.27);' in q
-    q2 = OX.osm_query_string_by_bbox(0, 0, 1, 1, interest_key="building",
-                                     node=True, relation=True,
-                                     interest_value="yes")
-    assert 'node["building"="yes"](0,0,1,1);' in q2
-    assert 'relation["building"="yes"](0,0,1,1);' in q2
+import spatial_references as SR
 
 
 def test_osm_xml_parser():
@@ -46,11 +37,6 @@ def test_osm_xml_parser():
     assert json.loads(row["tags"]) == {"name": "Rua A"}
     coords, offs, _ = wkb.decode_lines([row["geometry_wkb"]])
     assert len(coords) == 2
-
-
-def test_hstore_parse():
-    tags = OX.parse_hstore('"name"=>"Main ""St""","lanes"=>"2"')
-    assert tags == {"name": 'Main "St"', "lanes": "2"}
 
 
 def test_geojson_roundtrip(tmp_path):
@@ -268,7 +254,7 @@ class TestEnrichPipelines:
             np.allclose(chained[-1], [0, 0])
 
     def test_split_by_poi_pipeline(self, features, cfg):
-        pois = SYN.building_pois(SYN.buildings_grid(n=3, m=3,
+        pois = SR.building_pois(SYN.buildings_grid(n=3, m=3,
                                                     spacing_m=120.0))
         pieces = SP.split_sidewalks(features, cfg, method="poi",
                                     pois=pois.to_pandas()).to_pandas()
@@ -334,7 +320,7 @@ def test_assign_widths_whitespace_tag():
     abort the Arrow cast — trim then cast."""
     import pyarrow as pa
     from osm_sidewalkreator_ray.sources.synthetic import STREET_SCHEMA
-    tbl = SYN.streets_unit_square()
+    tbl = SR.streets_unit_square()
     tbl = tbl.set_column(tbl.schema.get_field_index("width"), "width",
                          pa.array([" 7 ", "8.5", "junk", None]))
     out = SW.assign_widths(rd.from_arrow(tbl),

@@ -300,41 +300,6 @@ def test_bloom_dtype_mismatch_no_false_negatives():
 
 
 @pytest.mark.usefixtures("ray_session")
-def test_mg_heavy_hitters_by_tolerates_empty_blocks():
-    """ADVICE r3: zero-row blocks (e.g. downstream of a filter) must
-    not crash the grouped Misra-Gries partial."""
-    import ray.data as rd
-    from osm_sidewalkreator_ray.functions.sketches import mg_heavy_hitters_by
-    df = pd.DataFrame({"g": ["a"] * 50 + ["b"] * 50,
-                       "v": ["x"] * 60 + ["y"] * 40})
-    ds = rd.from_pandas(df).repartition(8).filter(
-        lambda r: r["g"] != "zzz")  # keeps all rows, may yield empties
-    # force some genuinely empty blocks
-    ds2 = rd.from_pandas(df.head(0))
-    out = mg_heavy_hitters_by(ds.union(ds2), "g", "v", topk=2)
-    assert set(out["g"]) == {"a", "b"}
-
-
-@pytest.mark.usefixtures("ray_session")
-def test_stats_frame_parses_operators():
-    """stats_frame turns Dataset.stats() text into one row per
-    operator with sane totals."""
-    import ray.data as rd
-    from osm_sidewalkreator_ray.functions.stats import (dominant_operator,
-                                                        stats_frame)
-    ds = (rd.range(20000, override_num_blocks=4)
-          .map_batches(lambda b: b, batch_format="pyarrow")
-          .materialize())
-    df = stats_frame(ds)
-    assert len(df) >= 1
-    assert df["tasks"].sum() >= 4
-    assert (df["wall_s"] >= 0).all()
-    assert df["rows_out"].iloc[-1] == 20000
-    assert df["udf_s"].notna().any()
-    assert dominant_operator(ds) in set(df["name"])
-
-
-@pytest.mark.usefixtures("ray_session")
 class TestNewOpsEmptyInputs:
     """Ray Data can deliver empty datasets/blocks (e.g. downstream of
     a filter); every r4 op must return its typed empty result."""
@@ -343,48 +308,6 @@ class TestNewOpsEmptyInputs:
         from osm_sidewalkreator_ray.functions.graph import pagerank
         e = pd.DataFrame({"src": [], "dst": []}).astype("int64")
         assert len(pagerank(e)) == 0
-
-
-@pytest.mark.usefixtures("ray_session")
-class TestDistanceJoin:
-    def test_matches_sql_cross_join(self):
-        import duckdb
-        import ray.data as rd
-        from osm_sidewalkreator_ray.functions.joins import distance_join
-        rng = np.random.RandomState(8)
-        a = pd.DataFrame({"x": rng.uniform(0, 20, 200),
-                          "y": rng.uniform(0, 20, 200),
-                          "aid": range(200)})
-        b = pd.DataFrame({"x2": rng.uniform(0, 20, 150),
-                          "y2": rng.uniform(0, 20, 150),
-                          "bid": range(150)})
-        got = distance_join(rd.from_pandas(a), rd.from_pandas(b),
-                            d=1.5).to_pandas() \
-            .sort_values(["aid", "bid"]).reset_index(drop=True)
-        c = duckdb.connect()
-        c.register("a", a)
-        c.register("b", b)
-        want = c.sql(
-            "SELECT aid, bid FROM a, b WHERE "
-            "(x-x2)*(x-x2) + (y-y2)*(y-y2) <= 1.5*1.5 "
-            "ORDER BY aid, bid").df()
-        assert got["aid"].tolist() == want["aid"].tolist()
-        assert got["bid"].tolist() == want["bid"].tolist()
-        assert not got.duplicated(["aid", "bid"]).any()
-
-    def test_boundary_negatives_nulls(self):
-        import ray.data as rd
-        from osm_sidewalkreator_ray.functions.joins import distance_join
-        a = pd.DataFrame({"x": [0.0, -5.0, None],
-                          "y": [0.0, -5.0, 1.0], "aid": [1, 2, 3]})
-        b = pd.DataFrame({"x2": [1.0, -5.0, 100.0],
-                          "y2": [0.0, -6.0, 100.0], "bid": [10, 20, 30]})
-        got = distance_join(rd.from_pandas(a), rd.from_pandas(b),
-                            d=1.0).to_pandas() \
-            .sort_values(["aid", "bid"]).reset_index(drop=True)
-        # (1,10) exactly at d; (2,20) at distance 1 across negative
-        # cells; NULL row never matches
-        assert list(zip(got["aid"], got["bid"])) == [(1, 10), (2, 20)]
 
 
 @pytest.mark.usefixtures("ray_session")
@@ -441,88 +364,6 @@ def test_no_library_module_calls_ray_init():
                     and node.func.value.id in ("ray", "_ray")):
                 offenders.append(f"{f.name}:{node.lineno}")
     assert not offenders, offenders
-
-
-@pytest.mark.usefixtures("ray_session")
-def test_distance_join_dense_cluster_exact():
-    """All points piled into one cell (worst skew): the single big
-    group stays correct, pairs still exact and dup-free."""
-    import duckdb
-    import ray.data as rd
-    from osm_sidewalkreator_ray.functions.joins import distance_join
-    rng = np.random.RandomState(12)
-    a = pd.DataFrame({"x": rng.uniform(0, 0.5, 300),
-                      "y": rng.uniform(0, 0.5, 300),
-                      "aid": range(300)})
-    b = pd.DataFrame({"x2": rng.uniform(0, 0.5, 300),
-                      "y2": rng.uniform(0, 0.5, 300),
-                      "bid": range(300)})
-    got = distance_join(rd.from_pandas(a), rd.from_pandas(b),
-                        d=5.0).to_pandas()
-    # every pair is within d=5 of each other in a 0.5-side box
-    assert len(got) == 300 * 300
-    assert not got.duplicated(["aid", "bid"]).any()
-
-
-@pytest.mark.usefixtures("ray_session")
-class TestGroupedConvexHull:
-    @staticmethod
-    def _ref_hull(pts):
-        from osm_sidewalkreator_ray.geom.core import convex_hull_xy
-        return convex_hull_xy(pts)
-
-    def test_distributed_equals_local(self):
-        import ray.data as rd
-        from osm_sidewalkreator_ray.functions.aggregates import \
-            grouped_convex_hull
-        rng = np.random.RandomState(9)
-        df = pd.DataFrame({"g": rng.randint(0, 5, 4000),
-                           "x": rng.normal(0, 3, 4000),
-                           "y": rng.normal(0, 3, 4000)})
-        got = grouped_convex_hull(rd.from_pandas(df).repartition(13),
-                                  "g", "x", "y", vertices=True)
-        for g, sub in df.groupby("g"):
-            want = self._ref_hull(
-                np.column_stack([sub["x"], sub["y"]]))
-            have = got[got["g"] == g][["x", "y"]].to_numpy()
-            np.testing.assert_allclose(have, want, atol=1e-12)
-
-    def test_square_metrics(self):
-        import ray.data as rd
-        from osm_sidewalkreator_ray.functions.aggregates import \
-            grouped_convex_hull
-        df = pd.DataFrame({
-            "g": [1] * 6 + [2] * 3,
-            "x": [0, 2, 2, 0, 1, 0.5, 0, 1, 2],
-            "y": [0, 0, 2, 2, 1, 1.2, 0, 1, 2]})  # g2 collinear
-        got = grouped_convex_hull(rd.from_pandas(df).repartition(4),
-                                  "g", "x", "y")
-        r1 = got[got["g"] == 1].iloc[0]
-        assert r1["n_vertices"] == 4
-        assert np.isclose(r1["hull_area"], 4.0)
-        assert np.isclose(r1["hull_perimeter"], 8.0)
-        r2 = got[got["g"] == 2].iloc[0]
-        assert r2["hull_area"] == 0.0
-        assert np.isclose(r2["hull_perimeter"],
-                          2 * np.sqrt(8))  # degenerate out-and-back
-
-    def test_hull_kernel_properties(self):
-        from osm_sidewalkreator_ray.geom.core import convex_hull_xy
-        rng = np.random.RandomState(17)
-        for _ in range(20):
-            p = rng.uniform(-10, 10, size=(rng.randint(1, 300), 2))
-            h = convex_hull_xy(p)
-            if len(h) < 3:
-                continue
-            # CCW and all points inside
-            x, y = p[:, 0], p[:, 1]
-            for i in range(len(h)):
-                a, b = h[i], h[(i + 1) % len(h)]
-                cr = ((b[0] - a[0]) * (y - a[1])
-                      - (b[1] - a[1]) * (x - a[0]))
-                assert (cr >= -1e-9).all()
-            # idempotent
-            np.testing.assert_allclose(convex_hull_xy(h), h)
 
 
 @pytest.mark.usefixtures("ray_session")

@@ -1,4 +1,5 @@
-"""GIF codec (stages/gif.py) + its multimodal wiring.
+"""GIF decoder (stages/gif.py), checked against the test-side encoder
+(media_references.py), + its multimodal wiring.
 
 GIF is palette-based and this encoder never quantises, so all
 round-trip assertions are EXACT (unlike the lossy JPEG tests). No Ray.
@@ -8,15 +9,15 @@ import numpy as np
 import pandas as pd
 import pytest
 
-from osm_sidewalkreator_ray.stages.gif import (_LsbBitWriter, decode_gif,
+from osm_sidewalkreator_ray.stages.gif import (decode_gif,
                                                decode_gif_frames,
-                                               encode_gif, lzw_compress,
                                                lzw_decompress)
 from osm_sidewalkreator_ray.stages.multimodal import (ImageDecoder,
                                                       ImageResizer,
                                                       VideoFrameSampler,
                                                       _decode_bmp,
                                                       encode_bmp)
+from media_references import _LsbBitWriter, encode_gif, lzw_compress
 
 
 def _img(h, w, colors=6, seed=0):

@@ -20,6 +20,7 @@ from osm_sidewalkreator_ray.config import PipelineConfig
 from osm_sidewalkreator_ray.pipelines import page_join as PJ
 from osm_sidewalkreator_ray.pipelines import sidewalks as SW
 from osm_sidewalkreator_ray.sources import synthetic as SYN
+import spatial_references as SR
 
 FIXTURE_DIR = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
@@ -48,7 +49,7 @@ def _assignments_frame() -> pd.DataFrame:
     streets = rd.from_arrow(SYN.streets_grid(n=4, m=4, spacing_m=120.0))
     features = SW.build_features(streets, cfg)
     geotags = PJ.extract_geotags(rd.from_arrow(SYN.pages_corpus(500)), cfg)
-    out = PJ.join_pages_to_tiles(geotags, features, cfg).to_pandas()
+    out = SR.join_pages_to_tiles(geotags, features, cfg).to_pandas()
     real, _ = PJ.split_metrics(out)
     real = real.copy()
     real["lat"] = real["lat"].round(6)

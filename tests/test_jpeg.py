@@ -1,4 +1,5 @@
-"""Baseline JPEG codec (stages/jpeg.py) + its multimodal wiring.
+"""Baseline JPEG decoder (stages/jpeg.py), checked against the test-side
+encoder (media_references.py), + its multimodal wiring.
 
 The codec is lossy, so round-trip assertions are PSNR bounds on
 JPEG-friendly (smooth) content rather than byte equality; the
@@ -11,10 +12,10 @@ import numpy as np
 import pandas as pd
 import pytest
 
-from osm_sidewalkreator_ray.stages.jpeg import (
-    decode_jpeg, encode_jpeg, scaled_quant_table, QTBL_LUMA)
+from osm_sidewalkreator_ray.stages.jpeg import decode_jpeg
 from osm_sidewalkreator_ray.stages.multimodal import (
     ImageDecoder, ImagePHasher, ImageResizer, encode_bmp, _decode_bmp)
+from media_references import QTBL_LUMA, encode_jpeg, scaled_quant_table
 
 
 def _psnr(a: np.ndarray, b: np.ndarray) -> float:

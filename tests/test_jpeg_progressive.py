@@ -21,10 +21,11 @@ import struct
 import numpy as np
 import pytest
 
-from osm_sidewalkreator_ray.stages.jpeg import (
-    QTBL_CHROMA, QTBL_LUMA, ZIGZAG, _BitWriter, _blocks_fdct_quant,
-    _canonical_codes, _pad_edge, _rgb_to_ycbcr, _seg, decode_jpeg,
-    encode_jpeg, scaled_quant_table)
+from osm_sidewalkreator_ray.stages.jpeg import ZIGZAG, decode_jpeg
+from media_references import (
+    QTBL_CHROMA, QTBL_LUMA, _BitWriter, _blocks_fdct_quant,
+    _canonical_codes, _pad_edge, _rgb_to_ycbcr, _seg, encode_jpeg,
+    scaled_quant_table)
 
 # libjpeg caps the refinement-pass correction-bit buffer; flush the
 # pending EOB run before the buffer could overflow a block's worth

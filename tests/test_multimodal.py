@@ -6,6 +6,7 @@ from osm_sidewalkreator_ray.stages.multimodal import (
     AudioFrameSampler, ImageDecoder, VideoFrameSampler, _decode_bmp,
     _decode_wav, _decode_y4m, encode_bmp, encode_wav, encode_y4m,
     media_features, synthetic_media)
+from media_references import collect_pairs
 
 
 def test_bmp_roundtrip():
@@ -313,7 +314,7 @@ class TestPHash:
         from osm_sidewalkreator_ray.stages import multimodal as M
         imgs, full = self._media_with_dups()
         ds = rd.from_pandas(imgs).repartition(4)
-        pairs = M.phash_near_dups(ds, max_hamming=6)
+        pairs = collect_pairs(M.phash_near_dups_ds(ds, max_hamming=6))
         found = set(map(tuple, pairs[["media_a",
                                       "media_b"]].to_numpy()))
         a0 = int(imgs.loc[0, "media_id"])
@@ -342,8 +343,8 @@ class TestPHash:
             for j in np.flatnonzero((d <= 6)
                                     & (ids > ids[i])):
                 ref.add((int(ids[i]), int(ids[j])))
-        got = M.phash_near_dups(rd.from_pandas(imgs).repartition(3),
-                                max_hamming=6)
+        got = collect_pairs(M.phash_near_dups_ds(
+            rd.from_pandas(imgs).repartition(3), max_hamming=6))
         assert set(map(tuple,
                        got[["media_a", "media_b"]].to_numpy())) == ref
 
@@ -352,8 +353,8 @@ class TestPHash:
         from osm_sidewalkreator_ray.stages import multimodal as M
         _, full = self._media_with_dups()
         # full table includes audio/video rows: must not crash or pair
-        pairs = M.phash_near_dups(rd.from_pandas(full),
-                                  max_hamming=6)
+        pairs = collect_pairs(M.phash_near_dups_ds(
+            rd.from_pandas(full), max_hamming=6))
         assert (pairs[["media_a", "media_b"]].to_numpy() < 1000).all()
 
 
@@ -381,8 +382,8 @@ class TestAudioFingerprint:
             "kind": ["audio"] * len(rows),
             "width": 0, "height": 0, "sample_rate": sr, "fps": 0,
             "payload": [r[1] for r in rows]})
-        pairs = M.audio_near_dups(rd.from_pandas(df).repartition(3),
-                                  max_hamming=6)
+        pairs = collect_pairs(M.audio_near_dups_ds(
+            rd.from_pandas(df).repartition(3), max_hamming=6))
         found = set(map(tuple,
                         pairs[["media_a", "media_b"]].to_numpy()))
         assert (0, 100) in found
@@ -407,8 +408,8 @@ class TestAudioFingerprint:
             d = popcount64(h ^ h[i])
             for j in np.flatnonzero((d <= 6) & (ids > ids[i])):
                 ref.add((int(ids[i]), int(ids[j])))
-        got = M.audio_near_dups(
-            rd.from_pandas(media).repartition(4), max_hamming=6)
+        got = collect_pairs(M.audio_near_dups_ds(
+            rd.from_pandas(media).repartition(4), max_hamming=6))
         assert set(map(tuple, got[["media_a",
                                    "media_b"]].to_numpy())) == ref
 

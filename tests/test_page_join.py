@@ -10,6 +10,7 @@ from osm_sidewalkreator_ray.pipelines import page_join as PJ
 from osm_sidewalkreator_ray.pipelines import sidewalks as SW
 from osm_sidewalkreator_ray.sources import synthetic as SYN
 from osm_sidewalkreator_ray.stages.html_text import HtmlExtractor, extract_text
+import spatial_references as SR
 
 
 def test_extract_text_deterministic():
@@ -51,7 +52,7 @@ class TestGraft:
         streets = rd.from_arrow(SYN.streets_grid(n=6, m=6, spacing_m=150.0))
         features = SW.build_features(streets, cfg)
         geotags = PJ.extract_geotags(pages, cfg)
-        assignments = PJ.join_pages_to_tiles(geotags, features, cfg)
+        assignments = SR.join_pages_to_tiles(geotags, features, cfg)
         return PJ.split_metrics(assignments.to_pandas())
 
     def test_join_shapes(self, joined):
@@ -82,7 +83,7 @@ class TestGraft:
             streets = rd.from_arrow(SYN.streets_grid(n=6, m=6, spacing_m=150.0))
             features = SW.build_features(streets, cfg)
             geotags = PJ.extract_geotags(pages, cfg)
-            df = PJ.join_pages_to_tiles(geotags, features, cfg).to_pandas()
+            df = SR.join_pages_to_tiles(geotags, features, cfg).to_pandas()
             out, _ = PJ.split_metrics(df)
             return out.sort_values(["url", "lat", "lon"]).reset_index(drop=True)
         pd.testing.assert_frame_equal(run(), run())
@@ -103,7 +104,7 @@ def test_salting_replicates_tiles():
         streets = rd.from_arrow(SYN.streets_grid(n=4, m=4, spacing_m=150.0))
         features = SW.build_features(streets, cfg)
         geotags = PJ.extract_geotags(rd.from_arrow(pages), cfg)
-        df = PJ.join_pages_to_tiles(geotags, features, cfg).to_pandas()
+        df = SR.join_pages_to_tiles(geotags, features, cfg).to_pandas()
         out, _ = PJ.split_metrics(df)
         return out.sort_values(["url", "lat", "lon"]).reset_index(drop=True)
 
@@ -129,7 +130,7 @@ def test_join_with_no_tiles_anywhere():
         "text": ["x"], "lang": ["en"]}, schema=PAGES_SCHEMA)
     geotags = PJ.extract_geotags(rd.from_arrow(pages), cfg)
     feats = SW.build_features(rd.from_arrow(empty_streets), cfg)
-    out = PJ.join_pages_to_tiles(geotags, feats, cfg).to_pandas()
+    out = SR.join_pages_to_tiles(geotags, feats, cfg).to_pandas()
     real, _ = PJ.split_metrics(out)
     assert len(real) == 1
     assert (real["tile_id"] == -1).all()

@@ -1,121 +1,13 @@
-"""compact_parquet / read_parquet_harmonized round-trips."""
+"""Versioned (manifest) parquet tables: commits, time travel, merge,
+vacuum, and the table job CLI."""
 
 import os
 
 import numpy as np
 import pandas as pd
 import pyarrow as pa
-import pyarrow.parquet as pq
 import pytest
 import ray.data as rd
-
-
-@pytest.mark.usefixtures("ray_session")
-class TestCompact:
-    def test_coalesces_small_files(self, tmp_path):
-        from osm_sidewalkreator_ray.sources.parquet_tools import \
-            compact_parquet
-        src = str(tmp_path / "small")
-        df = pd.DataFrame({"a": np.arange(5000, dtype=np.int64),
-                           "b": np.arange(5000) * 0.5})
-        rd.from_pandas(df).repartition(25).write_parquet(src)
-        out = str(tmp_path / "compact")
-        rep = compact_parquet(src, out, target_rows_per_file=2500)
-        assert rep["rows"] == 5000
-        assert rep["files_before"] >= 20
-        assert rep["files_after"] <= 3
-        back = rd.read_parquet(out).to_pandas() \
-            .sort_values("a").reset_index(drop=True)
-        pd.testing.assert_frame_equal(back, df, check_like=True)
-        assert not os.path.exists(out + ".compacting")
-
-
-@pytest.mark.usefixtures("ray_session")
-class TestHarmonized:
-    def test_union_with_missing_and_cast(self, tmp_path):
-        from osm_sidewalkreator_ray.sources.parquet_tools import \
-            read_parquet_harmonized
-        old = str(tmp_path / "old.parquet")
-        new = str(tmp_path / "new")
-        pq.write_table(pa.table({
-            "id": pa.array([1, 2], pa.int32()),
-            "txt": pa.array(["a", "b"])}), old)
-        rd.from_arrow(pa.table({
-            "id": pa.array([3, 4], pa.int64()),
-            "txt": pa.array(["c", "d"]),
-            "lang": pa.array(["en", "es"])})).write_parquet(new)
-        ds = read_parquet_harmonized(
-            [old, new],
-            {"id": pa.int64(), "txt": pa.string(),
-             "lang": pa.string()})
-        assert ds.schema().names == ["id", "txt", "lang"]
-        df = ds.to_pandas().sort_values("id").reset_index(drop=True)
-        assert df["id"].tolist() == [1, 2, 3, 4]
-        assert df["lang"].tolist()[:2] == [None, None]
-        assert df["lang"].tolist()[2:] == ["en", "es"]
-        types = dict(zip(ds.schema().names, ds.schema().types))
-        assert types["id"] == pa.int64()
-
-
-@pytest.mark.usefixtures("ray_session")
-class TestZoneMapPruning:
-    def _layout(self, tmp_path):
-        """4 files with disjoint l_orderkey ranges (a sorted layout)."""
-        import pyarrow.parquet as pq
-        import pyarrow as pa
-        d = tmp_path / "zoned"
-        d.mkdir()
-        rng = np.random.RandomState(0)
-        for i in range(4):
-            n = 500
-            t = pa.table({
-                "l_orderkey": np.arange(i * 1000, i * 1000 + n,
-                                        dtype=np.int64),
-                "v": rng.uniform(size=n)})
-            pq.write_table(t, str(d / f"part-{i}.parquet"))
-        return str(d)
-
-    def test_prune_reads_only_matching_files(self, tmp_path):
-        from osm_sidewalkreator_ray.sources.parquet_tools import (
-            build_zone_map, prune_files, read_parquet_pruned)
-        d = self._layout(tmp_path)
-        mf = build_zone_map(d, ["l_orderkey"])
-        assert len(mf) == 4
-        # range inside file 2 only
-        paths = prune_files(mf, "l_orderkey", lo=2100, hi=2200)
-        assert [p.split("/")[-1] for p in paths] == ["part-2.parquet"]
-        got = (read_parquet_pruned(d, mf, "l_orderkey", 2100, 2200)
-               .to_pandas())
-        assert len(got) == 101
-        assert got["l_orderkey"].min() == 2100
-        assert got["l_orderkey"].max() == 2200
-
-    def test_prune_conservative_and_empty(self, tmp_path):
-        from osm_sidewalkreator_ray.sources.parquet_tools import (
-            build_zone_map, prune_files, read_parquet_pruned)
-        d = self._layout(tmp_path)
-        mf = build_zone_map(d, ["l_orderkey"])
-        # column without a zone row -> every file kept
-        assert len(prune_files(mf, "no_such_col")) == 4
-        # out-of-range -> zero files, empty typed Dataset
-        ds = read_parquet_pruned(d, mf, "l_orderkey", 10 ** 9, None)
-        assert ds.count() == 0
-        assert "l_orderkey" in ds.schema().names
-
-    def test_prune_equals_full_scan(self, tmp_path):
-        import ray.data as rd
-        from osm_sidewalkreator_ray.sources.parquet_tools import (
-            build_zone_map, read_parquet_pruned)
-        d = self._layout(tmp_path)
-        mf = build_zone_map(d, ["l_orderkey"])
-        got = (read_parquet_pruned(d, mf, "l_orderkey", 900, 2100)
-               .to_pandas().sort_values("l_orderkey")
-               .reset_index(drop=True))
-        full = rd.read_parquet(d).to_pandas()
-        ref = (full[(full["l_orderkey"] >= 900)
-                    & (full["l_orderkey"] <= 2100)]
-               .sort_values("l_orderkey").reset_index(drop=True))
-        pd.testing.assert_frame_equal(got, ref)
 
 
 @pytest.mark.usefixtures("ray_session")

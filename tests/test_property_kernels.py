@@ -9,6 +9,7 @@ from hypothesis.extra.numpy import arrays
 
 from osm_sidewalkreator_ray.geom import core as C
 from osm_sidewalkreator_ray.geom import wkb as W
+import spatial_references as SR
 
 finite = st.floats(min_value=-1e6, max_value=1e6,
                    allow_nan=False, allow_infinity=False, width=64)
@@ -29,7 +30,7 @@ def test_wkb_line_roundtrip(coords):
 @given(st.lists(st.tuples(finite, finite), min_size=1, max_size=30))
 def test_wkb_points_roundtrip(pts):
     xy = np.asarray(pts, dtype=np.float64)
-    blobs = W.encode_points(xy)
+    blobs = SR.encode_points(xy)
     back = W.decode_points(blobs)
     np.testing.assert_allclose(back, xy)
 
@@ -80,7 +81,7 @@ def test_interpolate_on_line(coords, frac):
     total = C.line_lengths(coords, offsets)[0]
     p = C.interpolate_along(coords, frac * total)
     # the interpolated point lies (numerically) on the polyline
-    d = C.points_to_polyline_dist(p[None, :], coords)[0]
+    d = SR.points_to_polyline_dist(p[None, :], coords)[0]
     assert d < 1e-6 * max(1.0, total)
 
 

@@ -8,6 +8,53 @@ import pytest
 SF = "/root/testdata/sf0.001"
 
 
+def build_index_for_sf(sf_dir: str, out_dir: str,
+                       num_buckets: int = 32) -> str:
+    from osm_sidewalkreator_ray.pipelines import search as S
+    from osm_sidewalkreator_ray.pipelines.textops import _read_docs
+    return S.build_inverted_index(_read_docs(sf_dir, ["doc_id", "text"]),
+                                  out_dir, num_buckets=num_buckets)
+
+
+# DuckDB reference for the postings search.build_inverted_index writes
+INDEX_POSTINGS_SQL = r"""
+WITH t AS (
+  SELECT doc_id, unnest(
+           CASE WHEN trim(text) = '' THEN []::VARCHAR[]
+                ELSE regexp_split_to_array(trim(text), '\s+') END)
+         AS term
+  FROM documents),
+tf AS (SELECT term, doc_id, COUNT(*) AS tf FROM t GROUP BY term, doc_id)
+SELECT term, CAST(COUNT(*) AS BIGINT) AS df,
+       list(doc_id ORDER BY doc_id) AS doc_ids,
+       list(tf ORDER BY doc_id) AS tfs
+FROM tf GROUP BY term ORDER BY term
+"""
+
+
+# DuckDB reference for search.bm25_search(["join", "scan"], k=10)
+BM25_SEARCH_SQL = r"""
+WITH toks AS (
+  SELECT doc_id, unnest(regexp_split_to_array(trim(text), '\s+')) AS t
+  FROM documents),
+dl AS (SELECT doc_id, COUNT(*) AS dl FROM toks GROUP BY doc_id),
+meta AS (SELECT COUNT(*) AS n, AVG(dl) AS avg_dl FROM dl),
+tf AS (SELECT doc_id, t, COUNT(*) AS tf FROM toks
+       WHERE t IN ('join', 'scan') GROUP BY doc_id, t),
+df AS (SELECT t, COUNT(*) AS df FROM tf GROUP BY t)
+SELECT tf.doc_id,
+       ROUND(SUM(ln(1 + (meta.n - df.df + 0.5) / (df.df + 0.5))
+                 * tf.tf * 2.5
+                 / (tf.tf + 1.5 * (1 - 0.75
+                                   + 0.75 * dl.dl / meta.avg_dl))),
+             6) AS score
+FROM tf, df, dl, meta
+WHERE df.t = tf.t AND dl.doc_id = tf.doc_id
+GROUP BY tf.doc_id
+ORDER BY score DESC, tf.doc_id LIMIT 10
+"""
+
+
 @pytest.fixture(scope="module")
 def con():
     c = duckdb.connect()
@@ -18,9 +65,8 @@ def con():
 
 @pytest.fixture(scope="module")
 def index_dir(tmp_path_factory):
-    from osm_sidewalkreator_ray.pipelines import search as S
     out = str(tmp_path_factory.mktemp("inv") / "idx")
-    S.build_index_for_sf(SF, out)
+    build_index_for_sf(SF, out)
     return out
 
 
@@ -28,11 +74,10 @@ def index_dir(tmp_path_factory):
 class TestInvertedIndex:
     def test_postings_match_duckdb(self, con, index_dir):
         import pyarrow.dataset as pads
-        from osm_sidewalkreator_ray.pipelines import search as S
         got = (pads.dataset(index_dir, partitioning="hive")
                .to_table(columns=["term", "df", "doc_ids", "tfs"])
                .to_pandas().sort_values("term").reset_index(drop=True))
-        want = con.sql(S.INDEX_POSTINGS_SQL).df()
+        want = con.sql(INDEX_POSTINGS_SQL).df()
         assert got["term"].tolist() == want["term"].tolist()
         assert got["df"].astype("int64").tolist() == \
             want["df"].astype("int64").tolist()
@@ -44,7 +89,7 @@ class TestInvertedIndex:
     def test_search_and_or(self, con, index_dir):
         from osm_sidewalkreator_ray.pipelines import search as S
         # pick two mid-frequency terms from the oracle
-        df = con.sql(S.INDEX_POSTINGS_SQL).df()
+        df = con.sql(INDEX_POSTINGS_SQL).df()
         mid = df[(df["df"] > 20) & (df["df"] < 400)]
         t1, t2 = mid["term"].iloc[0], mid["term"].iloc[1]
 
@@ -82,29 +127,6 @@ class TestInvertedIndex:
         pruned = ds.get_fragments(pads.field("b") == b)
         touched = {f.path for f in pruned}
         assert touched and touched < all_files
-
-
-@pytest.mark.usefixtures("ray_session")
-class TestHybridSearch:
-    def test_matches_duckdb(self):
-        import duckdb
-        from osm_sidewalkreator_ray.pipelines import search as S
-        sf = "/root/testdata/sf0.001"
-        got = S.hybrid_search(sf, ["join", "scan"], k=10)
-        con = duckdb.connect()
-        for t in ["documents", "embeddings"]:
-            con.sql(f"CREATE VIEW {t} AS SELECT * FROM "
-                    f"'{sf}/{t}.parquet'")
-        want = con.sql(S.HYBRID_SEARCH_SQL).df()
-        assert got["doc_id"].tolist() == want["doc_id"].tolist()
-        assert np.allclose(got["cosine_sim"], want["cosine_sim"],
-                           atol=1e-5)
-
-    def test_no_hits_returns_empty(self):
-        from osm_sidewalkreator_ray.pipelines import search as S
-        got = S.hybrid_search("/root/testdata/sf0.001",
-                              ["zzzznope"], k=5)
-        assert len(got) == 0
 
 
 @pytest.mark.usefixtures("ray_session")
@@ -248,12 +270,12 @@ class TestBM25:
         import duckdb
         from osm_sidewalkreator_ray.pipelines import search as S
         d = str(tmp_path / "ix")
-        S.build_index_for_sf(SF, d)
+        build_index_for_sf(SF, d)
         got = S.bm25_search(d, ["join", "scan"], k=10)
         con = duckdb.connect()
         con.sql(f"CREATE VIEW documents AS SELECT * FROM "
                 f"'{SF}/documents.parquet'")
-        want = con.sql(S.BM25_SEARCH_SQL).df()
+        want = con.sql(BM25_SEARCH_SQL).df()
         assert got["doc_id"].tolist() == want["doc_id"].tolist()
         assert np.allclose(got["score"], want["score"], atol=1e-5)
 
@@ -272,30 +294,15 @@ class TestBM25:
         con = duckdb.connect()
         con.sql(f"CREATE VIEW documents AS SELECT * FROM "
                 f"'{SF}/documents.parquet'")
-        want = con.sql(S.BM25_SEARCH_SQL).df()
+        want = con.sql(BM25_SEARCH_SQL).df()
         assert got["doc_id"].tolist() == want["doc_id"].tolist()
         assert np.allclose(got["score"], want["score"], atol=1e-5)
 
     def test_unknown_terms_empty(self, tmp_path):
         from osm_sidewalkreator_ray.pipelines import search as S
         d = str(tmp_path / "ix2")
-        S.build_index_for_sf(SF, d)
+        build_index_for_sf(SF, d)
         assert len(S.bm25_search(d, ["zzz_nope"])) == 0
-
-
-@pytest.mark.usefixtures("ray_session")
-def test_hybrid_search_broadcast_path_equals_pushdown():
-    """Force the large-hit-set branch (broadcast membership filter,
-    corpus streams) and require identical results to the pushed-down
-    in-list read."""
-    from osm_sidewalkreator_ray.pipelines import search as S
-    import tempfile
-    d = tempfile.mkdtemp(prefix="hyb2_")
-    S.build_index_for_sf(SF, d)
-    a = S.hybrid_search(SF, ["join", "scan"], k=10, index_dir=d)
-    b = S.hybrid_search(SF, ["join", "scan"], k=10, index_dir=d,
-                        pushdown_max_hits=0)
-    pd.testing.assert_frame_equal(a, b)
 
 
 @pytest.mark.usefixtures("ray_session")

@@ -10,6 +10,7 @@ from osm_sidewalkreator_ray.config import PipelineConfig
 from osm_sidewalkreator_ray.pipelines import sidewalks as SW
 from osm_sidewalkreator_ray.sources import synthetic as SYN
 from osm_sidewalkreator_ray.geom import wkb, core
+import spatial_references as SR
 
 
 @pytest.fixture(scope="module")
@@ -25,7 +26,7 @@ class TestUnitSquare:
 
     @pytest.fixture(scope="class")
     def features(self, cfg):
-        streets = rd.from_arrow(SYN.streets_unit_square(side_m=120.0))
+        streets = rd.from_arrow(SR.streets_unit_square(side_m=120.0))
         return SW.build_features(streets, cfg).to_pandas()
 
     def test_one_protoblock(self, features):
@@ -325,7 +326,7 @@ def test_giant_face_coarsens_instead_of_dropping(monkeypatch):
 def test_m11_ratio_columns():
     """M11 (reference osm_sidewalkreator.py:2144-2190): every polygonal
     feature row carries norm_ratio = P/sqrt(A) and simple_ratio = P/A."""
-    streets = rd.from_arrow(SYN.streets_unit_square(side_m=120.0))
+    streets = rd.from_arrow(SR.streets_unit_square(side_m=120.0))
     df = SW.build_features(streets, PipelineConfig()).to_pandas()
     assert {"norm_ratio", "simple_ratio"} <= set(df.columns)
     pb = df[df["kind"] == "protoblock"].iloc[0]

@@ -4,12 +4,6 @@ import pytest
 from osm_sidewalkreator_ray.geom import snap, voronoi
 
 
-def test_snap_points_to_grid():
-    pts = np.array([[0.04, 0.06], [0.97, 1.02]])
-    out = snap.snap_points_to_grid(pts, 0.1)
-    assert np.allclose(out, [[0.0, 0.1], [1.0, 1.0]])
-
-
 def test_snap_line_to_segments():
     line = np.array([[0.0, 0.3], [5.0, 0.4], [9.0, 5.0]])
     s0 = np.array([[0.0, 0.0]]); s1 = np.array([[10.0, 0.0]])

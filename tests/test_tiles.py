@@ -5,10 +5,11 @@ import numpy as np
 import pandas as pd
 import pytest
 
-from osm_sidewalkreator_ray.cells import (cell_bounds, cell_children,
-                                          cell_parent, cell_res,
-                                          latlng_to_cell)
+from osm_sidewalkreator_ray.cells import (cell_bounds, cell_parent,
+                                          cell_res, latlng_to_cell)
 from osm_sidewalkreator_ray.pipelines import tiles as T
+from osm_sidewalkreator_ray.pipelines.tiles import _PYR_MIN_RES, _PYR_RES
+import spatial_references as SR
 
 SF = "/root/testdata/sf0.001"
 
@@ -21,14 +22,14 @@ WITH pts AS (
            value AS v
     FROM events
 ), fine AS (
-    SELECT CAST(floor((lon + 180.0) / (180.0 / {1 << T._PYR_RES})) AS BIGINT) AS ix,
-           CAST(floor((lat + 90.0) / (180.0 / {1 << T._PYR_RES})) AS BIGINT) AS iy,
+    SELECT CAST(floor((lon + 180.0) / (180.0 / {1 << _PYR_RES})) AS BIGINT) AS ix,
+           CAST(floor((lat + 90.0) / (180.0 / {1 << _PYR_RES})) AS BIGINT) AS iy,
            v
     FROM pts
 ), lv AS (
-    SELECT unnest(generate_series({T._PYR_MIN_RES}, {T._PYR_RES})) AS r
+    SELECT unnest(generate_series({_PYR_MIN_RES}, {_PYR_RES})) AS r
 ), cells AS (
-    SELECT r, ix >> ({T._PYR_RES} - r) AS ix, iy >> ({T._PYR_RES} - r) AS iy, v
+    SELECT r, ix >> ({_PYR_RES} - r) AS ix, iy >> ({_PYR_RES} - r) AS iy, v
     FROM fine, lv
 )
 SELECT CAST(r AS BIGINT) AS res,
@@ -67,8 +68,13 @@ class TestCellHierarchy:
 
     def test_children_roundtrip(self):
         c = int(latlng_to_cell(-23.55, -46.63, 11))
-        kids = cell_children(c)
-        assert len(kids) == 4 and len(np.unique(kids)) == 4
+        lo_x, lo_y, hi_x, hi_y = cell_bounds(c)
+        # one point in each quadrant of c quantizes to its four children
+        fx = np.array([0.25, 0.75, 0.25, 0.75])
+        fy = np.array([0.25, 0.25, 0.75, 0.75])
+        kids = latlng_to_cell(lo_y + fy * (hi_y - lo_y),
+                              lo_x + fx * (hi_x - lo_x), 12)
+        assert len(np.unique(kids)) == 4
         np.testing.assert_array_equal(cell_parent(kids, 11),
                                       np.full(4, c, dtype=np.int64))
 
@@ -91,8 +97,8 @@ class TestTilePyramidOracle:
                                        err_msg=c)
         # every level present, level sizes shrink monotonically
         per_level = got.groupby("res").size()
-        assert list(per_level.index) == list(range(T._PYR_MIN_RES,
-                                                   T._PYR_RES + 1))
+        assert list(per_level.index) == list(range(_PYR_MIN_RES,
+                                                   _PYR_RES + 1))
         assert (per_level.diff().dropna() >= 0).all()
         # count conservation: every level sums to the row count
         n_rows = pd.read_parquet(f"{SF}/events.parquet",
@@ -277,7 +283,6 @@ class TestPolygonTiles:
         return np.vstack([ring, ring[:1]])
 
     def _polys(self, n=25, seed=9):
-        from osm_sidewalkreator_ray.geom.core import polygon_areas
         from osm_sidewalkreator_ray.geom.wkb import (decode_polygons,
                                                      encode_polygon)
         rng = np.random.default_rng(seed)
@@ -295,13 +300,12 @@ class TestPolygonTiles:
                          "wkb": encode_polygon(rings)})
         df = pd.DataFrame(rows)
         c, ro, po, _ = decode_polygons(df["wkb"].tolist())
-        df["area"] = polygon_areas(c, ro, po)
+        df["area"] = SR.polygon_areas(c, ro, po)
         return df
 
     def test_area_conservation_and_pip_equivalence(self):
         from osm_sidewalkreator_ray.cells import cell_bounds
-        from osm_sidewalkreator_ray.geom.core import (points_in_polygon,
-                                                      polygon_areas)
+        from osm_sidewalkreator_ray.geom.core import points_in_polygon
         from osm_sidewalkreator_ray.geom.wkb import decode_polygons
         from osm_sidewalkreator_ray.pipelines.tiles import (
             slice_polygons_to_tiles)
@@ -309,7 +313,7 @@ class TestPolygonTiles:
         out = slice_polygons_to_tiles(df, "wkb", "feature_id", self.RES)
         assert out["cell"].nunique() > 8
         c, ro, po, part_of = decode_polygons(out["wkb"].tolist())
-        piece_area = polygon_areas(c, ro, po)
+        piece_area = SR.polygon_areas(c, ro, po)
         got = (pd.DataFrame({"feature_id":
                              out["feature_id"].to_numpy()[part_of],
                              "a": piece_area})
@@ -349,7 +353,6 @@ class TestPolygonTiles:
     def test_polygon_export_roundtrip(self, tmp_path):
         import ray.data as rd
 
-        from osm_sidewalkreator_ray.geom.core import polygon_areas
         from osm_sidewalkreator_ray.geom.wkb import decode_polygons
         from osm_sidewalkreator_ray.pipelines.tiles import (
             export_vector_tiles)
@@ -362,7 +365,7 @@ class TestPolygonTiles:
         c, ro, po, part_of = decode_polygons(back["wkb"].tolist())
         got = (pd.DataFrame({"feature_id":
                              back["feature_id"].to_numpy()[part_of],
-                             "a": polygon_areas(c, ro, po)})
+                             "a": SR.polygon_areas(c, ro, po)})
                .groupby("feature_id")["a"].sum())
         np.testing.assert_allclose(
             got.reindex(df["feature_id"]).to_numpy(),
@@ -527,41 +530,6 @@ def test_vector_tile_simplification():
                             geometry="polygon", simplify_tol=0.01)
 
 
-class TestGeohashAndCompaction:
-    def test_geohash_spec_vectors_and_roundtrip(self):
-        from osm_sidewalkreator_ray.cells import (geohash_decode,
-                                                  geohash_encode)
-        # public spec examples
-        assert geohash_encode([42.605], [-5.603], 5)[0] == "ezs42"
-        assert geohash_encode([57.64911], [10.40744], 11)[0] \
-            == "u4pruydqqvj"
-        rng = np.random.default_rng(3)
-        lat = rng.uniform(-90, 90, 300)
-        lon = rng.uniform(-180, 180, 300)
-        h = geohash_encode(lat, lon, 10)
-        dlat, dlon = geohash_decode(h)
-        # precision 10: lat cell 180/2^25, lon cell 360/2^25
-        assert np.abs(dlat - lat).max() < 180.0 / (1 << 25)
-        assert np.abs(dlon - lon).max() < 360.0 / (1 << 25)
-
-    def test_compact_uncompact_roundtrip(self):
-        from osm_sidewalkreator_ray.cells import (compact_cells,
-                                                  cover_bbox,
-                                                  uncompact_cells,
-                                                  cell_res)
-        cells = cover_bbox(0.4, 0.4, 19.3, 15.7, 8)
-        compacted = compact_cells(cells)
-        assert len(compacted) < len(cells) / 3
-        assert len(np.unique(cell_res(compacted))) > 1
-        back = uncompact_cells(compacted, 8)
-        np.testing.assert_array_equal(back, np.sort(cells))
-        # a sparse diagonal compacts to itself (no complete quads)
-        diag = np.array([(8 << 58) | (i << 29) | i
-                         for i in range(0, 40, 3)], dtype=np.int64)
-        np.testing.assert_array_equal(compact_cells(diag),
-                                      np.sort(diag))
-
-
 @pytest.mark.usefixtures("ray_session")
 class TestGeoArrowEncoding:
     def test_roundtrip_codecs(self):
@@ -570,21 +538,21 @@ class TestGeoArrowEncoding:
                            [5, 5], [6, 5]], float)
         off = np.array([0, 4, 6])
         ga = W.lines_to_geoarrow(coords, off)
-        c2, o2 = W.geoarrow_to_lines(ga)
+        c2, o2 = SR.geoarrow_to_lines(ga)
         assert np.array_equal(coords, c2) and np.array_equal(off, o2)
         wk = W.encode_lines(coords, off)
-        assert W.geoarrow_lines_to_wkb(ga) == wk
+        assert SR.geoarrow_lines_to_wkb(ga) == wk
         assert W.wkb_lines_to_geoarrow(wk).equals(ga)
         pc_ = np.array([[0, 0], [2, 0], [2, 2], [0, 2], [0, 0],
                         [0.5, 0.5], [1, 0.5], [1, 1], [0.5, 0.5]],
                        float)
         ro, po = np.array([0, 5, 9]), np.array([0, 2])
         gp = W.polygons_to_geoarrow(pc_, ro, po)
-        c3, r3, p3 = W.geoarrow_to_polygons(gp)
+        c3, r3, p3 = SR.geoarrow_to_polygons(gp)
         assert (np.array_equal(pc_, c3) and np.array_equal(ro, r3)
                 and np.array_equal(po, p3))
         wkp = W.encode_polygons(pc_, ro, po)
-        assert W.geoarrow_polygons_to_wkb(gp) == wkp
+        assert SR.geoarrow_polygons_to_wkb(gp) == wkp
 
     def test_export_geoarrow_equals_wkb_path(self, tmp_path):
         """The same export in both encodings carries IDENTICAL
@@ -592,7 +560,6 @@ class TestGeoArrowEncoding:
         the WKB path byte-for-byte, per (feature_id, cell,
         piece_idx)."""
         import ray.data as rd
-        from osm_sidewalkreator_ray.geom import wkb as W
         from osm_sidewalkreator_ray.pipelines.tiles import \
             export_vector_tiles
         df = TestVectorTiles()._lines()
@@ -613,6 +580,6 @@ class TestGeoArrowEncoding:
         import pyarrow as pa
         ga_col = pa.array(
             [list(map(list, v)) for v in b["geometry"]],
-            type=W.GEOARROW_LINESTRING)
-        back = W.geoarrow_lines_to_wkb(ga_col)
+            type=SR.GEOARROW_LINESTRING)
+        back = SR.geoarrow_lines_to_wkb(ga_col)
         assert list(a["wkb"]) == back
