@@ -54,7 +54,6 @@ def main(argv=None) -> int:
     ap.add_argument("--iters", type=int, default=20)
     ap.add_argument("--damping", type=float, default=0.85)
     ap.add_argument("--k-sources", type=int, default=16)
-    ap.add_argument("--k", type=int, default=2, help="k-core k")
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--directed", action="store_true")
     args = ap.parse_args(argv)

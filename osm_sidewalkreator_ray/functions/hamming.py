@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 import pandas as pd
+import ray.data as rd
 
 _POP8 = np.array([bin(i).count("1") for i in range(256)],
                  dtype=np.uint8)
@@ -88,6 +89,11 @@ def banded_hamming_pairs(sigs, id_col: str, sig_col: str,
 
     cand = exploded.groupby("__cb").map_groups(verified_pairs,
                                                batch_format="pandas")
+    # a groupby with no group yields no block: the typed empty block
+    # keeps the pair schema when no pair survives
     return cand.groupby("__pb").map_groups(
         lambda g: g.drop_duplicates([out_a, out_b])
-        [[out_a, out_b, "hamming"]], batch_format="pandas")
+        [[out_a, out_b, "hamming"]], batch_format="pandas").union(
+        rd.from_pandas(pd.DataFrame({
+            c: pd.Series([], dtype="int64")
+            for c in (out_a, out_b, "hamming")})))

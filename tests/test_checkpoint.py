@@ -1,10 +1,8 @@
 """Checkpoint/resume: partial run -> resume -> identical output,
 completed partitions skipped (north_rule)."""
 
-import json
 import os
 
-import numpy as np
 import pandas as pd
 import pytest
 import ray.data as rd

@@ -11,7 +11,6 @@ kerbs consistent with crossings, count/validity — the reference has no
 golden byte comparison either, SURVEY.md §5).
 """
 
-import json
 import os
 
 import numpy as np
@@ -23,7 +22,6 @@ from osm_sidewalkreator_ray.config import PipelineConfig
 from osm_sidewalkreator_ray.geom import wkb
 from osm_sidewalkreator_ray.pipelines import sidewalks as SW
 from osm_sidewalkreator_ray.sources.osm_xml import parse_osm_xml
-from osm_sidewalkreator_ray.sources.synthetic import STREET_SCHEMA
 
 GEOJSON = "/root/reference/assets/test_data/osm_roads_sample_bbox.geojson"
 OSM = "/root/reference/test/data/curitiba_sample.osm"
@@ -79,7 +77,6 @@ class TestCuritibaSample:
         fails loud. Structural invariants (kerbs = 2x crossings,
         non-empty sidewalks) mirror the reference's own preloaded-bbox
         assertions (test_full_bbox_preloaded.py:36-80)."""
-        import dataclasses
         from osm_sidewalkreator_ray.sources.osm_xml import parse_osm_xml
         BAND = {
             # (fixture, mode) -> {kind: (lo, hi)}; +-20% on crossing
@@ -156,7 +153,6 @@ class TestGuiCrossings:
     @pytest.fixture(scope="class")
     def both(self):
         import dataclasses
-        from osm_sidewalkreator_ray.config import DEFAULT_CONFIG
         streets = rd.from_arrow(_streets_from_geojson(GEOJSON))
         cfg_h = PipelineConfig(dead_end_iterations=0)
         cfg_g = dataclasses.replace(cfg_h, crossing_mode="gui")
@@ -260,7 +256,6 @@ class TestOsmLayers:
         from osm_sidewalkreator_ray.pipelines import splitting as SP
         from osm_sidewalkreator_ray.sources import synthetic as SYN
         import pyarrow as pa
-        from osm_sidewalkreator_ray.sources.osm_xml import build_pois
         streets = rd.from_arrow(SYN.streets_grid(n=4, m=4, spacing_m=200.0))
         features = SW.build_features(streets, PipelineConfig()).materialize()
         pbs = features.filter(expr="kind == 'protoblock'").to_pandas()

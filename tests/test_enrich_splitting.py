@@ -217,7 +217,6 @@ class TestEnrichPipelines:
         """G7 mergeLines fidelity (osm_sidewalkreator.py:3940-4068): a
         component whose arcs chain end-to-end merges into ONE
         LineString, not a MultiLineString."""
-        import pyarrow as pa
         import struct
         from osm_sidewalkreator_ray import cells
         from osm_sidewalkreator_ray.geom import project
@@ -319,7 +318,6 @@ def test_assign_widths_whitespace_tag():
     """Regression (round-2 advice): a width tag like ' 7 ' must not
     abort the Arrow cast — trim then cast."""
     import pyarrow as pa
-    from osm_sidewalkreator_ray.sources.synthetic import STREET_SCHEMA
     tbl = SR.streets_unit_square()
     tbl = tbl.set_column(tbl.schema.get_field_index("width"), "width",
                          pa.array([" 7 ", "8.5", "junk", None]))

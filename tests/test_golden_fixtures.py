@@ -91,9 +91,7 @@ def test_golden_page_assignments():
 def test_snap_rounds_and_alt_schema_deltas():
     """G7 snap rounds + G8 ALT_SCHEMA wired into build_features behind
     config flags: compare against the flag-off golden baseline."""
-    import dataclasses
     from osm_sidewalkreator_ray.geom import wkb as _wkb
-    from osm_sidewalkreator_ray.geom import core as _core
     from osm_sidewalkreator_ray.geom import project as _project
 
     streets = rd.from_arrow(SYN.streets_grid(n=4, m=4, spacing_m=120.0))

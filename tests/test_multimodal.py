@@ -357,6 +357,18 @@ class TestPHash:
             rd.from_pandas(full), max_hamming=6))
         assert (pairs[["media_a", "media_b"]].to_numpy() < 1000).all()
 
+    def test_phash_no_pairs_dataset_is_typed(self):
+        import ray.data as rd
+        from osm_sidewalkreator_ray.stages import multimodal as M
+        _, full = self._media_with_dups()
+        ds = M.phash_near_dups_ds(rd.from_pandas(full),
+                                  max_hamming=6).materialize()
+        # Ray's to_pandas skips zero-row blocks, so an empty result
+        # collects without columns; the Dataset schema stays typed
+        assert len(ds.to_pandas()) == 0
+        assert ds.schema().names == ["media_a", "media_b", "hamming"]
+        assert [str(t) for t in ds.schema().types] == ["int64"] * 3
+
 
 @pytest.mark.usefixtures("ray_session")
 class TestAudioFingerprint:

@@ -577,6 +577,35 @@ def test_no_unreferenced_package_defs():
     assert not dead, "unreferenced top-level defs:\n" + "\n".join(dead)
 
 
+def test_graph_exchanges_go_through_cogroup():
+    """Guard: in ``functions/graph.py`` only ``_cogroup`` calls
+    ``.map_groups(`` or computes ``% num_buckets``, and no hand-rolled
+    side tagger (``tag_*`` / ``pad_*``) or per-algorithm edge
+    canonicaliser (``canon`` / ``mk_edges`` / ``dir_edges``) is back."""
+    import ast
+    import inspect
+    from osm_sidewalkreator_ray.functions import graph
+    tree = ast.parse(inspect.getsource(graph))
+    helper = next(n for n in tree.body
+                  if isinstance(n, ast.FunctionDef) and n.name == "_cogroup")
+    inside = {id(n) for n in ast.walk(helper)}
+    bad = []
+    for n in ast.walk(tree):
+        if id(n) in inside:
+            continue
+        if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef)) and (
+                n.name.startswith(("tag_", "pad_"))
+                or n.name in ("canon", "mk_edges", "dir_edges")):
+            bad.append(f"{n.lineno} def {n.name}")
+        elif (isinstance(n, ast.Attribute) and n.attr == "map_groups"):
+            bad.append(f"{n.lineno} .map_groups")
+        elif (isinstance(n, ast.BinOp) and isinstance(n.op, ast.Mod)
+              and isinstance(n.right, ast.Name)
+              and n.right.id == "num_buckets"):
+            bad.append(f"{n.lineno} % num_buckets")
+    assert not bad, "exchange outside _cogroup:\n" + "\n".join(bad)
+
+
 def test_package_imports_resolve():
     """Guard: every import of a package module — absolute or relative,
     at module level or inside a function body — names a module file
@@ -651,16 +680,17 @@ def test_package_imports_resolve():
 
 def test_no_unused_package_imports():
     """Guard: every name an ``import`` binds in the package, ``jobs/``,
-    ``__ray_entry__.py`` or ``bench.py`` is loaded in the scope that
-    imports it: the module for a module-level import, the enclosing
-    function for a function-local one. ``__future__`` imports are
-    exempt; a re-export is not (import from the defining module)."""
+    ``tests/``, ``__ray_entry__.py`` or ``bench.py`` is loaded in the
+    scope that imports it: the module for a module-level import, the
+    enclosing function for a function-local one. ``__future__``
+    imports are exempt; a re-export is not (import from the defining
+    module)."""
     import ast
     import os
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     paths = [os.path.join(root, f) for f in ("__ray_entry__.py",
                                              "bench.py")]
-    for top in ("osm_sidewalkreator_ray", "jobs"):
+    for top in ("osm_sidewalkreator_ray", "jobs", "tests"):
         for d, dirs, files in os.walk(os.path.join(root, top)):
             dirs[:] = [x for x in dirs if x != "__pycache__"]
             paths += [os.path.join(d, f) for f in sorted(files)

@@ -63,7 +63,6 @@ class TestVersionedTable:
 @pytest.mark.usefixtures("ray_session")
 class TestVersionedMergeVacuum:
     def test_commit_merge_and_vacuum(self, tmp_path):
-        import os
         import ray.data as rd
         from osm_sidewalkreator_ray.sources.parquet_tools import (
             commit_append, commit_merge, read_table_version,

@@ -314,7 +314,6 @@ class TestUpdateCrashTolerance:
         coexisting; readers picked an arbitrary duplicate and the next
         update baked duplicate doc_ids into postings."""
         import os
-        import shutil
         import ray.data as rd
         import pyarrow.dataset as pads
         from osm_sidewalkreator_ray.pipelines import search as S

@@ -9,7 +9,7 @@ import ray.data as rd
 from osm_sidewalkreator_ray.config import PipelineConfig
 from osm_sidewalkreator_ray.pipelines import sidewalks as SW
 from osm_sidewalkreator_ray.sources import synthetic as SYN
-from osm_sidewalkreator_ray.geom import wkb, core
+from osm_sidewalkreator_ray.geom import wkb
 import spatial_references as SR
 
 

@@ -1,5 +1,4 @@
 import numpy as np
-import pytest
 
 from osm_sidewalkreator_ray.geom import snap, voronoi
 
