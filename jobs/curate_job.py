@@ -14,7 +14,9 @@ and the drop reasons are auditable next to it. One JSON metrics line
 
 The eval set for decontamination comes from --bench (a parquet of
 (text) rows); without it, the self-derived oracle benchmark is used
-(doc_id % 97 donors), which is only meaningful for smoke runs.
+(``textops._derive_bench``: the first 50 tokens of the doc_id % 97
+donors, as the curation oracles derive it), which is only meaningful
+for smoke runs.
 """
 
 from __future__ import annotations
@@ -56,7 +58,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
 
     import numpy as np
-    import pandas as pd
+    import pyarrow as pa
     import ray
     if not ray.is_initialized():  # job server usually pre-initializes
         ray.init(include_dashboard=False)
@@ -67,22 +69,14 @@ def main(argv=None) -> int:
     docs_path = args.docs or f"{args.sf_dir}/documents.parquet"
     docs = rd.read_parquet(docs_path, columns=["doc_id", "text"])
 
-    def hash_part(donor_fn):
-        def f(b: pd.DataFrame) -> pd.DataFrame:
-            return pd.DataFrame({"h": T.benchmark_ngram_hashes(
-                donor_fn(b))})
-        return f
-
     if args.bench:
         bench_rows = (rd.read_parquet(args.bench, columns=["text"])
-                      .map_batches(hash_part(lambda b: b["text"]),
-                                   batch_format="pandas").to_pandas())
+                      .map_batches(lambda b: pa.table({
+                          "h": T.benchmark_ngram_hashes(b["text"])}),
+                          batch_format="pyarrow").to_pandas())
+        bench = np.unique(bench_rows["h"].to_numpy(dtype=np.uint64))
     else:
-        bench_rows = docs.map_batches(
-            hash_part(lambda b: b.loc[b["doc_id"] % 97 == 0, "text"]
-                      .map(lambda t: " ".join(T._tokens(t)[:50]))),
-            batch_format="pandas").to_pandas()
-    bench = np.unique(bench_rows["h"].to_numpy(dtype=np.uint64))
+        bench = T._derive_bench(docs, 97, 50, 3)
 
     t0 = time.perf_counter()
     if args.checkpoint:

@@ -264,7 +264,9 @@ def hash_partition_join(left, right, on: str | list[str],
     one bucket), plus 'semi' / 'anti' (left-semi / left-anti with SQL
     EXISTS / NOT EXISTS null semantics: a NULL left key never matches,
     so semi drops it and anti keeps it — unlike the equality hows,
-    which inherit pandas' NaN==NaN join behavior).
+    which inherit pandas' NaN==NaN join behavior). Without
+    ``group_fn``, semi/anti emit the filtered left rows as Arrow, so
+    every left column keeps its exact type (binary stays binary).
 
     ``hot_keys`` (skew handling, the brief's "salt hot keys"): each
     listed key gets ``n_salts`` DEDICATED buckets; its left rows
@@ -277,11 +279,13 @@ def hash_partition_join(left, right, on: str | list[str],
     for the one-pass sketch that finds them.
 
     Both input schemas are read ON THE DRIVER before the join is
-    built. ``Dataset.schema()`` on a lazy input executes its plan up
-    to the first row, so a lazy input with a shuffle upstream runs
-    that shuffle twice (probe + join) unless the caller pins it with
-    ``materialize()``; an input with no rows has no schema and fails
-    here, so callers check a pinned input's count first.
+    built. On a materialized input that is metadata; on a lazy input
+    ``Dataset.schema()`` runs a ``limit(1)`` execution of its plan,
+    which re-runs any shuffle upstream of it. Callers therefore hand
+    in inputs materialized with their exact Arrow schema (an
+    Arrow-producing stage, then ``materialize()``); an input with no
+    rows has no schema and fails here, so callers check a pinned
+    input's count first.
     """
     if how not in ("inner", "left", "right", "outer", "semi", "anti"):
         raise ValueError(f"unsupported how={how!r}")
@@ -399,8 +403,10 @@ def hash_partition_join(left, right, on: str | list[str],
             rkeys = pc.unique(pc.drop_null(r[keys[0]]))
             hit = pc.fill_null(pc.is_in(l[keys[0]], value_set=rkeys),
                                False)
-            out = l.filter(hit if how == "semi"
-                           else pc.invert(hit)).to_pandas()
+            kept = l.filter(hit if how == "semi" else pc.invert(hit))
+            if group_fn is None:
+                return kept
+            out = kept.to_pandas()
         else:
             out = l.to_pandas().merge(r.to_pandas(), on=keys, how=how)
         return group_fn(out) if group_fn is not None else out

@@ -333,15 +333,9 @@ def _seg_arange(counts: np.ndarray) -> np.ndarray:
     return np.arange(total, dtype=np.int64) - np.repeat(o, counts)
 
 
-def _flat_tokens_arrow(texts) -> tuple[pa.Array, np.ndarray]:
-    """Whole-batch tokenization: texts (pa.Array / ChunkedArray /
-    sequence of str) -> (flat Arrow StringArray of all tokens in doc
-    order, int64 per-doc token counts). ONE Arrow C++
-    ``utf8_split_whitespace`` replaces the per-doc regex split —
-    semantics match ``_tokens`` exactly (strip, split on whitespace
-    runs, no empty tokens; identity-tested): after
-    ``utf8_trim_whitespace`` the split emits an empty token ONLY for
-    whole-empty docs, which the not-equal filter removes."""
+def _text_array(texts) -> pa.Array:
+    """texts (pa.Array / ChunkedArray / Series / sequence of str) ->
+    one contiguous Arrow string array, nulls as empty docs."""
     if isinstance(texts, pa.ChunkedArray):
         arr = texts.combine_chunks()
     elif isinstance(texts, pa.Array):
@@ -350,8 +344,19 @@ def _flat_tokens_arrow(texts) -> tuple[pa.Array, np.ndarray]:
         arr = pa.Array.from_pandas(texts, type=pa.string())
     else:
         arr = pa.array(list(texts), type=pa.string())
-    if arr.null_count:
-        arr = arr.fill_null("")
+    return arr.fill_null("") if arr.null_count else arr
+
+
+def _flat_tokens_arrow(texts) -> tuple[pa.Array, np.ndarray]:
+    """Whole-batch tokenization: texts (see ``_text_array``) -> (flat
+    Arrow StringArray of all tokens in doc order, int64 per-doc token
+    counts). ONE Arrow C++
+    ``utf8_split_whitespace`` replaces the per-doc regex split —
+    semantics match ``_tokens`` exactly (strip, split on whitespace
+    runs, no empty tokens; identity-tested): after
+    ``utf8_trim_whitespace`` the split emits an empty token ONLY for
+    whole-empty docs, which the not-equal filter removes."""
+    arr = _text_array(texts)
     sp = pc.utf8_split_whitespace(pc.utf8_trim_whitespace(arr))
     fl = pc.list_flatten(sp)
     nonempty = pc.not_equal(fl, "")
@@ -813,41 +818,41 @@ def _exact_verify_pairs(cand, docs_with_shingles, threshold: float):
     it co-locates in the SAME j1 bucket — the cross-bucket pair dedup
     runs as j1's group_fn instead of costing its own shuffle.
 
-    ``cand`` and ``j1`` are pinned: each join reads its inputs'
-    schemas on the driver, which would otherwise re-run every shuffle
-    upstream of them once per probe. Both are bounded by the candidate
-    pairs, and the pinned count lets zero candidates return a typed
-    empty Dataset (an empty input has no schema to join on)."""
+    Every join input is materialized with its exact Arrow schema, so
+    no join probes a schema (see ``hash_partition_join``): the
+    candidates are re-typed to (doc_id = doc_a, doc_b) before they are
+    pinned, j1's group_fn emits the typed (doc_a, sh_a, doc_id) rows
+    j2 joins on, and the (doc_id, binary shingles) table both joins
+    read is pinned once. All three are bounded by the candidate pairs
+    or the shingle input, and the pinned candidate count lets zero
+    candidates return a typed empty Dataset (an empty input has no
+    schema to join on)."""
     from ..functions.joins import hash_partition_join
-    cand = cand.materialize()
-    if cand.count() == 0:
+    left_a = cand.map_batches(
+        lambda b: pa.table({"doc_id": b["doc_a"].cast(pa.int64()),
+                            "doc_b": b["doc_b"].cast(pa.int64())}),
+        batch_format="pyarrow").materialize()
+    if left_a.count() == 0:
         return rd.from_arrow(pa.table({
             "doc_a": pa.array([], pa.int64()),
             "doc_b": pa.array([], pa.int64()),
             "jaccard": pa.array([], pa.float64())}))
-    # explicit Arrow schemas (binary shingles) so the join's tagged
-    # union pads with the right types
     shingle_tbl = docs_with_shingles.map_batches(
-        lambda b: pa.table({
-            "doc_id": pa.array(b["doc_id"].to_numpy(), pa.int64()),
-            "shingles": pa.array(list(b["shingles"]), pa.binary())}),
-        batch_format="pandas")
-    left_a = cand.map_batches(
-        lambda b: pa.table({
-            "doc_id": pa.array(b["doc_a"].to_numpy(), pa.int64()),
-            "doc_b": pa.array(b["doc_b"].to_numpy(), pa.int64())}),
-        batch_format="pandas")
+        lambda b: pa.table({"doc_id": b["doc_id"].cast(pa.int64()),
+                            "shingles": b["shingles"].cast(pa.binary())}),
+        batch_format="pyarrow").materialize()
+
+    def first_copy(df: pd.DataFrame) -> pa.Table:
+        df = df.drop_duplicates(["doc_id", "doc_b"])
+        return pa.table({
+            "doc_a": pa.array(df["doc_id"].to_numpy(), pa.int64()),
+            "sh_a": pa.array(list(df["shingles"]), pa.binary()),
+            "doc_id": pa.array(df["doc_b"].to_numpy(), pa.int64())})
+
     j1 = hash_partition_join(left_a, shingle_tbl, on="doc_id",
                              num_buckets=32,
-                             group_fn=lambda df: df.drop_duplicates(
-                                 ["doc_id", "doc_b"])).materialize()
-    left_b = j1.map_batches(
-        lambda b: pa.table({
-            "doc_a": pa.array(b["doc_id"].to_numpy(), pa.int64()),
-            "sh_a": pa.array(list(b["shingles"]), pa.binary()),
-            "doc_id": pa.array(b["doc_b"].to_numpy(), pa.int64())}),
-        batch_format="pandas")
-    j2 = hash_partition_join(left_b, shingle_tbl, on="doc_id",
+                             group_fn=first_copy).materialize()
+    j2 = hash_partition_join(j1, shingle_tbl, on="doc_id",
                              num_buckets=32)
 
     def verify(batch: pd.DataFrame) -> pd.DataFrame:
@@ -1395,35 +1400,64 @@ ORDER BY doc_id
 _BULLET = ("-", "*", "•")
 
 
-def _gopher_batch(batch: pd.DataFrame, max_dup_line_frac: float,
-                  max_symbol_ratio: float,
-                  max_bullet_frac: float,
-                  tokens: list | None = None) -> pd.DataFrame:
+def _gopher_batch(batch: pa.Table, max_dup_line_frac: float,
+                  max_symbol_ratio: float, max_bullet_frac: float,
+                  n_words: np.ndarray) -> pa.Table:
     """Repetition/format signals from the Gopher data-quality rules
     (Rae et al. 2021, arXiv:2112.11446 A1.1), the subset expressible
     over plain text lines: duplicate-line fraction, symbol-to-word
-    ratio (# and ... marks), bullet-line fraction. ``tokens`` lets a
-    fused caller (curate pipeline) pass per-doc token lists it has
-    already computed, so each doc tokenizes once per batch."""
-    out = {"doc_id": batch["doc_id"], "dup_line_frac": [],
-           "symbol_ratio": [], "bullet_frac": [], "gopher_pass": []}
-    for j, text in enumerate(batch["text"]):
-        lines = [ln for ln in text.split("\n") if ln.strip()]
-        n_lines = len(lines)
-        dup = (1.0 - len(set(lines)) / n_lines) if n_lines else 0.0
-        words = tokens[j] if tokens is not None else _tokens(text)
-        n_words = len(words)
-        sym = ((text.count("#") + text.count("..."))
-               / n_words if n_words else 0.0)
-        bullet = (sum(ln.lstrip().startswith(_BULLET) for ln in lines)
-                  / n_lines if n_lines else 0.0)
-        out["dup_line_frac"].append(float(_round_half_away(dup)))
-        out["symbol_ratio"].append(float(_round_half_away(sym)))
-        out["bullet_frac"].append(float(_round_half_away(bullet)))
-        out["gopher_pass"].append(dup <= max_dup_line_frac
-                                  and sym <= max_symbol_ratio
-                                  and bullet <= max_bullet_frac)
-    return pd.DataFrame(out)
+    ratio (# and ... marks), bullet-line fraction. ``n_words`` is the
+    per-doc token count the caller already has from its one
+    tokenize of the batch.
+
+    Whole-batch Arrow form: one ``split_pattern`` on newlines, the
+    blank-line filter by ``utf8_trim_whitespace``, distinct lines per
+    doc from one dictionary encoding of the kept lines,
+    ``count_substring`` for the marks (non-overlapping, like
+    ``str.count``) and ``starts_with`` after
+    ``utf8_ltrim_whitespace`` for the bullets. Arrow's whitespace is
+    Python's ``str.isspace``, so every column equals the per-doc
+    rules (identity-tested against them in
+    tests/test_textops_vectorized.py)."""
+    text = _text_array(batch["text"])
+    nd = len(text)
+    lines = pc.split_pattern(text, "\n")
+    flat = pc.list_flatten(lines)
+    nonblank = pc.not_equal(pc.utf8_trim_whitespace(flat), "")
+    doc = np.repeat(np.arange(nd, dtype=np.int64),
+                    pc.list_value_length(lines)
+                    .to_numpy(zero_copy_only=False))[
+        nonblank.to_numpy(zero_copy_only=False)]
+    kept = flat.filter(nonblank)
+    n_lines = np.bincount(doc, minlength=nd)
+    enc = kept.dictionary_encode()
+    nv = len(enc.dictionary)
+    pair = np.unique(doc * nv + enc.indices.to_numpy(
+        zero_copy_only=False).astype(np.int64))
+    n_distinct = np.bincount(pair // max(nv, 1), minlength=nd)
+    lead = pc.utf8_ltrim_whitespace(kept)
+    bullet_hit = np.zeros(len(kept), dtype=bool)
+    for mark in _BULLET:
+        bullet_hit |= pc.starts_with(lead, mark) \
+            .to_numpy(zero_copy_only=False)
+    n_bullet = np.bincount(doc[bullet_hit], minlength=nd)
+    n_marks = (pc.count_substring(text, "#").to_numpy(zero_copy_only=False)
+               + pc.count_substring(text, "...")
+               .to_numpy(zero_copy_only=False))
+
+    def ratio(num, den):
+        return np.divide(num, den, out=np.zeros(nd), where=den > 0)
+
+    dup = np.where(n_lines > 0, 1.0 - ratio(n_distinct, n_lines), 0.0)
+    sym = ratio(n_marks, n_words)
+    bullet = ratio(n_bullet, n_lines)
+    return pa.table({
+        "doc_id": batch["doc_id"],
+        "dup_line_frac": _round_half_away(dup),
+        "symbol_ratio": _round_half_away(sym),
+        "bullet_frac": _round_half_away(bullet),
+        "gopher_pass": (dup <= max_dup_line_frac)
+        & (sym <= max_symbol_ratio) & (bullet <= max_bullet_frac)})
 
 
 # --------------------------------------------- test-set decontamination
@@ -1433,34 +1467,64 @@ def _gopher_batch(batch: pd.DataFrame, max_dup_line_frac: float,
 # is tiny by definition (eval suites are ~10^6-10^7 n-grams even at
 # 100 TB of training data), so it is the canonical broadcast side: one
 # sorted uint64 hash array `ray.put` once, zero-copy views in every
-# task, a `np.searchsorted` membership probe per doc inside the
-# curation pipeline's fused map.
+# task, one `np.searchsorted` membership probe per distinct n-gram of
+# each batch inside the curation pipeline's fused map.
 
 
-def _ngram_hashes(words: list[str], n: int) -> np.ndarray:
-    """Distinct stable 64-bit hashes of the token n-grams of a doc."""
-    if len(words) < n:
-        return np.empty(0, dtype=np.uint64)
-    grams = [" ".join(words[i:i + n]) for i in range(len(words) - n + 1)]
-    h = pd.util.hash_array(np.asarray(grams, dtype=object))
-    return np.unique(h)
+def _ngram_windows(fl: pa.Array, ntok: np.ndarray, n: int):
+    """Token n-grams of a tokenized batch (``_flat_tokens_arrow``
+    output) -> (uh, gram, doc): ``uh`` holds the 64-bit
+    ``pd.util.hash_array`` hashes of the batch's DISTINCT n-gram
+    strings, window w is n-gram ``uh[gram[w]]`` of doc ``doc[w]``. A
+    doc with fewer than n tokens has no window. The n-gram strings
+    are built C++-side (a ``take`` per position, one
+    ``binary_join_element_wise`` with a space) and only the distinct
+    ones reach Python, so each hash is that of
+    ``" ".join(words[i:i + n])``, byte for byte."""
+    nd = len(ntok)
+    nw = np.maximum(ntok - (n - 1), 0)
+    doc = np.repeat(np.arange(nd, dtype=np.int64), nw)
+    if len(doc) == 0:
+        return np.empty(0, np.uint64), np.empty(0, np.int64), doc
+    starts = np.zeros(nd, dtype=np.int64)
+    np.cumsum(ntok[:-1], out=starts[1:])
+    first = np.repeat(starts, nw) + _seg_arange(nw)
+    grams = pc.binary_join_element_wise(
+        *[fl.take(pa.array(first + j)) for j in range(n)], " ")
+    enc = grams.dictionary_encode()
+    uh = pd.util.hash_array(enc.dictionary.to_numpy(zero_copy_only=False))
+    return (uh, enc.indices.to_numpy(zero_copy_only=False)
+            .astype(np.int64), doc)
+
+
+def _contaminated(fl: pa.Array, ntok: np.ndarray, n: int,
+                  bench: np.ndarray) -> np.ndarray:
+    """Per-doc decontamination flag of a tokenized batch: does any of
+    the doc's token n-grams hash into the sorted eval-set array
+    ``bench``? One probe per distinct n-gram of the batch; the hits
+    go back to their docs by ``bincount``."""
+    uh, gram, doc = _ngram_windows(fl, ntok, n)
+    if len(uh) == 0 or len(bench) == 0:
+        return np.zeros(len(ntok), dtype=bool)
+    pos = np.minimum(np.searchsorted(bench, uh), len(bench) - 1)
+    hit = (bench[pos] == uh)[gram]
+    return np.bincount(doc[hit], minlength=len(ntok)) > 0
 
 
 def benchmark_ngram_hashes(texts, n: int = 3,
                            max_tokens: int | None = None) -> np.ndarray:
     """Sorted uint64 hash array of every token n-gram in ``texts``
-    (the evaluation set). Truncates each text to ``max_tokens`` first
-    when given. Driver-side helper: the result is what you ``ray.put``
-    and hand to :func:`curate_corpus_ds`."""
-    out = []
-    for t in texts:
-        w = _tokens(t)
-        if max_tokens is not None:
-            w = w[:max_tokens]
-        out.append(_ngram_hashes(w, n))
-    if not out:
-        return np.empty(0, dtype=np.uint64)
-    return np.unique(np.concatenate(out))
+    (the evaluation set; any form ``_text_array`` takes). Truncates
+    each text to ``max_tokens`` tokens first when given (a
+    segmented-arange mask over the batch's flat tokens). One batch
+    tokenize and ``_ngram_windows`` — the hashes the fused curation
+    map probes. Driver-side helper: the result is what you
+    ``ray.put`` and hand to :func:`curate_corpus_ds`."""
+    fl, ntok = _flat_tokens_arrow(texts)
+    if max_tokens is not None:
+        fl = fl.filter(pa.array(_seg_arange(ntok) < max_tokens))
+        ntok = np.minimum(ntok, max_tokens)
+    return np.unique(_ngram_windows(fl, ntok, n)[0])
 
 
 # --------------------------------------------- corpus curation pipeline
@@ -1480,39 +1544,37 @@ def benchmark_ngram_hashes(texts, n: int = 3,
 def _curate_rows(docs, ref, min_tokens: int, max_dup_line_frac: float,
                  max_symbol_ratio: float, max_bullet_frac: float,
                  n: int, num_buckets: int):
-    """Pass A (fused map): one text decode per doc -> slim
-    (doc_id, content hash, gate_pass, contaminated, __b) rows."""
+    """Pass A (fused map over Arrow batches) -> slim
+    (doc_id, content hash h, gate_pass, contaminated, __b) rows.
+
+    Each batch is tokenized once (``_flat_tokens_arrow``); the token
+    counts feed the length gate and ``_gopher_batch``, the flat tokens
+    feed ``_contaminated``. Every step is a fixed number of Arrow /
+    numpy calls per batch; the only per-doc Python is the md5 of the
+    content hash. The output is a metadata-free Arrow table: Ray
+    Data hashes block schemas to deduplicate them, and a schema with
+    pandas metadata is unhashable."""
     import ray as _ray
 
-    def fused(batch: pd.DataFrame) -> pd.DataFrame:
+    def fused(batch: pa.Table) -> pa.Table:
         bench = _ray.get(ref)
-        toks = [_tokens(t) for t in batch["text"]]
-        gop_pass = _gopher_batch(
-            batch, max_dup_line_frac, max_symbol_ratio,
-            max_bullet_frac, tokens=toks)["gopher_pass"].to_numpy()
-        out = {"doc_id": batch["doc_id"].to_numpy().astype(np.int64),
-               "h": [], "gate_pass": [], "contaminated": []}
-        for j, text in enumerate(batch["text"]):
-            w = toks[j]
-            gate = (len(w) >= min_tokens) and bool(gop_pass[j])
-            doc_ng = _ngram_hashes(w, n)
-            if len(doc_ng) and len(bench):
-                idx = np.minimum(np.searchsorted(bench, doc_ng),
-                                 len(bench) - 1)
-                contaminated = bool((bench[idx] == doc_ng).any())
-            else:
-                contaminated = False
-            out["h"].append(np.frombuffer(
-                hashlib.md5(text.encode()).digest()[:8],
-                dtype=np.uint64)[0])
-            out["gate_pass"].append(gate)
-            out["contaminated"].append(contaminated)
-        f = pd.DataFrame(out)
-        f["__b"] = (pd.util.hash_array(f["h"].to_numpy(np.uint64))
-                    % num_buckets).astype(np.int64)
-        return f
+        text = _text_array(batch["text"])
+        fl, ntok = _flat_tokens_arrow(text)
+        gop = _gopher_batch(batch, max_dup_line_frac, max_symbol_ratio,
+                            max_bullet_frac, ntok)["gopher_pass"]
+        h = np.frombuffer(b"".join(
+            hashlib.md5(s).digest()[:8]
+            for s in text.cast(pa.binary()).to_pylist()), dtype=np.uint64)
+        return pa.table({
+            "doc_id": batch["doc_id"].cast(pa.int64()),
+            "h": h,
+            "gate_pass": (ntok >= min_tokens) & gop.to_numpy(),
+            "contaminated": _contaminated(fl, ntok, n, bench),
+            "__b": (pd.util.hash_array(h) % num_buckets)
+            .astype(np.int64)})
 
-    return docs.map_batches(fused, batch_format="pandas")
+    return docs.map_batches(fused, batch_format="pyarrow",
+                            zero_copy_batch=True)
 
 
 def _curate_resolve(g: pd.DataFrame) -> pd.DataFrame:
@@ -1608,16 +1670,17 @@ def _derive_bench(docs, bench_mod: int, bench_tokens: int,
     doc_id % bench_mod == 0 donate their first ``bench_tokens``
     tokens), produced DISTRIBUTED (only uint64 hashes reach the
     driver) and returned sorted-unique. The single derivation the
-    curate_corpus_full oracle form and the exact-curation test
-    reference (tests/text_references.py) share — diverging copies
-    would silently decontaminate them against different eval sets."""
-    def bench_part(b: pd.DataFrame) -> pd.DataFrame:
-        donors = b.loc[b["doc_id"] % bench_mod == 0, "text"]
-        return pd.DataFrame({"h": benchmark_ngram_hashes(
-            donors, n=n, max_tokens=bench_tokens)})
+    curate_corpus_full oracle form, the curate job without ``--bench``
+    and the exact-curation test reference (tests/text_references.py)
+    share — diverging copies would silently decontaminate them
+    against different eval sets."""
+    def bench_part(b: pa.Table) -> pa.Table:
+        donor = pa.array(b["doc_id"].to_numpy() % bench_mod == 0)
+        return pa.table({"h": benchmark_ngram_hashes(
+            b["text"].filter(donor), n=n, max_tokens=bench_tokens)})
 
-    rows = docs.map_batches(bench_part,
-                            batch_format="pandas").to_pandas()
+    rows = docs.map_batches(bench_part, batch_format="pyarrow",
+                            zero_copy_batch=True).to_pandas()
     return np.unique(rows["h"].to_numpy(dtype=np.uint64))
 
 
@@ -1637,10 +1700,11 @@ def _near_dup_losers(docs, kept_ids_ds, threshold: float, k: int,
     hash-partition join — no corpus-sized broadcast), prefix-filtered
     exact-Jaccard pairs, connected components, keep-longest.
 
-    Each shuffled intermediate a later join reads a schema from is
-    pinned — ``sh`` (all docs), the kept ids and ``sh_kept`` (kept
-    docs), and inside the pair chain the candidates and the first
-    verify join — so every shuffle runs once. The pair set, the
+    Every join input is produced by an Arrow stage and pinned — ``sh``
+    (all docs), the kept ids and ``sh_kept`` (kept docs; the semi join
+    keeps its binary shingles), and inside the pair chain the
+    candidates, the shingle table and the first verify join — so no
+    join probes a schema and every shuffle runs once. The pair set, the
     components and the loser list are all bounded by near-dup CLUSTER
     membership (the op's inherent output size), so the pairs are
     collected and their components found in-process
@@ -1659,21 +1723,14 @@ def _near_dup_losers(docs, kept_ids_ds, threshold: float, k: int,
         batch_format="pandas").materialize()
     if kept_arrow.count() == 0:
         return no_losers
+    # an Arrow stage (binary shingles), pinned: the semi join reads
+    # its schema as metadata; n_tok rides along so keep-longest needs
+    # NO extra corpus scan
     sh = coalesce_slim(docs.map_batches(
         functools.partial(_shingle_batch, k=k, with_ntok=True),
         batch_format="pyarrow", zero_copy_batch=True,
         batch_size=1024).materialize())
-    # explicit Arrow schemas so the join's tagged union pads with the
-    # right types (binary shingles, never inferred as string); n_tok
-    # rides along so keep-longest needs NO extra corpus scan
-    sh_arrow = sh.map_batches(
-        lambda b: pa.table({
-            "doc_id": pa.array(b["doc_id"].to_numpy(), pa.int64()),
-            "shingles": pa.array(list(b["shingles"]), pa.binary()),
-            "n_sh": pa.array(b["n_sh"].to_numpy(), pa.int64()),
-            "n_tok": pa.array(b["n_tok"].to_numpy(), pa.int64())}),
-        batch_format="pandas")
-    sh_kept = hash_partition_join(sh_arrow, kept_arrow, on="doc_id",
+    sh_kept = hash_partition_join(sh, kept_arrow, on="doc_id",
                                   how="semi").materialize()
     pairs = _prefix_pairs_from_shingles(sh_kept, threshold,
                                         coarse_buckets).to_pandas()
@@ -1681,15 +1738,15 @@ def _near_dup_losers(docs, kept_ids_ds, threshold: float, k: int,
         return no_losers
     comp = min_label_components(pairs["doc_a"], pairs["doc_b"]).rename(
         columns={"vertex": "doc_id"})
-    ids = frozenset(comp["doc_id"].tolist())
     # token counts come off the pinned kept-doc shingle table (slim
     # columns, cluster members only) — the tokenization happened in
     # the shingle pass; no third read of the corpus text
+    members = pa.array(np.unique(comp["doc_id"]), pa.int64())
     tc = (sh_kept.map_batches(
-        lambda b: b.loc[b["doc_id"].isin(ids),
-                        ["doc_id", "n_tok"]]
-        .rename(columns={"n_tok": "n_tokens"}),
-        batch_format="pandas").to_pandas())
+        lambda b: b.select(["doc_id", "n_tok"]).filter(
+            pc.is_in(b["doc_id"], value_set=members)),
+        batch_format="pyarrow").to_pandas()
+        .rename(columns={"n_tok": "n_tokens"}))
     df = comp.merge(tc, on="doc_id").sort_values(
         ["component", "n_tokens", "doc_id"],
         ascending=[True, False, True], kind="mergesort")

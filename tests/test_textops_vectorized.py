@@ -1,11 +1,12 @@
 """Identity tests for the whole-batch vectorized text kernels.
 
 The hot-path batch forms (`_flat_tokens_arrow`, `_shingle_hashes_batch`,
-`MinHasher.__call__`, the Arrow-native scorers) must be BYTE-IDENTICAL
-to the per-doc reference forms (`_tokens`, `_shingle_hashes`,
-`signature_from_shingles`, the original Series.map semantics) — the
-golden fixtures and the DuckDB oracles assume the hash values never
-change.
+`MinHasher.__call__`, the Arrow-native scorers, the curation kernels
+`benchmark_ngram_hashes` / `_contaminated` / `_gopher_batch`) must be
+BYTE-IDENTICAL to the per-doc reference forms (`_tokens`,
+`_shingle_hashes`, `signature_from_shingles`, the original Series.map
+semantics, the per-doc loops in tests/text_references.py) — the golden
+fixtures and the DuckDB oracles assume the hash values never change.
 """
 
 import hashlib
@@ -17,6 +18,7 @@ import pyarrow as pa
 import pytest
 
 import osm_sidewalkreator_ray.pipelines.textops as T
+import text_references as R
 
 # every structural edge: empty, whitespace-only, below-k token counts,
 # exactly-k, internal runs, unicode whitespace, repeated tokens (shingle
@@ -167,3 +169,101 @@ class TestScorerIdentity:
             want = hashlib.md5(
                 _WS.sub(" ", t.strip()).encode()).hexdigest()
             assert got["fingerprint"].iloc[i] == want
+
+
+# the Gopher and decontamination triggers the sf0.1 corpus lacks: too
+# few tokens, repeated n-grams, '#' and '...' marks (overlapping dots
+# included), each bullet mark (indented too), blank, whitespace-only
+# and duplicate lines, CR line ends, NBSP and thin space
+CURATE_TEXTS = EDGE_TEXTS + [
+    "one two",
+    "a b c a b c a b c",
+    "# heading\nbody text here and more",
+    "wait... what... ok then",
+    ".... and ..... dots",
+    "###\n...\n#...#",
+    "- one\n* two\n\u2022 three\nplain line",
+    "  - indented bullet\n\t* tab bullet\n\u00a0\u2022 nbsp bullet",
+    "\u2022no space\n-dash\n*star",
+    "\n\n  \nline\n\nline\n",
+    "same\nsame\nsame\nother words here",
+    "x\u00a0y\u00a0z w\n\u2009\n- nbsp",
+    "\u00a0\n\u2009",
+    "line one\r\nline one\r\nline one\n",
+    "the quick brown fox jumps",
+    "zeta eta theta iota kappa",
+]
+
+
+def _flat(texts):
+    return T._flat_tokens_arrow(texts)
+
+
+class TestCurateKernelIdentity:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("max_tokens", [None, 0, 2, 5])
+    def test_benchmark_ngram_hashes(self, n, max_tokens):
+        got = T.benchmark_ngram_hashes(CURATE_TEXTS, n=n,
+                                       max_tokens=max_tokens)
+        want = R.benchmark_ngram_hashes(CURATE_TEXTS, n=n,
+                                        max_tokens=max_tokens)
+        assert got.dtype == np.uint64
+        assert np.array_equal(got, want)
+
+    def test_benchmark_ngram_hashes_empty_inputs(self):
+        for texts in ([], [""], ["one two"]):
+            got = T.benchmark_ngram_hashes(texts, n=3)
+            assert got.dtype == np.uint64 and len(got) == 0
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_contamination_flags(self, n):
+        donors = ["zeta eta theta", "a b c", "quick brown fox jumps",
+                  "same same"]
+        for bench in (T.benchmark_ngram_hashes(donors, n=n),
+                      T.benchmark_ngram_hashes(donors, n=n, max_tokens=2),
+                      np.empty(0, np.uint64)):
+            want = R.contaminated(CURATE_TEXTS, n, bench)
+            fl, ntok = _flat(CURATE_TEXTS)
+            got = T._contaminated(fl, ntok, n, bench)
+            assert got.dtype == bool
+            assert np.array_equal(got, want)
+        assert R.contaminated(
+            CURATE_TEXTS, n, T.benchmark_ngram_hashes(donors, n=n)).any()
+
+    @pytest.mark.parametrize("limits", [(0.3, 0.1, 0.9), (0.0, 0.0, 0.0),
+                                        (0.5, 0.25, 0.5)])
+    def test_gopher_columns(self, limits):
+        tbl = pa.table({"doc_id": pa.array(range(len(CURATE_TEXTS)),
+                                           pa.int64()),
+                        "text": pa.array(CURATE_TEXTS)})
+        got = T._gopher_batch(tbl, *limits, _flat(CURATE_TEXTS)[1]) \
+            .to_pandas()
+        want = R.gopher_rows(CURATE_TEXTS, *limits)
+        assert list(got["doc_id"]) == list(range(len(CURATE_TEXTS)))
+        for col in ("dup_line_frac", "symbol_ratio", "bullet_frac",
+                    "gopher_pass"):
+            assert got[col].tolist() == want[col].tolist(), col
+
+    def test_gopher_triggers_fire(self):
+        """The planted texts reach every rule, so a broken rule shows."""
+        want = R.gopher_rows(CURATE_TEXTS, 0.3, 0.1, 0.9)
+        for col in ("dup_line_frac", "symbol_ratio", "bullet_frac"):
+            assert (want[col] > 0).any(), col
+        assert want["gopher_pass"].any() and not want["gopher_pass"].all()
+
+    def test_on_documents_table(self):
+        import pyarrow.parquet as pq
+        tbl = pq.read_table("/root/testdata/sf0.001/documents.parquet",
+                            columns=["doc_id", "text"])
+        texts = tbl["text"].to_pylist()
+        fl, ntok = _flat(tbl["text"])
+        got = T._gopher_batch(tbl, 0.3, 0.1, 0.9, ntok).to_pandas()
+        want = R.gopher_rows(texts, 0.3, 0.1, 0.9)
+        for col in want.columns:
+            assert got[col].tolist() == want[col].tolist(), col
+        bench = T.benchmark_ngram_hashes(texts[::7], n=3, max_tokens=50)
+        assert np.array_equal(
+            bench, R.benchmark_ngram_hashes(texts[::7], n=3,
+                                            max_tokens=50))
+        assert np.array_equal(T._contaminated(fl, ntok, 3, bench),
+                              R.contaminated(texts, 3, bench))

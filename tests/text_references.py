@@ -3,12 +3,82 @@ files: collecting forms of pipeline stages and the DuckDB definition
 of the exact curation pass. No product entry point calls them, so they
 live with the tests instead of in the package."""
 
+import numpy as np
+import pandas as pd
 import ray
 
-from osm_sidewalkreator_ray.pipelines.textops import (_derive_bench,
+from osm_sidewalkreator_ray.functions.aggregates import _round_half_away
+from osm_sidewalkreator_ray.pipelines.textops import (_BULLET,
+                                                      _derive_bench,
                                                       _read_docs,
                                                       _simhash_batch,
+                                                      _tokens,
                                                       curate_corpus_ds)
+
+
+def ngram_hashes(words: list[str], n: int) -> np.ndarray:
+    """Distinct stable 64-bit hashes of the token n-grams of one doc:
+    the per-doc form the batch kernel ``textops._ngram_windows``
+    replaced (one ``pd.util.hash_array`` and one ``np.unique`` per
+    doc)."""
+    if len(words) < n:
+        return np.empty(0, dtype=np.uint64)
+    grams = [" ".join(words[i:i + n]) for i in range(len(words) - n + 1)]
+    h = pd.util.hash_array(np.asarray(grams, dtype=object))
+    return np.unique(h)
+
+
+def benchmark_ngram_hashes(texts, n: int = 3,
+                           max_tokens: int | None = None) -> np.ndarray:
+    """Per-doc form of ``textops.benchmark_ngram_hashes``."""
+    out = [np.empty(0, dtype=np.uint64)]
+    for t in texts:
+        w = _tokens(t)
+        if max_tokens is not None:
+            w = w[:max_tokens]
+        out.append(ngram_hashes(w, n))
+    return np.unique(np.concatenate(out))
+
+
+def contaminated(texts, n: int, bench: np.ndarray) -> np.ndarray:
+    """Per-doc decontamination flags as the fused curation map used to
+    compute them: one ``searchsorted`` probe of each doc's n-gram
+    hashes against the sorted eval-set array."""
+    out = []
+    for t in texts:
+        doc_ng = ngram_hashes(_tokens(t), n)
+        if len(doc_ng) and len(bench):
+            idx = np.minimum(np.searchsorted(bench, doc_ng),
+                             len(bench) - 1)
+            out.append(bool((bench[idx] == doc_ng).any()))
+        else:
+            out.append(False)
+    return np.array(out, dtype=bool)
+
+
+def gopher_rows(texts, max_dup_line_frac: float, max_symbol_ratio: float,
+                max_bullet_frac: float) -> pd.DataFrame:
+    """Per-doc Gopher line rules, the loop ``textops._gopher_batch``
+    replaced: duplicate-line fraction, symbol-to-word ratio, bullet-line
+    fraction and the pass flag."""
+    out = {"dup_line_frac": [], "symbol_ratio": [], "bullet_frac": [],
+           "gopher_pass": []}
+    for text in texts:
+        lines = [ln for ln in text.split("\n") if ln.strip()]
+        n_lines = len(lines)
+        dup = (1.0 - len(set(lines)) / n_lines) if n_lines else 0.0
+        n_words = len(_tokens(text))
+        sym = ((text.count("#") + text.count("..."))
+               / n_words if n_words else 0.0)
+        bullet = (sum(ln.lstrip().startswith(_BULLET) for ln in lines)
+                  / n_lines if n_lines else 0.0)
+        out["dup_line_frac"].append(float(_round_half_away(dup)))
+        out["symbol_ratio"].append(float(_round_half_away(sym)))
+        out["bullet_frac"].append(float(_round_half_away(bullet)))
+        out["gopher_pass"].append(dup <= max_dup_line_frac
+                                  and sym <= max_symbol_ratio
+                                  and bullet <= max_bullet_frac)
+    return pd.DataFrame(out)
 
 
 def simhash_fingerprints(sf_dir: str):
