@@ -310,8 +310,9 @@ def _shingle_hashes(words: list[str], k: int = 3, *, hash_fn=None,
     th = hash_fn(np.asarray(words, dtype=object))
     if len(th) < k:
         combo = np.uint64(0)
-        for j, h in enumerate(th):
-            combo ^= mix(np.uint64(h), j)
+        with np.errstate(over="ignore"):
+            for j, h in enumerate(th):
+                combo ^= mix(np.uint64(h), j)
         return np.array([combo], dtype=np.uint64)
     acc = np.zeros(len(th) - k + 1, dtype=np.uint64)
     for j in range(k):

@@ -435,12 +435,11 @@ class TestStreamingScorerForms:
 
     def test_graph_ds_forms_are_datasets_and_match(self):
         """Per-vertex graph outputs are corpus-sized at 100 TB (one
-        row per doc/host), so the library exposes Dataset forms that
-        compose into the next stage; wrappers must agree exactly."""
+        row per doc/host), so the library exposes a Dataset form that
+        composes into the next stage; the wrapper must agree exactly."""
         from ray.data import Dataset
         from osm_sidewalkreator_ray.functions.graph import (
-            connected_components, connected_components_ds, pagerank,
-            pagerank_ds)
+            connected_components, connected_components_ds)
         edges = pd.DataFrame({"src": [1, 2, 5, 9, 9],
                               "dst": [2, 3, 6, 1, 9]})
         cds = connected_components_ds(edges)
@@ -448,185 +447,6 @@ class TestStreamingScorerForms:
         got = (cds.to_pandas().sort_values("vertex")
                .reset_index(drop=True))
         pd.testing.assert_frame_equal(got, connected_components(edges))
-        pds = pagerank_ds(edges, iters=5)
-        assert isinstance(pds, Dataset)
-        got = (pds.to_pandas().sort_values("vertex")
-               .reset_index(drop=True))
-        pd.testing.assert_frame_equal(got, pagerank(edges, iters=5))
-
-
-@pytest.mark.usefixtures("ray_session")
-class TestPageRank:
-    @staticmethod
-    def _local_pagerank(edges, d=0.85, iters=20):
-        import numpy as np
-        src = np.array([e[0] for e in edges])
-        dst = np.array([e[1] for e in edges])
-        verts = np.unique(np.concatenate([src, dst]))
-        idx = {v: i for i, v in enumerate(verts)}
-        n = len(verts)
-        deg = np.zeros(n)
-        for s in src:
-            deg[idx[s]] += 1
-        r = np.full(n, 1.0 / n)
-        for _ in range(iters):
-            contrib = np.zeros(n)
-            for s, t in edges:
-                contrib[idx[t]] += r[idx[s]] / deg[idx[s]]
-            dangling = r[deg == 0].sum()
-            r = (1 - d) / n + d * (contrib + dangling / n)
-        return verts, r
-
-    def _check(self, edges, iters=20):
-        import pandas as pd
-        from osm_sidewalkreator_ray.functions.graph import pagerank
-        got = pagerank(pd.DataFrame(edges, columns=["src", "dst"]),
-                       iters=iters)
-        verts, want = self._local_pagerank(edges, iters=iters)
-        assert got["vertex"].tolist() == list(verts)
-        assert np.allclose(got["rank"].to_numpy(), want, atol=1e-12)
-        assert abs(got["rank"].sum() - 1.0) < 1e-9
-
-    def test_star_with_dangling(self):
-        # hub -> leaves; leaves dangle (no out-edges)
-        self._check([(0, 1), (0, 2), (0, 3)])
-
-    def test_cycle_uniform(self):
-        import pandas as pd
-        from osm_sidewalkreator_ray.functions.graph import pagerank
-        edges = [(0, 1), (1, 2), (2, 3), (3, 0)]
-        got = pagerank(pd.DataFrame(edges, columns=["src", "dst"]))
-        assert np.allclose(got["rank"], 0.25, atol=1e-12)
-
-    def test_multigraph_and_authority(self):
-        # many pages linking one target; parallel edges count per-edge
-        edges = [(i, 99) for i in range(10)] + [(99, 0), (3, 4), (3, 4)]
-        self._check(edges)
-
-    def test_matches_reference_random_digraph(self):
-        rng = np.random.RandomState(7)
-        edges = [(int(a), int(b)) for a, b in
-                 rng.randint(0, 40, size=(300, 2)) if a != b]
-        self._check(edges, iters=15)
-
-
-@pytest.mark.usefixtures("ray_session")
-class TestWeightedPersonalizedPageRank:
-    @staticmethod
-    def _local(edges, weights=None, pers=None, d=0.85, iters=20):
-        src = np.array([e[0] for e in edges])
-        dst = np.array([e[1] for e in edges])
-        w = (np.asarray(weights, dtype=float) if weights is not None
-             else np.ones(len(edges)))
-        verts = np.unique(np.concatenate([src, dst]))
-        idx = {v: i for i, v in enumerate(verts)}
-        n = len(verts)
-        wout = np.zeros(n)
-        for s, ww in zip(src, w):
-            wout[idx[s]] += ww
-        if pers:
-            tot = sum(pers.values())
-            base = np.array([pers.get(int(v), 0.0) / tot
-                             for v in verts])
-        else:
-            base = np.full(n, 1.0 / n)
-        r = base.copy()
-        for _ in range(iters):
-            contrib = np.zeros(n)
-            for (s, t), ww in zip(edges, w):
-                contrib[idx[t]] += r[idx[s]] * ww / wout[idx[s]]
-            dangling = r[wout == 0].sum()
-            r = (1 - d) * base + d * (contrib + dangling * base)
-        return verts, r
-
-    def test_weighted_matches_reference(self):
-        from osm_sidewalkreator_ray.functions.graph import pagerank
-        rng = np.random.RandomState(21)
-        edges = [(int(a), int(b)) for a, b in
-                 rng.randint(0, 30, size=(150, 2)) if a != b]
-        w = rng.uniform(0.1, 5.0, len(edges))
-        df = pd.DataFrame(edges, columns=["src", "dst"])
-        df["w"] = w
-        import ray.data as rd
-        got = pagerank(rd.from_pandas(df), iters=6, weight_col="w")
-        verts, want = self._local(edges, weights=w, iters=6)
-        assert got["vertex"].tolist() == list(verts)
-        assert np.allclose(got["rank"], want, atol=1e-12)
-
-    def test_personalized_restarts_on_seeds(self):
-        from osm_sidewalkreator_ray.functions.graph import pagerank
-        rng = np.random.RandomState(22)
-        edges = [(int(a), int(b)) for a, b in
-                 rng.randint(0, 40, size=(200, 2)) if a != b]
-        pers = {0: 1.0, 1: 3.0}
-        got = pagerank(pd.DataFrame(edges, columns=["src", "dst"]),
-                       iters=6, personalization=pers)
-        verts, want = self._local(edges, pers=pers, iters=6)
-        assert got["vertex"].tolist() == list(verts)
-        assert np.allclose(got["rank"], want, atol=1e-12)
-        # mass concentrated near the seeds vs the uniform variant
-        uni = pagerank(pd.DataFrame(edges, columns=["src", "dst"]),
-                       iters=6)
-        g = dict(zip(got["vertex"], got["rank"]))
-        u = dict(zip(uni["vertex"], uni["rank"]))
-        assert g[1] > u[1]
-
-    def test_unweighted_unchanged(self):
-        # the weight generalization must not perturb the plain op
-        from osm_sidewalkreator_ray.functions.graph import pagerank
-        edges = pd.DataFrame({"src": [0, 0, 0], "dst": [1, 2, 3]})
-        got = pagerank(edges, iters=10)
-        base = self._local([(0, 1), (0, 2), (0, 3)], iters=10)[1]
-        assert np.allclose(got["rank"], base, atol=1e-12)
-
-
-@pytest.mark.usefixtures("ray_session")
-class TestLabelPropagation:
-    def _local_lpa(self, edges, iters):
-        import collections
-        adj = collections.defaultdict(list)
-        for s, d in edges:
-            adj[s].append(d)
-            adj[d].append(s)
-        labels = {v: v for v in adj}
-        for _ in range(iters):
-            new = {}
-            for v in adj:
-                cnt = collections.Counter(labels[u] for u in adj[v])
-                best = max(cnt.items(), key=lambda kv: (kv[1],
-                                                        -kv[0]))
-                new[v] = best[0]
-            labels = new
-        return labels
-
-    def test_two_cliques_with_bridge(self):
-        from osm_sidewalkreator_ray.functions.graph import \
-            label_propagation
-        edges = [(a, b) for a in range(5) for b in range(a + 1, 5)]
-        edges += [(a, b) for a in range(10, 15)
-                  for b in range(a + 1, 15)]
-        edges += [(4, 10)]
-        df = pd.DataFrame(edges, columns=["src", "dst"])
-        got = label_propagation(df, iters=5).set_index("vertex")
-        comms = got["community"]
-        assert len(set(comms.iloc[:5])) == 1
-        assert len(set(comms.iloc[5:])) == 1
-        assert comms.iloc[0] != comms.iloc[-1]
-
-    def test_equals_local_reference(self):
-        import ray.data as rd
-        from osm_sidewalkreator_ray.functions.graph import \
-            label_propagation
-        rng = np.random.RandomState(4)
-        edges = list({(int(a), int(b)) for a, b in
-                      zip(rng.randint(0, 60, 150),
-                          rng.randint(0, 60, 150)) if a != b})
-        df = pd.DataFrame(edges, columns=["src", "dst"])
-        for it in (1, 3):
-            got = label_propagation(
-                rd.from_pandas(df).repartition(4), iters=it)
-            ref = self._local_lpa(edges, it)
-            assert dict(zip(got["vertex"], got["community"])) == ref
 
 
 class TestShingleWidths:

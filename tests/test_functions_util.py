@@ -300,17 +300,6 @@ def test_bloom_dtype_mismatch_no_false_negatives():
 
 
 @pytest.mark.usefixtures("ray_session")
-class TestNewOpsEmptyInputs:
-    """Ray Data can deliver empty datasets/blocks (e.g. downstream of
-    a filter); every r4 op must return its typed empty result."""
-
-    def test_graph_ops_empty(self):
-        from osm_sidewalkreator_ray.functions.graph import pagerank
-        e = pd.DataFrame({"src": [], "dst": []}).astype("int64")
-        assert len(pagerank(e)) == 0
-
-
-@pytest.mark.usefixtures("ray_session")
 class TestMergeInto:
     def test_upsert_insert_delete_vs_sql(self):
         import duckdb

@@ -1,4 +1,4 @@
-"""The bucketed co-group behind every graph operator: exact int64
+"""The bucketed co-group behind connected components: exact int64
 round-trips for ids above 2^53, and typed results when a side or every
 side is empty."""
 
@@ -6,7 +6,7 @@ import numpy as np
 import pandas as pd
 import pytest
 
-from osm_sidewalkreator_ray.functions.graph import _SCC_INF, _cogroup
+from osm_sidewalkreator_ray.functions.graph import _cogroup
 
 pytestmark = pytest.mark.usefixtures("ray_session")
 
@@ -28,7 +28,7 @@ def _attacher():
 
 
 def test_ids_above_2_53_round_trip_exactly():
-    inf = int(_SCC_INF)
+    inf = 2**62
     big = np.array([2**53 + 1, 2**53 + 3, inf - 1, inf, inf + 1,
                     2**63 - 1], dtype=np.int64)
     edges = pd.DataFrame({"src": big, "dst": big[::-1].copy()})

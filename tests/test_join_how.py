@@ -263,7 +263,8 @@ class TestJoinFacade:
         # 256 MiB/bucket = 40 > the CPU floor on the test session
         class FakeMat(rd.dataset.MaterializedDataset):
             def __init__(self):  # bypass Dataset construction
-                pass
+                # no executor, so Dataset.__del__ has nothing to shut down
+                self._current_executor = None
 
             def size_bytes(self):
                 return 10 << 30
