@@ -300,6 +300,23 @@ def test_bloom_dtype_mismatch_no_false_negatives():
 
 
 @pytest.mark.usefixtures("ray_session")
+class TestNewOpsEmptyInputs:
+    """Ray Data can deliver empty datasets/blocks (e.g. downstream of
+    a filter); every r4 op must return its typed empty result."""
+
+    def test_graph_ops_empty(self):
+        from osm_sidewalkreator_ray.functions.graph import (
+            connected_components, min_label_components)
+        e = pd.DataFrame({"src": [], "dst": []}).astype("int64")
+        got = connected_components(e)
+        assert len(got) == 0
+        assert got.dtypes.to_dict() == {"vertex": np.dtype("int64"),
+                                        "component": np.dtype("int64")}
+        pd.testing.assert_frame_equal(
+            got, min_label_components(e["src"], e["dst"]))
+
+
+@pytest.mark.usefixtures("ray_session")
 class TestMergeInto:
     def test_upsert_insert_delete_vs_sql(self):
         import duckdb

@@ -19,7 +19,9 @@ def _edges(tmp_path):
     return p
 
 
-def test_components_report(tmp_path, capsys):
+def test_components_pagerank_coloring(tmp_path, capsys):
+    # the name predates the components-only job; the components run
+    # and its asserts are unchanged
     src = _edges(tmp_path)
 
     out = str(tmp_path / "cc")
